@@ -11,6 +11,7 @@ emitted as SMT quantifiers.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import subprocess
@@ -184,29 +185,30 @@ def _iff_parts(f):
     return None
 
 
-_fresh_counter = [0]
-
-
-def _fresh_var(sort, avoid):
+def _fresh_var(sort, avoid, fresh):
     while True:
-        _fresh_counter[0] += 1
-        name = f"Q{_fresh_counter[0]}"
+        name = f"Q{next(fresh)}"
         if name not in avoid:
             return Var(name, sort)
 
 
-def eliminate_background_quantifiers(f):
+def eliminate_background_quantifiers(f, fresh=None):
     """Remove quantifiers over background sorts wherever an equality guard
-    pins down the variable; quantifiers that resist elimination remain."""
+    pins down the variable; quantifiers that resist elimination remain.
+
+    fresh numbers the new variables Q1, Q2, ...; the top-level call starts
+    its own count, so the result does not depend on earlier calls."""
+    if fresh is None:
+        fresh = itertools.count(1)
     if isinstance(f, Exists):
-        body = eliminate_background_quantifiers(f.body)
+        body = eliminate_background_quantifiers(f.body, fresh)
         cs = list(conjuncts(body))
         for idx, cj in enumerate(cs):
             t = _guard_term(cj, f.var)
             if t is not None:
                 rest = cs[:idx] + cs[idx + 1:]
                 replaced = subst(conj(rest), {f.var: t}) if rest else TOP
-                return eliminate_background_quantifiers(replaced)
+                return eliminate_background_quantifiers(replaced, fresh)
         return Exists(f.var, body)
     if isinstance(f, Forall):
         y = f.var
@@ -221,20 +223,22 @@ def eliminate_background_quantifiers(f):
                 if t is not None:
                     inst = subst(g_side, {y: t})
                     rev = Forall(y, Implies(g_side, eq_side))
-                    return And(eliminate_background_quantifiers(inst),
-                               eliminate_background_quantifiers(rev))
+                    return And(eliminate_background_quantifiers(inst, fresh),
+                               eliminate_background_quantifiers(rev, fresh))
         if isinstance(body, Implies):
             a, b = body.left, body.right
             if isinstance(a, Or):
                 return And(
-                    eliminate_background_quantifiers(Forall(y, Implies(a.left, b))),
-                    eliminate_background_quantifiers(Forall(y, Implies(a.right, b))))
+                    eliminate_background_quantifiers(
+                        Forall(y, Implies(a.left, b)), fresh),
+                    eliminate_background_quantifiers(
+                        Forall(y, Implies(a.right, b)), fresh))
             if isinstance(a, Exists):
                 names = {v.name for v in free_vars(b) | free_vars(a)} | {y.name}
-                z = _fresh_var(a.var.sort, names)
+                z = _fresh_var(a.var.sort, names, fresh)
                 inner = subst(a.body, {a.var: z})
                 return eliminate_background_quantifiers(
-                    Forall(y, Forall(z, Implies(inner, b))))
+                    Forall(y, Forall(z, Implies(inner, b))), fresh)
             cs = list(conjuncts(a))
             for idx, cj in enumerate(cs):
                 t = _guard_term(cj, y)
@@ -242,15 +246,16 @@ def eliminate_background_quantifiers(f):
                     rest = cs[:idx] + cs[idx + 1:]
                     ante = conj(rest) if rest else None
                     new = Implies(ante, b) if ante is not None else b
-                    return eliminate_background_quantifiers(subst(new, {y: t}))
-        body2 = eliminate_background_quantifiers(body)
+                    return eliminate_background_quantifiers(
+                        subst(new, {y: t}), fresh)
+        body2 = eliminate_background_quantifiers(body, fresh)
         if body2 != body:
             # the simplified body may expose a guard for y, so retry
-            return eliminate_background_quantifiers(Forall(y, body2))
+            return eliminate_background_quantifiers(Forall(y, body2), fresh)
         return Forall(y, body2)
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(eliminate_background_quantifiers(f.left),
-                       eliminate_background_quantifiers(f.right))
+        return type(f)(eliminate_background_quantifiers(f.left, fresh),
+                       eliminate_background_quantifiers(f.right, fresh))
     return f
 
 

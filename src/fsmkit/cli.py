@@ -9,6 +9,7 @@ no models, not tight, refuted), 2 usage or fragment errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,8 +21,8 @@ from .syntax import (
 from .parser import ParseError, parse_program, print_formula, print_program
 from .interp import FiniteInterpretation, enumerate_interpretations
 from .stable import (
-    METHOD_REDUCT, METHOD_SECOND_ORDER, check_stable, check_stable_both,
-    ground,
+    METHOD_BOTH, METHOD_REDUCT, METHOD_SECOND_ORDER, check_stable, checker,
+    ground, stable_models, universe_grounding,
 )
 from .transforms import (
     check_strong_equivalence_bounded, complete, dependency_graph, find_cycle,
@@ -68,32 +69,29 @@ def _relative_to(program, flag):
     return as_clist(program.intensional)
 
 
-def _check_fn(method):
-    if method == "both":
-        return check_stable_both
-    return lambda f, c, i: check_stable(f, c, i, method)
+_worker_job = None
 
 
-_WORK = {}
+def _start_worker(job):
+    global _worker_job
+    _worker_job = job
 
 
-def _worker(indices):
-    f, c, method, interps = _WORK["job"]
-    fn = _check_fn(method)
-    return [idx for idx in indices if fn(f, c.names, interps[idx])]
+def _worker(k):
+    """Stable models among candidates k, k + jobs, k + 2*jobs, ..."""
+    f, c, sig, universe, method, grounding, jobs = _worker_job
+    check = checker(method)
+    return [i for i in itertools.islice(enumerate_interpretations(sig, universe),
+                                        k, None, jobs)
+            if check(f, c.names, i, grounding=grounding)]
 
 
 def _stable_models_parallel(f, c, sig, universe, method, jobs):
-    interps = list(enumerate_interpretations(sig, universe))
-    if jobs <= 1:
-        fn = _check_fn(method)
-        return [i for i in interps if fn(f, c.names, i)]
-    _WORK["job"] = (f, c, method, interps)
-    chunks = [list(range(k, len(interps), jobs)) for k in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_worker, chunks))
-    picked = sorted(idx for chunk in results for idx in chunk)
-    return [interps[idx] for idx in picked]
+    grounding = universe_grounding(f, sig, universe, method)
+    job = (f, c, sig, universe, method, grounding, jobs)
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                             initargs=(job,)) as pool:
+        return [i for part in pool.map(_worker, range(jobs)) for i in part]
 
 
 def _canonical_models(models):
@@ -125,8 +123,12 @@ def cmd_stable(args):
     universe = _universe(program, args.universe)
     c = _relative_to(program, args.relative_to)
     f = fol_representation(program)
-    models = _stable_models_parallel(f, c, program.signature, universe,
-                                     args.method, args.jobs)
+    if args.jobs > 1:
+        models = _stable_models_parallel(f, c, program.signature, universe,
+                                         args.method, args.jobs)
+    else:
+        models = stable_models(f, c, program.signature, universe,
+                               method=args.method)
     json.dump(_canonical_models(models), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK if models else EXIT_NO
@@ -139,7 +141,7 @@ def cmd_check(args):
     with open(args.interp, encoding="utf-8") as fh:
         data = json.load(fh)
     i = FiniteInterpretation.from_json(data, program.signature)
-    verdict = _check_fn(args.method)(f, c.names, i)
+    verdict = checker(args.method)(f, c.names, i)
     json.dump({"stable": verdict}, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK if verdict else EXIT_NO
@@ -246,11 +248,14 @@ def cmd_compare(args):
     if_rules = [IfRule(_choice_free(r), r.body) for r in program.rules]
     cm_rules = [CausalRule(_choice_free(r), r.body) for r in program.rules]
     interps = list(enumerate_interpretations(program.signature, universe))
+    grounding = (universe_grounding(f, program.signature, universe)
+                 if "fsm" in semantics else None)
     verdicts = {s: [] for s in semantics}
     for i in interps:
         for s in semantics:
             if s == "fsm":
-                verdicts[s].append(check_stable(f, c.names, i))
+                verdicts[s].append(check_stable(f, c.names, i,
+                                                grounding=grounding))
             elif s == "if":
                 verdicts[s].append(if_check(if_rules, c.names, i))
             else:
@@ -325,14 +330,14 @@ def build_parser():
     p = sub.add_parser("stable", help="enumerate stable models")
     common(p)
     p.add_argument("--method", default=METHOD_REDUCT,
-                   choices=[METHOD_REDUCT, METHOD_SECOND_ORDER, "both"])
+                   choices=[METHOD_REDUCT, METHOD_SECOND_ORDER, METHOD_BOTH])
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_stable)
 
     p = sub.add_parser("check", help="check one interpretation")
     common(p, interp=True)
     p.add_argument("--method", default=METHOD_REDUCT,
-                   choices=[METHOD_REDUCT, METHOD_SECOND_ORDER, "both"])
+                   choices=[METHOD_REDUCT, METHOD_SECOND_ORDER, METHOD_BOTH])
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("complete", help="definitional completion")

@@ -13,6 +13,7 @@ Their agreement is a continuously-audited invariant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -95,11 +96,15 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None):
 
     Quantifiers become finite set-conjunctions/disjunctions over the
     variable's sort extent, with object names substituted for the variable.
-    Ground terms are kept intact (only variables are replaced).
+    Ground terms are kept intact (only variables are replaced).  Only the
+    universe of interp is read, so one grounding serves every candidate
+    over that universe.  The top-level call (env is None) rejects a formula
+    with free variables; nested calls bind every variable they meet.
     """
-    env = env or {}
-    if free_vars(f) - set(env):
-        raise FsmError(f"ground: free variables in {f!r}")
+    if env is None:
+        if free_vars(f):
+            raise FsmError(f"ground: free variables in {f!r}")
+        env = {}
 
     def g_term(t):
         if isinstance(t, Var):
@@ -158,19 +163,33 @@ def gsat(interp: FiniteInterpretation, g) -> bool:
 
 def reduct(g, interp: FiniteInterpretation):
     """Reduct relative to interp: false atoms and false implications become
-    bottom, everything else is reduced recursively."""
-    if isinstance(g, GBot):
-        return GBOT
+    bottom, everything else is reduced recursively.
+
+    One bottom-up pass: each atom is evaluated once, and whether a node
+    holds in interp is derived from its members instead of re-evaluated.
+    """
+    return _reduct_pass(g, interp)[1]
+
+
+def _reduct_pass(g, interp):
+    """(interp satisfies g, reduct of g relative to interp)."""
     if isinstance(g, (GAtom, GEqual)):
-        return g if gsat(interp, g) else GBOT
-    if isinstance(g, GAnd):
-        return gand(reduct(m, interp) for m in g.members)
-    if isinstance(g, GOr):
-        return gor(reduct(m, interp) for m in g.members)
+        if gsat(interp, g):
+            return True, g
+        return False, GBOT
     if isinstance(g, GImp):
-        if not gsat(interp, g):
-            return GBOT
-        return GImp(reduct(g.left, interp), reduct(g.right, interp))
+        left_sat, left = _reduct_pass(g.left, interp)
+        right_sat, right = _reduct_pass(g.right, interp)
+        if left_sat and not right_sat:
+            return False, GBOT
+        return True, GImp(left, right)
+    if isinstance(g, (GAnd, GOr)):
+        pairs = [_reduct_pass(m, interp) for m in g.members]
+        holds = all if isinstance(g, GAnd) else any
+        return (holds(s for s, _ in pairs),
+                type(g)(frozenset(r for _, r in pairs)))
+    if isinstance(g, GBot):
+        return False, GBOT
     raise TypeError(f"not a ground formula: {g!r}")
 
 
@@ -247,6 +266,7 @@ def extended_interpretation(i: FiniteInterpretation, j: FiniteInterpretation,
 
 METHOD_REDUCT = "reduct"
 METHOD_SECOND_ORDER = "second-order"
+METHOD_BOTH = "both"
 
 
 def _witnesses(i: FiniteInterpretation, c):
@@ -258,13 +278,21 @@ def _witnesses(i: FiniteInterpretation, c):
 
 
 def check_stable(f: Formula, c, i: FiniteInterpretation,
-                 method: str = METHOD_REDUCT) -> bool:
-    """Whether I is a stable model of F relative to c."""
+                 method: str = METHOD_REDUCT, *, grounding=None) -> bool:
+    """Whether I is a stable model of F relative to c.
+
+    grounding is ground(f, ...) over I's universe.  Callers that check many
+    candidates over one universe build it once (see universe_grounding);
+    when it is None the reduct route grounds F itself.  The second-order
+    route does not use it.
+    """
     c = as_clist(c)
     if not satisfies(i, f):
         return False
     if method == METHOD_REDUCT:
-        red = reduct(ground(f, i), i)
+        if grounding is None:
+            grounding = ground(f, i)
+        red = reduct(grounding, i)
         return not any(gsat(j, red) for j in _witnesses(i, c))
     if method == METHOD_SECOND_ORDER:
         mirrors = mirror_names(c, i.signature)
@@ -278,13 +306,31 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
     raise FsmError(f"unknown method {method!r}")
 
 
-def check_stable_both(f: Formula, c, i: FiniteInterpretation) -> bool:
+def check_stable_both(f: Formula, c, i: FiniteInterpretation, *,
+                      grounding=None) -> bool:
     """Run both checkers and fail loudly if they ever disagree."""
-    a = check_stable(f, c, i, METHOD_REDUCT)
+    a = check_stable(f, c, i, METHOD_REDUCT, grounding=grounding)
     b = check_stable(f, c, i, METHOD_SECOND_ORDER)
     if a != b:
         raise FsmError(f"stable checker divergence on {f!r}: reduct={a} second-order={b}")
     return a
+
+
+def checker(method: str):
+    """The check for method, called as fn(f, c, i, grounding=...); METHOD_BOTH
+    runs both checkers and compares them."""
+    if method == METHOD_BOTH:
+        return check_stable_both
+    return functools.partial(check_stable, method=method)
+
+
+def universe_grounding(f: Formula, sig: Signature, universe: dict,
+                       method: str = METHOD_REDUCT):
+    """ground(f) over the universe, to share across every candidate checked
+    there; None when method does not take the reduct."""
+    if method == METHOD_SECOND_ORDER:
+        return None
+    return ground(f, FiniteInterpretation(sig, universe))
 
 
 def stable_models(f: Formula, c, sig: Signature, universe: dict,
@@ -294,16 +340,18 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
 
     Non-intensional symbols are pinned by the fixed part; intensional ones
     (plus any extra symbols listed in vary) range over all assignments.
+    F is grounded once for the universe, and every candidate is checked
+    against that one grounding.  method may also be METHOD_BOTH.
     """
     c = as_clist(c)
     if vary is None:
         fixed = set(fixed_funcs or {}) | set(fixed_preds or {})
         vary = [n for n in sig.user_symbols() if n not in fixed]
-    out = []
-    for i in enumerate_interpretations(sig, universe, fixed_funcs, fixed_preds, vary=vary):
-        if check_stable(f, c, i, method):
-            out.append(i)
-    return out
+    check = checker(method)
+    grounding = universe_grounding(f, sig, universe, method)
+    return [i for i in enumerate_interpretations(sig, universe, fixed_funcs,
+                                                 fixed_preds, vary=vary)
+            if check(f, c, i, grounding=grounding)]
 
 
 # ---------------------------------------------------------------------------

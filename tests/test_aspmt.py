@@ -132,6 +132,26 @@ def test_emission_is_deterministic_and_valid():
     assert validate_smtlib(s1.render())
 
 
+def test_emission_with_residual_quantifier_is_deterministic():
+    # a quantifier that no guard eliminates gets a fresh name; the names must
+    # not depend on how many scripts were emitted before
+    prog = parse_program("""
+func h : -> real.
+func g : -> real.
+var Y : real.
+var Z : real.
+intensional h.
+h = Y :- Z > Y & Z < g.
+""")
+    f = conj(r.as_formula() for r in prog.rules)
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    bg = BackgroundTheory("reals")
+    s1 = emit_smtlib(cnf, prog.intensional, prog.signature, bg).render()
+    s2 = emit_smtlib(cnf, prog.intensional, prog.signature, bg).render()
+    assert "(forall ((Q1 Real))" in s1
+    assert s1 == s2
+
+
 def test_emission_includes_range_guards():
     prog, f = water_tank()
     cnf = to_clark_normal_form(f, prog.intensional, prog.signature)

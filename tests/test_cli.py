@@ -1,14 +1,18 @@
 """Command-line interface: exit codes and machine-readable output."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
 from fsmkit.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 SCHEMAS = (pathlib.Path(__file__).resolve().parent.parent
            / "src" / "fsmkit" / "schemas")
 
@@ -66,6 +70,26 @@ def test_stable_jobs_matches_serial(capsys):
     _, serial = run(capsys, "stable", str(TANK))
     _, parallel = run(capsys, "stable", "--jobs", "2", str(TANK))
     assert json.loads(serial) == json.loads(parallel)
+
+
+@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+def test_stable_jobs_works_under_start_method(capsys, start_method):
+    # workers must get their job through the pool, not through state that
+    # only a forked child inherits
+    argv = ["stable", str(TANK), "--universe", "amt=0..6"]
+    _, serial = run(capsys, *argv)
+    code = ("import multiprocessing, sys\n"
+            f"multiprocessing.set_start_method({start_method!r})\n"
+            "from fsmkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code] + argv + ["--jobs", "2"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == serial
 
 
 def test_check_accepts_and_rejects(tmp_path, capsys):

@@ -1,18 +1,25 @@
 """Stable-model checking: grounding, reducts, the second-order route, and
 agreement between the two methods on random inputs."""
 
+import pathlib
+import random
+
 import pytest
 
 from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
+from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    METHOD_REDUCT, METHOD_SECOND_ORDER, check_stable, check_stable_both,
-    ground, gsat, mvp_stable_check, reduct, stable_models,
+    GBOT, GAnd, GAtom, GBot, GEqual, GImp, GOr, METHOD_BOTH, METHOD_REDUCT,
+    METHOD_SECOND_ORDER, check_stable, check_stable_both, gand, gor, ground,
+    gsat, mvp_stable_check, reduct, stable_models,
 )
 from fsmkit.syntax import (
-    And, App, Atom, BOT, Choice, Equal, Exists, Forall, Implies, Lit, Not,
-    Or, Signature, TOP, Var, conj,
+    And, App, Atom, BOT, Choice, Equal, Exists, Forall, FsmError, Implies,
+    Lit, Not, Or, Signature, TOP, Var, conj, fol_representation,
 )
-from conftest import make_gen, small_signature
+from conftest import make_gen, random_definition_program, small_signature
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def prop_sig():
@@ -146,3 +153,105 @@ def test_mvp_agrees_with_interpretation_route():
         i = FiniteInterpretation(sig, {"s": (1, 2)}, funcs={"f": {(): v}})
         assert (mvp_stable_check(formula, {"f": v}, {"f": (1, 2)})
                 == check_stable_both(formula, ("f",), i))
+
+
+# ---------------------------------------------------------------------------
+# ground once per universe, single-pass reduct
+
+def two_pass_reduct(g, interp):
+    """The reduct as first defined: test each implication with gsat, then
+    reduce its sides again.  Reference for the single-pass reduct."""
+    if isinstance(g, GBot):
+        return GBOT
+    if isinstance(g, (GAtom, GEqual)):
+        return g if gsat(interp, g) else GBOT
+    if isinstance(g, GAnd):
+        return gand(two_pass_reduct(m, interp) for m in g.members)
+    if isinstance(g, GOr):
+        return gor(two_pass_reduct(m, interp) for m in g.members)
+    if isinstance(g, GImp):
+        if not gsat(interp, g):
+            return GBOT
+        return GImp(two_pass_reduct(g.left, interp),
+                    two_pass_reduct(g.right, interp))
+    raise TypeError(g)
+
+
+def assert_reduct_matches_reference(f, sig, universe):
+    """One grounding serves every candidate, and the single-pass reduct of it
+    equals the reference; returns the number of candidates compared."""
+    g = ground(f, FiniteInterpretation(sig, universe))
+    n = 0
+    for i in enumerate_interpretations(sig, universe):
+        assert ground(f, i) == g
+        assert reduct(g, i) == two_pass_reduct(g, i), f"{f!r} under {i.to_json()}"
+        n += 1
+    return n
+
+
+def demo(name, **sizes):
+    program = parse_program((DEMOS / name).read_text())
+    universe = dict(program.universe)
+    universe.update({s: tuple(range(n)) for s, n in sizes.items()})
+    return fol_representation(program), program.signature, universe
+
+
+def test_single_pass_reduct_matches_two_pass_on_demos():
+    assert assert_reduct_matches_reference(*demo("watertank.fsm", amt=11)) == 242
+    assert assert_reduct_matches_reference(*demo("switches.fsm")) == 64
+
+
+def test_single_pass_reduct_matches_two_pass_on_random_formulas():
+    for seed in range(3):
+        sig, gen = make_gen(seed=seed, with_unary_func=seed == 2)
+        for _ in range(20):
+            assert_reduct_matches_reference(gen.formula(depth=3), sig,
+                                            {"u": (1, 2)})
+    rng = random.Random(11)
+    for _ in range(20):
+        sig, f = random_definition_program(rng)
+        assert_reduct_matches_reference(f, sig, {"u": (1, 2)})
+
+
+def brute_force_stable(f, c, sig, universe, method):
+    return [i for i in enumerate_interpretations(sig, universe)
+            if check_stable(f, c, i, method)]
+
+
+def test_stable_models_with_shared_grounding_matches_per_candidate_checks():
+    universe = {"u": (1, 2)}
+    cases = []
+    sig, gen = make_gen(seed=5)
+    cases += [(gen.formula(depth=3), ("a", "p"), sig) for _ in range(25)]
+    rng = random.Random(13)
+    for _ in range(15):
+        sig, f = random_definition_program(rng)
+        cases.append((f, ("f", "g", "p"), sig))
+    found = 0
+    for f, c, sig in cases:
+        expected = brute_force_stable(f, c, sig, universe, METHOD_REDUCT)
+        assert expected == brute_force_stable(f, c, sig, universe,
+                                              METHOD_SECOND_ORDER)
+        for method in (METHOD_REDUCT, METHOD_SECOND_ORDER, METHOD_BOTH):
+            assert stable_models(f, c, sig, universe, method=method) == expected
+        found += len(expected)
+    assert found > 0
+
+
+def test_check_stable_uses_a_given_grounding():
+    f, sig, universe = demo("watertank.fsm", amt=4)
+    g = ground(f, FiniteInterpretation(sig, universe))
+    for i in enumerate_interpretations(sig, universe):
+        assert (check_stable(f, ("amt1",), i, grounding=g)
+                == check_stable(f, ("amt1",), i)
+                == check_stable_both(f, ("amt1",), i, grounding=g))
+
+
+def test_ground_rejects_free_variable_under_a_quantifier():
+    sig = small_signature()
+    i = FiniteInterpretation(sig, {"u": (1, 2)})
+    f = Forall(Var("X", "u"), Atom("p", (Var("Y", "u"),)))
+    with pytest.raises(FsmError, match="free variables"):
+        ground(f, i)
+    with pytest.raises(FsmError, match="free variables"):
+        stable_models(f, ("p",), sig, {"u": (1, 2)})
