@@ -11,7 +11,6 @@ emitted as SMT quantifiers.
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 import subprocess
@@ -21,9 +20,9 @@ from fractions import Fraction
 
 from .syntax import (
     And, App, Atom, ARITH_FUNCS, BOOL, BOT, Bottom, COMPARE_PREDS, Equal,
-    Exists, Forall, Formula, FragmentError, FsmError, INT, Implies, Lit, Not,
-    Obj, Or, REAL, Signature, TAG_USER, TOP, Var, as_clist, conj, conjuncts,
-    free_vars, is_not, subst,
+    Exists, Forall, Formula, FragmentError, FreshNames, FsmError, INT,
+    Implies, Lit, Not, Obj, Or, REAL, Signature, TAG_USER, TOP, Var, as_clist,
+    conj, conjuncts, free_vars, is_not, subst,
 )
 from .interp import FiniteInterpretation
 from .stable import check_stable, METHOD_REDUCT
@@ -185,21 +184,14 @@ def _iff_parts(f):
     return None
 
 
-def _fresh_var(sort, avoid, fresh):
-    while True:
-        name = f"Q{next(fresh)}"
-        if name not in avoid:
-            return Var(name, sort)
-
-
 def eliminate_background_quantifiers(f, fresh=None):
     """Remove quantifiers over background sorts wherever an equality guard
     pins down the variable; quantifiers that resist elimination remain.
 
-    fresh numbers the new variables Q1, Q2, ...; the top-level call starts
-    its own count, so the result does not depend on earlier calls."""
+    fresh names the new variables Q1, Q2, ...; the top-level call starts
+    its own supply, so the result does not depend on earlier calls."""
     if fresh is None:
-        fresh = itertools.count(1)
+        fresh = FreshNames("Q")
     if isinstance(f, Exists):
         body = eliminate_background_quantifiers(f.body, fresh)
         cs = list(conjuncts(body))
@@ -235,7 +227,7 @@ def eliminate_background_quantifiers(f, fresh=None):
                         Forall(y, Implies(a.right, b)), fresh))
             if isinstance(a, Exists):
                 names = {v.name for v in free_vars(b) | free_vars(a)} | {y.name}
-                z = _fresh_var(a.var.sort, names, fresh)
+                z = fresh.var(a.var.sort, avoid=names)
                 inner = subst(a.body, {a.var: z})
                 return eliminate_background_quantifiers(
                     Forall(y, Forall(z, Implies(inner, b))), fresh)
@@ -535,21 +527,28 @@ def _value_of(sx):
     raise DecodeError(f"unrecognized value {sx!r}")
 
 
+def _define_funs(text):
+    """(name, value s-expression) of every define-fun in solver output, in
+    order, at any depth."""
+    stack = list(reversed(parse_sexprs(text)))
+    while stack:
+        sx = stack.pop()
+        if isinstance(sx, list):
+            if len(sx) >= 5 and sx[0] == "define-fun":
+                yield sx[1], sx[4]
+            else:
+                stack.extend(reversed(sx))
+
+
 def decode_model(text: str, script: SmtScript, sig: Signature,
                  bg: BackgroundTheory) -> FiniteInterpretation:
     """Turn a get-model response back into a finite interpretation over the
     declared slice."""
-    top = parse_sexprs(text)
+    # convert every value, so that a malformed one is reported even when
+    # it is not needed
     defs = {}
-    def walk(sx):
-        if isinstance(sx, list):
-            if len(sx) >= 5 and sx[0] == "define-fun":
-                defs[sx[1]] = _value_of(sx[4])
-            else:
-                for child in sx:
-                    walk(child)
-    for sx in top:
-        walk(sx)
+    for name, raw in _define_funs(text):
+        defs[name] = _value_of(raw)
 
     funcs, preds = {}, {}
     universe = {s: tuple(ext) for s, ext in bg.slice.items()}
@@ -676,17 +675,7 @@ def solve_all(script: SmtScript, sig: Signature, bg: BackgroundTheory,
             raise SmtError("solver returned unknown")
         interp = decode_model(model_text, script, sig, bg)
         models.append(interp)
-        top = parse_sexprs(model_text)
-        defs = {}
-        def walk(sx):
-            if isinstance(sx, list):
-                if len(sx) >= 5 and sx[0] == "define-fun":
-                    defs[sx[1]] = sx[4]
-                else:
-                    for child in sx:
-                        walk(child)
-        for sx in top:
-            walk(sx)
+        defs = dict(_define_funs(model_text))
         eqs = []
         for name, _ in script.declarations:
             raw = defs.get(name)

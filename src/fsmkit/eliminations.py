@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 
 from .syntax import (
-    And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, Formula,
-    FragmentError, FsmError, Implies, Not, Or, Signature, Var, conj,
-    close_universally,
+    App, Atom, BOT, Choice, Equal, Exists, Formula, FragmentError, FsmError,
+    Implies, Not, Or, Signature, Var, conj, close_universally, transform,
 )
 from .interp import FiniteInterpretation
 from .transforms import is_f_plain
@@ -55,25 +54,17 @@ def eliminate_predicate(f: Formula, p: str, f_name: str, sig: Signature):
     v0 = App(v0_name)
     v1 = App(v1_name)
 
-    def go(g):
-        if isinstance(g, Atom):
-            if g.pred == p:
-                return Equal(App(f_name, g.args), v1)
-            return g
-        if isinstance(g, (Bottom, Equal)):
-            return g
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Forall, Exists)):
-            return type(g)(g.var, go(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+    def step(g, new):
+        if isinstance(g, Atom) and g.pred == p:
+            return Equal(App(f_name, g.args), v1)
+        return new
 
     xs = [Var(f"X{i+1}", s) for i, s in enumerate(argsorts)]
     fx = App(f_name, tuple(xs))
     default = close_universally(Choice(Equal(fx, v0)), xs)
     distinct = Not(Equal(v0, v1))
     total = Not(Not(close_universally(Or(Equal(fx, v0), Equal(fx, v1)), xs)))
-    return go(f), [default, distinct, total], ext
+    return transform(f, step), [default, distinct, total], ext
 
 
 def map_pred_to_func(i: FiniteInterpretation, p: str, f_name: str,
@@ -132,16 +123,8 @@ def eliminate_function(f: Formula, f_name: str, p: str, sig: Signature):
             return Atom(p, r.args + (l,))
         return Equal(l, r)
 
-    def go(g):
-        if isinstance(g, Equal):
-            return rewrite_eq(g.left, g.right)
-        if isinstance(g, (Bottom, Atom)):
-            return g
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Forall, Exists)):
-            return type(g)(g.var, go(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+    def step(g, new):
+        return rewrite_eq(g.left, g.right) if isinstance(g, Equal) else new
 
     xs = [Var(f"X{i+1}", s) for i, s in enumerate(argsorts)]
     y = Var("Y", valsort)
@@ -152,7 +135,7 @@ def eliminate_function(f: Formula, f_name: str, p: str, sig: Signature):
                       Not(Equal(y, z))]), BOT),
         xs + [y, z])
     exist = Not(Not(close_universally(Exists(y, Atom(p, tuple(xs) + (y,))), xs)))
-    return go(f), [unique, exist], ext
+    return transform(f, step), [unique, exist], ext
 
 
 def map_func_to_pred(i: FiniteInterpretation, f_name: str, p: str,

@@ -224,17 +224,30 @@ def satisfies(interp: FiniteInterpretation, f, env=None) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _extent(universe, sort):
+    if sort not in universe:
+        raise DomainError(f"no finite extent for sort {sort!r}")
+    return universe[sort]
+
+
+def _domain_size(universe, argsorts):
+    size = 1
+    for s in argsorts:
+        size *= len(_extent(universe, s))
+    return size
+
+
 def _func_assignments(universe, sig, name):
     argsorts, valsort = sig.functions[name]
-    domain = list(itertools.product(*[universe[s] for s in argsorts]))
-    values = universe[valsort]
+    domain = list(itertools.product(*[_extent(universe, s) for s in argsorts]))
+    values = _extent(universe, valsort)
     for combo in itertools.product(values, repeat=len(domain)):
         yield dict(zip(domain, combo))
 
 
 def _pred_assignments(universe, sig, name):
     argsorts = sig.predicates[name]
-    domain = list(itertools.product(*[universe[s] for s in argsorts]))
+    domain = list(itertools.product(*[_extent(universe, s) for s in argsorts]))
     for bits in itertools.product([False, True], repeat=len(domain)):
         yield frozenset(t for t, b in zip(domain, bits) if b)
 
@@ -242,15 +255,8 @@ def _pred_assignments(universe, sig, name):
 def count_assignments(universe, sig, name) -> int:
     if name in sig.functions:
         argsorts, valsort = sig.functions[name]
-        dom = 1
-        for s in argsorts:
-            dom *= len(universe[s])
-        return len(universe[valsort]) ** dom
-    argsorts = sig.predicates[name]
-    dom = 1
-    for s in argsorts:
-        dom *= len(universe[s])
-    return 2 ** dom
+        return len(_extent(universe, valsort)) ** _domain_size(universe, argsorts)
+    return 2 ** _domain_size(universe, sig.predicates[name])
 
 
 def enumerate_interpretations(sig: Signature, universe: dict,

@@ -14,20 +14,15 @@ import itertools
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula,
-    FragmentError, FsmError, Implies, Lit, Not, Obj, Or, Signature, TOP, Var,
-    as_clist, close_universally, conj, free_vars, is_not, rename_symbols,
-    term_symbols,
+    App, Atom, BOT, Bottom, Equal, Formula, FragmentError, FsmError, Implies,
+    Not, Rule, Signature, TOP, as_clist, conj, is_not, nodes, rename_symbols,
+    symbols, transform,
 )
-from .interp import FiniteInterpretation, eval_term, satisfies, vary_on
+from .interp import FiniteInterpretation, eval_term, satisfies
 from .stable import (
     extend_signature_with_mirrors, extended_interpretation, mirror_names,
+    witnesses,
 )
-
-
-def _closure(body, head):
-    f = head if body == TOP else Implies(body, head)
-    return close_universally(f, sorted(free_vars(f), key=lambda v: v.name))
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +40,8 @@ def _is_definite(rule: CausalRule, flist) -> bool:
         return True
     if isinstance(h, Equal) and isinstance(h.left, App) and h.left.fn in flist:
         others = set(flist)
-        args_ok = all(not (term_symbols(a) & others) for a in h.left.args)
-        val_ok = not (term_symbols(h.right) & others)
+        args_ok = all(not (symbols(a) & others) for a in h.left.args)
+        val_ok = not (symbols(h.right) & others)
         return args_ok and val_ok
     return False
 
@@ -61,14 +56,14 @@ def causal_translate(rules, flist) -> Formula:
         if not _is_definite(r, flist):
             raise FragmentError(f"rule head {r.head!r} is not definite")
         if r.head == BOT:
-            parts.append(_closure(TOP, Not(r.body)))
+            parts.append(Rule(Not(r.body), TOP).as_formula())
         else:
-            parts.append(_closure(Not(Not(r.body)), r.head))
+            parts.append(Rule(r.head, Not(Not(r.body))).as_formula())
     return conj(parts)
 
 
 def causal_theory_formula(rules) -> Formula:
-    return conj(_closure(r.body, r.head) for r in rules)
+    return conj(Rule(r.head, r.body).as_formula() for r in rules)
 
 
 def cm_check(rules, flist, i: FiniteInterpretation) -> bool:
@@ -81,11 +76,9 @@ def cm_check(rules, flist, i: FiniteInterpretation) -> bool:
         return False
     mirrors = mirror_names(flist, i.signature)
     ext_sig = extend_signature_with_mirrors(i.signature, flist, mirrors)
-    dagger = conj(_closure(r.body, rename_symbols(r.head, mirrors))
+    dagger = conj(Rule(rename_symbols(r.head, mirrors), r.body).as_formula()
                   for r in rules)
-    for j in vary_on(i, list(flist.names)):
-        if j.agrees_on(i, flist.names):
-            continue
+    for j in witnesses(i, flist, ordered=False):
         ext = extended_interpretation(i, j, flist, mirrors, ext_sig)
         if satisfies(ext, dagger):
             return False
@@ -103,38 +96,23 @@ class IfRule:
 
 def _diamond(f, mapping):
     """Replace occurrences of the listed functions with mirrors everywhere
-    except inside subformulas beginning with negation."""
-    if is_not(f) is not None:
-        return f
-    if isinstance(f, (Bottom,)):
-        return f
-    if isinstance(f, (Atom, Equal)):
-        return rename_symbols(f, mapping)
-    if isinstance(f, (And, Or)):
-        return type(f)(_diamond(f.left, mapping), _diamond(f.right, mapping))
-    if isinstance(f, Implies):
-        raise FragmentError("embedded implication in an IF-rule")
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _diamond(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
+    except inside subformulas beginning with negation.  f must be in the
+    IF-rule fragment (see _check_if_fragment)."""
+    def step(g, new):
+        if is_not(g) is not None:
+            return g
+        if isinstance(g, Implies):
+            raise FragmentError("embedded implication in an IF-rule")
+        if isinstance(g, (Atom, Equal)):
+            return rename_symbols(g, mapping)
+        return new
+    return transform(f, step)
 
 
 def _check_if_fragment(f):
-    if is_not(f) is not None:
-        _check_if_fragment(is_not(f))
-        return
-    if isinstance(f, (Bottom, Atom, Equal)):
-        return
-    if isinstance(f, (And, Or)):
-        _check_if_fragment(f.left)
-        _check_if_fragment(f.right)
-        return
-    if isinstance(f, Implies):
+    """Reject any implication other than a negation."""
+    if any(isinstance(g, Implies) and is_not(g) is None for g in nodes(f)):
         raise FragmentError("embedded implication in an IF-rule")
-    if isinstance(f, (Forall, Exists)):
-        _check_if_fragment(f.body)
-        return
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def if_check(rules, flist, i: FiniteInterpretation) -> bool:
@@ -145,16 +123,15 @@ def if_check(rules, flist, i: FiniteInterpretation) -> bool:
     for r in rules:
         _check_if_fragment(r.head)
         _check_if_fragment(r.body)
-    program = conj(_closure(r.body, r.head) for r in rules)
+    program = conj(Rule(r.head, r.body).as_formula() for r in rules)
     if not satisfies(i, program):
         return False
     mirrors = mirror_names(flist, i.signature)
     ext_sig = extend_signature_with_mirrors(i.signature, flist, mirrors)
-    variant = conj(_closure(_diamond(r.body, mirrors), _diamond(r.head, mirrors))
+    variant = conj(Rule(_diamond(r.head, mirrors),
+                        _diamond(r.body, mirrors)).as_formula()
                    for r in rules)
-    for j in vary_on(i, list(flist.names)):
-        if j.agrees_on(i, flist.names):
-            continue
+    for j in witnesses(i, flist, ordered=False):
         ext = extended_interpretation(i, j, flist, mirrors, ext_sig)
         if satisfies(ext, variant):
             return False

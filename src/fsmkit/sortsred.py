@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 
 from .syntax import (
-    And, App, Atom, Bottom, Choice, Equal, Exists, Forall, Formula,
-    FragmentError, FsmError, Implies, Lit, Not, Or, Signature, TAG_USER, Var,
-    conj, close_universally, disj, free_vars,
+    And, App, Atom, Choice, Equal, Exists, Forall, Formula, FragmentError,
+    FsmError, Implies, Lit, Not, Signature, TAG_USER, Var, conj,
+    close_universally, disj, transform,
 )
 from .interp import FiniteInterpretation
 
@@ -55,35 +55,21 @@ def _require_user_sorts(sig, n, sorts):
                 "only declared sorts can be merged")
 
 
-def _retype_term(t):
-    if isinstance(t, Var):
-        return Var(t.name, MERGED_SORT)
-    if isinstance(t, App):
-        return App(t.fn, tuple(_retype_term(a) for a in t.args))
-    if isinstance(t, Lit):
-        raise FragmentError("builtin literal in a formula being desorted")
-    return t
-
-
 def relativize(f: Formula) -> Formula:
     """F with sorted quantifiers guarded by sort predicates."""
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_retype_term(a) for a in f.args))
-    if isinstance(f, Equal):
-        return Equal(_retype_term(f.left), _retype_term(f.right))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(relativize(f.left), relativize(f.right))
-    if isinstance(f, Forall):
-        y = Var(f.var.name, MERGED_SORT)
-        guard = Atom(sort_pred(f.var.sort), (y,))
-        return Forall(y, Implies(guard, relativize(f.body)))
-    if isinstance(f, Exists):
-        y = Var(f.var.name, MERGED_SORT)
-        guard = Atom(sort_pred(f.var.sort), (y,))
-        return Exists(y, And(guard, relativize(f.body)))
-    raise TypeError(f"not a formula: {f!r}")
+    def step(g, new):
+        if isinstance(g, Var):
+            return Var(g.name, MERGED_SORT)
+        if isinstance(g, Lit):
+            raise FragmentError("builtin literal in a formula being desorted")
+        if isinstance(g, (Forall, Exists)):
+            y = Var(g.var.name, MERGED_SORT)
+            guard = Atom(sort_pred(g.var.sort), (y,))
+            if isinstance(g, Forall):
+                return Forall(y, Implies(guard, new.body))
+            return Exists(y, And(guard, new.body))
+        return new
+    return transform(f, step)
 
 
 def sort_axioms(sig: Signature) -> list:

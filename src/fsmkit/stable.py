@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .syntax import (
     And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula, FsmError,
     Implies, Lit, Obj, Or, Signature, Var, as_clist, free_vars,
-    rename_symbols, subst,
+    rename_symbols, transform,
 )
 from .interp import (
     COMPARE_PREDS, UNDEF, FiniteInterpretation, _compare, enumerate_interpretations,
@@ -218,20 +218,14 @@ def star(f: Formula, c, mirrors: dict) -> Formula:
     if missing:
         raise FsmError(f"mirror list not similar to c: missing {missing}")
 
-    def go(g):
-        if isinstance(g, Bottom):
-            return g
+    def step(g, new):
         if isinstance(g, (Atom, Equal)):
             return And(rename_symbols(g, mirrors), g)
-        if isinstance(g, (And, Or)):
-            return type(g)(go(g.left), go(g.right))
         if isinstance(g, Implies):
-            return And(Implies(go(g.left), go(g.right)), g)
-        if isinstance(g, (Forall, Exists)):
-            return type(g)(g.var, go(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+            return And(new, g)
+        return new
 
-    return go(f)
+    return transform(f, step)
 
 
 def extend_signature_with_mirrors(sig: Signature, c, mirrors: dict) -> Signature:
@@ -269,11 +263,13 @@ METHOD_SECOND_ORDER = "second-order"
 METHOD_BOTH = "both"
 
 
-def _witnesses(i: FiniteInterpretation, c):
-    """Candidate witnesses J with J <^c I (varying only the symbols in c)."""
+def witnesses(i: FiniteInterpretation, c, ordered: bool = True):
+    """Candidate witnesses J: interpretations that agree with I off c and
+    differ from it on c.  With ordered, only those with J <^c I, where each
+    predicate in c is a subset of its extent in I."""
     c = as_clist(c)
     for j in vary_on(i, list(c.names)):
-        if less_on_c(j, i, c):
+        if less_on_c(j, i, c) if ordered else not j.agrees_on(i, c.names):
             yield j
 
 
@@ -293,12 +289,12 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
         if grounding is None:
             grounding = ground(f, i)
         red = reduct(grounding, i)
-        return not any(gsat(j, red) for j in _witnesses(i, c))
+        return not any(gsat(j, red) for j in witnesses(i, c))
     if method == METHOD_SECOND_ORDER:
         mirrors = mirror_names(c, i.signature)
         ext_sig = extend_signature_with_mirrors(i.signature, c, mirrors)
         starred = star(f, c, mirrors)
-        for j in _witnesses(i, c):
+        for j in witnesses(i, c):
             ext = extended_interpretation(i, j, c, mirrors, ext_sig)
             if satisfies(ext, starred):
                 return False

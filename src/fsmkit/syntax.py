@@ -9,6 +9,7 @@ re-sugars it.  Choice ``{F}`` is ``Or(F, Not(F))``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -226,19 +227,23 @@ def disj(fs: Iterable[Formula]) -> Formula:
 
 def conjuncts(f: Formula) -> Iterator[Formula]:
     """Flatten a right/left-nested conjunction (does not cross TOP)."""
-    if isinstance(f, And):
-        yield from conjuncts(f.left)
-        yield from conjuncts(f.right)
-    else:
-        yield f
+    return _flatten(f, And)
 
 
 def disjuncts(f: Formula) -> Iterator[Formula]:
-    if isinstance(f, Or):
-        yield from disjuncts(f.left)
-        yield from disjuncts(f.right)
-    else:
-        yield f
+    return _flatten(f, Or)
+
+
+def _flatten(f, kind):
+    # an explicit stack: a program of N rules nests N conjunctions deep
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, kind):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            yield g
 
 
 def close_universally(f: Formula, variables: Iterable[Var]) -> Formula:
@@ -471,6 +476,53 @@ def as_clist(c) -> IntensionalList:
 
 
 # ---------------------------------------------------------------------------
+# the generic walk
+
+def nodes(x) -> Iterator:
+    """Every subformula and subterm of x, x first, in pre-order from left to
+    right.  A quantifier's own variable is not visited; its occurrences in
+    the body are."""
+    stack = [x]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (And, Or, Implies, Equal)):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif isinstance(g, (Forall, Exists)):
+            stack.append(g.body)
+        elif isinstance(g, (Atom, App)):
+            stack.extend(reversed(g.args))
+        elif not isinstance(g, (Bottom, Var, Lit, Obj)):
+            raise TypeError(f"not a formula/term: {g!r}")
+
+
+def transform(x, fn):
+    """Rebuild x bottom-up, replacing each node g by fn(g, rebuilt), where
+    rebuilt is g over its already transformed children.
+
+    Children are visited left to right.  A quantifier keeps its variable;
+    fn sees the quantifier and can change it.  The recursion takes one
+    frame per connective or quantifier level.
+    """
+    if isinstance(x, (And, Or, Implies)):
+        new = type(x)(transform(x.left, fn), transform(x.right, fn))
+    elif isinstance(x, (Forall, Exists)):
+        new = type(x)(x.var, transform(x.body, fn))
+    elif isinstance(x, Equal):
+        new = Equal(transform(x.left, fn), transform(x.right, fn))
+    elif isinstance(x, Atom):
+        new = Atom(x.pred, tuple([transform(a, fn) for a in x.args]))
+    elif isinstance(x, App):
+        new = App(x.fn, tuple([transform(a, fn) for a in x.args]))
+    elif isinstance(x, (Bottom, Var, Lit, Obj)):
+        new = x
+    else:
+        raise TypeError(f"not a formula/term: {x!r}")
+    return fn(x, new)
+
+
+# ---------------------------------------------------------------------------
 # free variables, substitution
 
 def free_vars(f) -> set:
@@ -521,55 +573,42 @@ def subst(f: Formula, mapping: dict) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def rename_symbols_term(t: Term, mapping: dict) -> Term:
-    if isinstance(t, App):
-        return App(mapping.get(t.fn, t.fn),
-                   tuple(rename_symbols_term(a, mapping) for a in t.args))
-    return t
-
-
 def rename_symbols(f: Formula, mapping: dict) -> Formula:
     """Replace predicate/function constant names throughout a formula."""
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, Atom):
-        return Atom(mapping.get(f.pred, f.pred),
-                    tuple(rename_symbols_term(a, mapping) for a in f.args))
-    if isinstance(f, Equal):
-        return Equal(rename_symbols_term(f.left, mapping),
-                     rename_symbols_term(f.right, mapping))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(rename_symbols(f.left, mapping), rename_symbols(f.right, mapping))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, rename_symbols(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
+    def rename(g, new):
+        if isinstance(new, Atom):
+            return Atom(mapping.get(new.pred, new.pred), new.args)
+        if isinstance(new, App):
+            return App(mapping.get(new.fn, new.fn), new.args)
+        return new
+    return transform(f, rename)
 
 
-def term_symbols(t: Term) -> set:
-    if isinstance(t, App):
-        out = {t.fn}
-        for a in t.args:
-            out |= term_symbols(a)
-        return out
-    return set()
+def symbols(x) -> set:
+    """All predicate and function constant names occurring in a formula or
+    term."""
+    return {g.pred if isinstance(g, Atom) else g.fn
+            for g in nodes(x) if isinstance(g, (Atom, App))}
 
 
-def formula_symbols(f: Formula) -> set:
-    """All predicate and function constant names occurring in f."""
-    if isinstance(f, Bottom):
-        return set()
-    if isinstance(f, Atom):
-        out = {f.pred}
-        for a in f.args:
-            out |= term_symbols(a)
-        return out
-    if isinstance(f, Equal):
-        return term_symbols(f.left) | term_symbols(f.right)
-    if isinstance(f, (And, Or, Implies)):
-        return formula_symbols(f.left) | formula_symbols(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return formula_symbols(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+class FreshNames:
+    """Variables named prefix1, prefix2, ... that avoid the taken names.
+
+    Each top-level operation owns one supply.  The count only moves
+    forward, so no name is handed out twice.
+    """
+
+    def __init__(self, prefix: str, taken=()):
+        self.prefix = prefix
+        self.taken = set(taken)
+        self.count = itertools.count(1)
+
+    def var(self, sort: str, avoid=()) -> Var:
+        """A fresh variable of the sort, also avoiding the names in avoid."""
+        while True:
+            name = f"{self.prefix}{next(self.count)}"
+            if name not in self.taken and name not in avoid:
+                return Var(name, sort)
 
 
 # ---------------------------------------------------------------------------

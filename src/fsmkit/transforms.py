@@ -7,18 +7,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    And, App, Atom, BOT, Bottom, Choice, ContractViolation, Equal, Exists,
-    Forall, Formula, FragmentError, FsmError, Iff, Implies, Not, Or, Signature,
-    TOP, Var, as_clist, close_existentially, conj, conjuncts, disj, disjuncts,
-    formula_symbols, free_vars, is_not, negative_on, occurrences, subst,
-    term_symbols,
+    And, App, Atom, BOT, ContractViolation, Equal, Exists, Forall, Formula,
+    FragmentError, FreshNames, Iff, Implies, Not, Or, Signature, TOP, Var,
+    as_clist, close_existentially, close_universally, conj, conjuncts, disj,
+    free_vars, is_not, negative_on, nodes, occurrences, subst, symbols,
+    transform,
 )
-from .interp import (
-    FiniteInterpretation, enumerate_interpretations, less_on_c, satisfies,
-    vary_on,
-)
+from .interp import FiniteInterpretation, enumerate_interpretations, satisfies
 from .stable import (
     extend_signature_with_mirrors, extended_interpretation, mirror_names, star,
+    witnesses,
 )
 
 
@@ -65,20 +63,6 @@ def _choice_of(f):
 # ---------------------------------------------------------------------------
 # Clark normal form
 
-def _fresh_vars(base_names, sorts, taken):
-    out = []
-    i = 0
-    for s in sorts:
-        while True:
-            i += 1
-            name = f"X{i}"
-            if name not in taken:
-                break
-        taken.add(name)
-        out.append(Var(name, s))
-    return out
-
-
 def to_clark_normal_form(f: Formula, c, sig: Signature) -> Formula:
     """Rewrite a conjunction of rules into one definition per member of c.
 
@@ -109,28 +93,22 @@ def to_clark_normal_form(f: Formula, c, sig: Signature) -> Formula:
         variables, _ = _strip_foralls(item)
         taken.update(v.name for v in variables)
 
+    fresh = FreshNames("X", taken)
     parts = []
     for n in c:
         if n in sig.predicates:
-            argsorts = sig.predicates[n]
-            xs = _fresh_vars(None, argsorts, taken)
+            xs = [fresh.var(s) for s in sig.predicates[n]]
             target = Atom(n, tuple(xs))
             val_var = None
         else:
             argsorts, valsort = sig.functions[n]
-            xs = _fresh_vars(None, argsorts, taken)
-            val_var = _fresh_vars(None, (valsort,), taken)[0]
+            xs = [fresh.var(s) for s in argsorts]
+            val_var = fresh.var(valsort)
             target = Equal(App(n, tuple(xs)), val_var)
         cases = [_cnf_case(n, rule, xs, val_var, target, c) for rule in defs[n]]
-        parts.append(close_universally_sorted(
+        parts.append(close_universally(
             Implies(disj(cases), target), xs + ([val_var] if val_var else [])))
     return conj(parts + passthrough)
-
-
-def close_universally_sorted(f, variables):
-    for v in reversed(variables):
-        f = Forall(v, f)
-    return f
 
 
 def _cnf_case(n, rule, xs, val_var, target, c):
@@ -217,7 +195,7 @@ def complete(f: Formula, c, sig: Signature) -> Formula:
     parts = []
     for n in c:
         variables, body, head = defs[n]
-        parts.append(close_universally_sorted(Iff(body, head), variables))
+        parts.append(close_universally(Iff(body, head), variables))
     return conj(parts + passthrough)
 
 
@@ -299,40 +277,33 @@ def _c_rooted(t, cf):
 
 
 def _c_free(t, cf):
-    return not (term_symbols(t) & cf)
+    return not (symbols(t) & cf)
+
+
+def _plain_atom(g, cf):
+    """The atom avoids cf, or is f(t) = t1 (either way round) with f in cf
+    and t, t1 avoiding cf."""
+    if isinstance(g, Atom):
+        return all(_c_free(a, cf) for a in g.args)
+    l, r = g.left, g.right
+    if _c_rooted(l, cf):
+        return all(_c_free(a, cf) for a in l.args) and _c_free(r, cf)
+    if _c_rooted(r, cf):
+        return all(_c_free(a, cf) for a in r.args) and _c_free(l, cf)
+    return _c_free(l, cf) and _c_free(r, cf)
 
 
 def is_f_plain(f: Formula, flist) -> bool:
     """Every atom either avoids the listed functions entirely or has the
     form f(t) = t1 with f listed and t, t1 avoiding them."""
     cf = set(flist)
-
-    def atom_ok(g):
-        if isinstance(g, Atom):
-            return all(_c_free(a, cf) for a in g.args)
-        l, r = g.left, g.right
-        if _c_rooted(l, cf) and all(_c_free(a, cf) for a in l.args) and _c_free(r, cf):
-            return True
-        if _c_rooted(r, cf) and all(_c_free(a, cf) for a in r.args) and _c_free(l, cf):
-            return True
-        return _c_free(l, cf) and _c_free(r, cf)
-
-    return all(atom_ok(g) for g in _atomic_subformulas(f))
+    return all(_plain_atom(g, cf) for g in nodes(f)
+               if isinstance(g, (Atom, Equal)))
 
 
 def is_c_plain(f: Formula, c, sig: Signature) -> bool:
     c = as_clist(c)
     return is_f_plain(f, c.func_part(sig))
-
-
-def _atomic_subformulas(f):
-    if isinstance(f, (Atom, Equal)):
-        yield f
-    elif isinstance(f, (And, Or, Implies)):
-        yield from _atomic_subformulas(f.left)
-        yield from _atomic_subformulas(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from _atomic_subformulas(f.body)
 
 
 def _strictly_positive_atoms(f):
@@ -351,46 +322,11 @@ def is_head_c_plain(f: Formula, c, sig: Signature) -> bool:
     """Every strictly positive atomic occurrence is c-plain."""
     c = as_clist(c)
     cf = set(c.func_part(sig))
-
-    def atom_ok(g):
-        if isinstance(g, Atom):
-            return all(_c_free(a, cf) for a in g.args)
-        l, r = g.left, g.right
-        if _c_rooted(l, cf):
-            return all(_c_free(a, cf) for a in l.args) and _c_free(r, cf)
-        if _c_rooted(r, cf):
-            return all(_c_free(a, cf) for a in r.args) and _c_free(l, cf)
-        return _c_free(l, cf) and _c_free(r, cf)
-
-    return all(atom_ok(g) for g in _strictly_positive_atoms(f))
+    return all(_plain_atom(g, cf) for g in _strictly_positive_atoms(f))
 
 
 # ---------------------------------------------------------------------------
 # unfolding
-
-class _FreshVars:
-    def __init__(self, f):
-        self.taken = set()
-
-        def collect(g):
-            if isinstance(g, (Forall, Exists)):
-                self.taken.add(g.var.name)
-                collect(g.body)
-            elif isinstance(g, (And, Or, Implies)):
-                collect(g.left)
-                collect(g.right)
-        collect(f)
-        self.taken |= {v.name for v in free_vars(f)}
-        self.i = 0
-
-    def make(self, sort):
-        while True:
-            self.i += 1
-            name = f"U{self.i}"
-            if name not in self.taken:
-                self.taken.add(name)
-                return Var(name, sort)
-
 
 def unfold(f: Formula, c, sig: Signature) -> Formula:
     """Flatten nested occurrences of the listed intensional functions.
@@ -402,7 +338,10 @@ def unfold(f: Formula, c, sig: Signature) -> Formula:
     """
     c = as_clist(c)
     cf = set(c.func_part(sig))
-    fresh = _FreshVars(f)
+    # every variable name of f, bound or free
+    taken = {g.var.name if isinstance(g, (Forall, Exists)) else g.name
+             for g in nodes(f) if isinstance(g, (Var, Forall, Exists))}
+    fresh = FreshNames("U", taken)
 
     def offending_in_term(t, is_root):
         """Maximal c-rooted subterms of t, skipping the root when allowed."""
@@ -419,13 +358,6 @@ def unfold(f: Formula, c, sig: Signature) -> Formula:
                 out.extend(offending_in_term(a, False))
             return out
         return []
-
-    def replace(t, mapping):
-        if t in mapping:
-            return mapping[t]
-        if isinstance(t, App):
-            return App(t.fn, tuple(replace(a, mapping) for a in t.args))
-        return t
 
     def unfold_atom(g):
         if isinstance(g, Atom):
@@ -448,26 +380,13 @@ def unfold(f: Formula, c, sig: Signature) -> Formula:
                 uniq.append(t)
         if not uniq:
             return g
-        mapping = {t: fresh.make(sig.sort_of_term(t)) for t in uniq}
-        if isinstance(g, Atom):
-            core = Atom(g.pred, tuple(replace(a, mapping) for a in g.args))
-        else:
-            core = Equal(replace(g.left, mapping), replace(g.right, mapping))
+        mapping = {t: fresh.var(sig.sort_of_term(t)) for t in uniq}
+        core = transform(g, lambda t, new: mapping.get(t, new))
         guards = [unfold_atom(Equal(t, x)) for t, x in mapping.items()]
         return close_existentially(conj([core] + guards), list(mapping.values()))
 
-    def go(g):
-        if isinstance(g, (Bottom,)):
-            return g
-        if isinstance(g, (Atom, Equal)):
-            return unfold_atom(g)
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Forall, Exists)):
-            return type(g)(g.var, go(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f)
+    return transform(f, lambda g, new: unfold_atom(g)
+                     if isinstance(g, (Atom, Equal)) else new)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +413,7 @@ def check_strong_equivalence_bounded(sig: Signature, f: Formula, g: Formula,
     assignment separating F* from G*.
     """
     if c is None:
-        syms = formula_symbols(f) | formula_symbols(g)
+        syms = symbols(f) | symbols(g)
         c = [n for n in sig.user_symbols() if n in syms]
     c = as_clist(c)
     overrides = dict(universe_overrides or {})
@@ -523,9 +442,7 @@ def check_strong_equivalence_bounded(sig: Signature, f: Formula, g: Formula,
             if satisfies(i, f) != satisfies(i, g):
                 return SEReport(False, checked, max_size, witness=i,
                                 reason="classical models differ")
-            for j in vary_on(i, list(c.names)):
-                if not less_on_c(j, i, c):
-                    continue
+            for j in witnesses(i, c):
                 ext = extended_interpretation(i, j, c, mirrors, ext_sig)
                 if satisfies(ext, fs) != satisfies(ext, gs):
                     return SEReport(False, checked, max_size, witness=i,

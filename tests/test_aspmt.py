@@ -11,7 +11,7 @@ import pytest
 from fsmkit.aspmt import (
     BackgroundTheory, DecodeError, NotATInterpretationError, SmtError,
     decode_model, eliminate_background_quantifiers, emit_smtlib,
-    parse_sexprs, solver_path, t_stable_check, validate_smtlib,
+    parse_sexprs, solve_all, solver_path, t_stable_check, validate_smtlib,
 )
 from fsmkit.interp import FiniteInterpretation, satisfies
 from fsmkit.parser import parse_program
@@ -235,6 +235,51 @@ def test_decode_model_reports_missing_symbols():
     with pytest.raises(DecodeError):
         decode_model("sat\n(model (define-fun amt0 () Int 5))",
                      script, prog.signature, bg)
+
+
+def test_decode_model_converts_every_value():
+    # a malformed value is reported even for a name the script never declared
+    prog, f = water_tank()
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    bg = BackgroundTheory("integers")
+    script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
+    text = """(model
+  (define-fun amt0 () Int 5)
+  (define-fun amt1 () Int 6)
+  (define-fun flush () Bool false)
+  (define-fun extra () Int (f 1))
+)"""
+    with pytest.raises(DecodeError):
+        decode_model(text, script, prog.signature, bg)
+
+
+def test_solve_all_blocks_each_model_until_unsat(monkeypatch):
+    prog, f = water_tank()
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    bg = BackgroundTheory("integers")
+    script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
+    replies = [
+        ("sat", "(model (define-fun amt0 () Int 5) (define-fun amt1 () Int 6)"
+                " (define-fun flush () Bool false))"),
+        ("sat", "(model (define-fun amt0 () Int 3) (define-fun amt1 () Int 0)"
+                " (define-fun flush () Bool true))"),
+        ("unsat", ""),
+    ]
+    sent = []
+
+    def fake_run_solver(s, solver=None, timeout_ms=60000):
+        sent.append(s)
+        return replies[len(sent) - 1]
+
+    monkeypatch.setattr("fsmkit.aspmt.run_solver", fake_run_solver)
+    models = solve_all(script, prog.signature, bg)
+    assert [(m.funcs["amt0"][()], m.funcs["amt1"][()], m.preds["flush"])
+            for m in models] == [(5, 6, frozenset()), (3, 0, frozenset({()}))]
+    block1 = "(not (and (= amt0 5) (= amt1 6) (= flush false)))"
+    block2 = "(not (and (= amt0 3) (= amt1 0) (= flush true)))"
+    assert [s.assertions[len(script.assertions):] for s in sent] == \
+        [[], [block1], [block1, block2]]
+    assert all(s.declarations == script.declarations for s in sent)
 
 
 def test_parse_sexprs_rejects_unbalanced_text():

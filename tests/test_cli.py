@@ -92,6 +92,35 @@ def test_stable_jobs_works_under_start_method(capsys, start_method):
     assert proc.stdout == serial
 
 
+def test_programs_past_a_thousand_rules(tmp_path):
+    # 32 functions with 32 rules each: the program nests 1024 conjunctions
+    # deep, its completion only about 64
+    n = 32
+    lines = ["sort s = 0..1."]
+    lines += [f"func c{i} : -> s." for i in range(n)]
+    lines += [f"pred q{j}." for j in range(n)]
+    lines.append("intensional " + ", ".join(f"c{i}" for i in range(n)) + ".")
+    lines += [f"c{i} = 1 :- q{j}." for i in range(n) for j in range(n)]
+    src = tmp_path / "long.fsm"
+    src.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    for command in ("check-tight", "complete", "to-smt"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsmkit.cli", command, str(src)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_OK, (command, proc.stderr[-2000:])
+
+
+@pytest.mark.parametrize("argv", [["stable", "--method", "second-order"],
+                                  ["compare"]])
+def test_sort_without_finite_extent_exits_2(capsys, argv):
+    # the car demo has real-valued functions, which cannot be enumerated
+    assert main(argv + [str(DEMOS / "car.fsm")]) == EXIT_ERROR
+    assert "no finite extent for sort 'real'" in capsys.readouterr().err
+
+
 def test_check_accepts_and_rejects(tmp_path, capsys):
     good = tank_interp_file(tmp_path, 5, 6, False)
     code, out = run(capsys, "check", "--interp", good, str(TANK))

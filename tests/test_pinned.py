@@ -1,0 +1,195 @@
+"""Exact-output pins for the formula transformations.
+
+Each case is a CLI run (completion, unfolding, both eliminations, sort
+merging, SMT emission) on a demo or an inline program, or a library call
+(star, relativize, rename_symbols, the IF-program diamond, unfolding and the
+eliminations) on the seeded formula generators of conftest.py.  The SHA-256
+of each printed result is recorded in pinned_outputs.json; every case must
+keep printing the same bytes.  After an intended output change, regenerate
+the file with
+
+    PYTHONPATH=src python tests/test_pinned.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import random
+import tempfile
+
+from fsmkit.cli import main
+from fsmkit.eliminations import eliminate_function, eliminate_predicate
+from fsmkit.related import _check_if_fragment, _diamond
+from fsmkit.sortsred import relativize
+from fsmkit.stable import mirror_names, star
+from fsmkit.syntax import FsmError, Lit, Obj, as_clist, rename_symbols, transform
+from fsmkit.transforms import complete, to_clark_normal_form, unfold
+
+from conftest import make_gen, random_definition_program
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PINNED = pathlib.Path(__file__).resolve().parent / "pinned_outputs.json"
+
+MIXED = """\
+sort node = {n1, n2, n3}.
+sort color = {red, green}.
+sort hub = {n1}.
+sort hub < node.
+func next : node -> node.
+func paint : node -> color.
+func home : -> node.
+pred reach : node.
+pred lit : node * color.
+pred done.
+var N : node.
+var M : node.
+var C : color.
+var H : hub.
+intensional next, paint, reach, done.
+
+reach(home).
+reach(next(N)) :- reach(N).
+reach(next(next(N))) :- reach(N) & not lit(next(N), paint(next(N))).
+{ next(N) = M } :- reach(N) & M != N.
+paint(next(N)) = C :- lit(N, C) & not paint(N) = C.
+{ paint(N) = C }.
+lit(H, paint(home)) -> done.
+done :- exists C (forall N (paint(N) = C | not reach(N))).
+:- reach(N) & not exists M (next(M) = N).
+"""
+
+# a residual real quantifier that no guard eliminates (fresh Q names)
+RESIDUAL = """\
+func h : -> real.
+func g : -> real.
+var Y : real.
+var Z : real.
+intensional h.
+h = Y :- Z > Y & Z < g.
+"""
+
+PROGRAMS = {
+    "watertank": (ROOT / "demos" / "watertank.fsm").read_text(),
+    "switches": (ROOT / "demos" / "switches.fsm").read_text(),
+    "car": (ROOT / "demos" / "car.fsm").read_text(),
+    "mixed": MIXED,
+    "residual": RESIDUAL,
+}
+
+COMMANDS = {
+    "complete": ["complete"],
+    "unfold": ["unfold"],
+    "desort": ["desort"],
+    "to-smt": ["to-smt"],
+    "to-smt-reals": ["to-smt", "--background", "reals"],
+}
+
+ELIMINATIONS = {
+    "watertank": [["--pred", "flush", "--to-func", "flushf"],
+                  ["--func", "amt1", "--to-pred", "amt1g"]],
+    "switches": [["--func", "flip", "--to-pred", "flipg"],
+                 ["--func", "up", "--to-pred", "upg"]],
+    "car": [["--func", "speed1", "--to-pred", "speed1g"],
+            ["--func", "location2", "--to-pred", "loc2g"]],
+    "mixed": [["--pred", "reach", "--to-func", "reachf"],
+              ["--pred", "done", "--to-func", "donef"],
+              ["--func", "paint", "--to-pred", "paintg"]],
+}
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def cli_outputs(work):
+    outputs = {}
+    for name, text in PROGRAMS.items():
+        path = pathlib.Path(work) / f"{name}.fsm"
+        path.write_text(text)
+        for label, argv in COMMANDS.items():
+            outputs[f"cli/{name}/{label}"] = _cli(argv + [str(path)])
+        for argv in ELIMINATIONS.get(name, ()):
+            label = " ".join(a.lstrip("-") for a in argv)
+            outputs[f"cli/{name}/eliminate {label}"] = _cli(
+                ["eliminate"] + argv + [str(path)])
+    return outputs
+
+
+def _objects_for_literals(f):
+    """f with each builtin literal replaced by an object name, so that
+    relativize accepts it."""
+    return transform(f, lambda g, new: Obj(g.value) if isinstance(g, Lit)
+                     else new)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except FsmError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _if_variant(f, mirrors):
+    """What if_check builds from one rule part: the fragment check, then the
+    diamond."""
+    _check_if_fragment(f)
+    return _diamond(f, mirrors)
+
+
+def generator_outputs():
+    outputs = {}
+    for seed in range(60):
+        unary = seed % 2 == 1
+        sig, gen = make_gen(seed, with_unary_func=unary)
+        f = gen.formula(5)
+        c = as_clist(["p", "q", "a"] + (["f"] if unary else []))
+        mirrors = mirror_names(c, sig)
+        rename = {"p": "q", "q": "p", "a": "b", "f": "g"}
+        outputs[f"gen/{seed}/star"] = repr(star(f, c, mirrors))
+        outputs[f"gen/{seed}/rename"] = repr(rename_symbols(f, rename))
+        outputs[f"gen/{seed}/relativize"] = _outcome(relativize, f)
+        outputs[f"gen/{seed}/relativize-objects"] = _outcome(
+            relativize, _objects_for_literals(f))
+        outputs[f"gen/{seed}/diamond"] = _outcome(_if_variant, f, mirrors)
+        outputs[f"gen/{seed}/unfold"] = _outcome(unfold, f, c, sig)
+        # the formula and the axioms; the signature's repr is hash-ordered
+        outputs[f"gen/{seed}/eliminate-pred"] = _outcome(
+            lambda: eliminate_predicate(f, "p", "pf", sig)[:2])
+        outputs[f"gen/{seed}/eliminate-func"] = _outcome(
+            lambda: eliminate_function(f, "a", "ag", sig)[:2])
+    rng = random.Random(20240817)
+    for k in range(30):
+        sig, f = random_definition_program(rng)
+        c = ["f", "g", "p"]
+        outputs[f"def/{k}/complete"] = _outcome(
+            lambda: complete(to_clark_normal_form(f, c, sig), c, sig))
+        outputs[f"def/{k}/unfold"] = _outcome(unfold, f, c, sig)
+    return outputs
+
+
+def all_outputs(work):
+    return {**cli_outputs(work), **generator_outputs()}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_outputs_match_the_pinned_digests(tmp_path):
+    pinned = json.loads(PINNED.read_text())
+    got = {k: _digest(v) for k, v in all_outputs(tmp_path).items()}
+    assert sorted(got) == sorted(pinned)
+    changed = [k for k in pinned if got[k] != pinned[k]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        digests = {k: _digest(v) for k, v in all_outputs(work).items()}
+    PINNED.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {PINNED}")

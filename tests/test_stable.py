@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
+from fsmkit.interp import (
+    FiniteInterpretation, enumerate_interpretations, less_on_c, vary_on,
+)
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
     GBOT, GAnd, GAtom, GBot, GEqual, GImp, GOr, METHOD_BOTH, METHOD_REDUCT,
     METHOD_SECOND_ORDER, check_stable, check_stable_both, gand, gor, ground,
-    gsat, mvp_stable_check, reduct, stable_models,
+    gsat, mvp_stable_check, reduct, stable_models, witnesses,
 )
 from fsmkit.syntax import (
     And, App, Atom, BOT, Choice, Equal, Exists, Forall, FsmError, Implies,
@@ -255,3 +257,18 @@ def test_ground_rejects_free_variable_under_a_quantifier():
         ground(f, i)
     with pytest.raises(FsmError, match="free variables"):
         stable_models(f, ("p",), sig, {"u": (1, 2)})
+
+
+def test_witnesses_with_and_without_the_subset_order():
+    # with a predicate in c, J <^c I also needs p's extent to shrink; the
+    # unordered witnesses only need J to differ from I on c
+    sig = small_signature()
+    i = FiniteInterpretation(sig, {"u": (1, 2)},
+                             funcs={"a": {(): 1}, "b": {(): 2}},
+                             preds={"p": {(1,)}, "q": set()})
+    c = ["p", "a"]
+    differ = [j for j in vary_on(i, c) if not j.agrees_on(i, c)]
+    assert list(witnesses(i, c, ordered=False)) == differ
+    assert list(witnesses(i, c)) == [j for j in differ if less_on_c(j, i, c)]
+    assert len(differ) == 4 * 2 - 1
+    assert len(list(witnesses(i, c))) == 2 * 2 - 1

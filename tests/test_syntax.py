@@ -6,9 +6,9 @@ from fsmkit.syntax import (
     And, App, Atom, BOT, Bottom, Choice, DeclarationError, Equal, Exists,
     Forall, Iff, Implies, IntensionalList, Lit, Not, Or, Rule,
     RULE_CONSTRAINT, Signature, SortError, TOP, Var, as_clist,
-    close_universally, conj, conjuncts, disj, free_vars, formula_symbols,
-    is_not, negative_on, rename_symbols, strictly_positive_symbols, subst,
-    term_symbols,
+    close_universally, conj, conjuncts, disj, disjuncts, free_vars, is_not,
+    negative_on, nodes, rename_symbols, strictly_positive_symbols, subst,
+    symbols, transform,
 )
 
 
@@ -69,8 +69,44 @@ def test_rename_symbols():
 
 def test_symbol_collection():
     f = Implies(Atom("p", (App("c", ()),)), Atom("q", ()))
-    assert term_symbols(App("c", ())) == {"c"}
-    assert formula_symbols(f) == {"p", "c", "q"}
+    assert symbols(App("c", ())) == {"c"}
+    assert symbols(f) == {"p", "c", "q"}
+
+
+def test_nodes_walks_subformulas_and_subterms_in_preorder():
+    x = Var("X", "s")
+    cx = App("c", (x,))
+    body = Implies(Atom("p", (cx,)), Equal(x, Lit(1)))
+    f = Forall(x, body)
+    assert list(nodes(f)) == [f, body, body.left, cx, x, body.right, x,
+                              Lit(1)]
+
+
+def test_transform_rebuilds_bottom_up_and_keeps_bound_variables():
+    x, y = Var("X", "s"), Var("Y", "s")
+    f = Forall(x, Implies(Atom("p", (App("c", (x,)),)), Equal(x, Lit(1))))
+    seen = []
+
+    def record(g, new):
+        seen.append(g)
+        return new
+
+    assert transform(f, record) == f
+    assert seen == [x, App("c", (x,)), f.body.left, x, Lit(1), f.body.right,
+                    f.body, f]
+    renamed = transform(f, lambda g, new: y if g == x else new)
+    assert renamed == Forall(x, Implies(Atom("p", (App("c", (y,)),)),
+                                        Equal(y, Lit(1))))
+
+
+def test_long_conjunctions_and_disjunctions():
+    # a program of N rules is an N-deep conjunction: flattening it must not
+    # recurse, and transform takes one frame per level
+    atoms = [Atom(f"p{k}") for k in range(5000)]
+    assert list(conjuncts(conj(atoms))) == atoms
+    assert list(disjuncts(disj(atoms))) == atoms
+    renamed = rename_symbols(conj(atoms[:600]), {"p0": "r"})
+    assert list(conjuncts(renamed)) == [Atom("r")] + atoms[1:600]
 
 
 def test_signature_declares_and_rejects_duplicates():
