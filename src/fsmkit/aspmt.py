@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .syntax import (
-    And, App, Atom, ARITH_FUNCS, BOOL, BOT, Bottom, COMPARE_PREDS, Equal,
+    And, App, Atom, ARITH_FUNCS, BOOL, Bottom, COMPARE_PREDS, Equal,
     Exists, Forall, Formula, FragmentError, FreshNames, FsmError, INT,
     Implies, Lit, Not, Obj, Or, REAL, Signature, TAG_USER, TOP, Var, as_clist,
-    conj, conjuncts, free_vars, is_not, subst,
+    conj, conjuncts, free_vars, iff_of, is_not, subst,
 )
 from .interp import FiniteInterpretation
 from .stable import check_stable, METHOD_REDUCT
@@ -176,14 +176,6 @@ def _guard_term(cj, y):
     return None
 
 
-def _iff_parts(f):
-    if isinstance(f, And) and isinstance(f.left, Implies) and isinstance(f.right, Implies) \
-            and f.left.right != BOT and f.right.right != BOT \
-            and f.left.left == f.right.right and f.left.right == f.right.left:
-        return f.left, f.right
-    return None
-
-
 def eliminate_background_quantifiers(f, fresh=None):
     """Remove quantifiers over background sorts wherever an equality guard
     pins down the variable; quantifiers that resist elimination remain.
@@ -205,12 +197,12 @@ def eliminate_background_quantifiers(f, fresh=None):
     if isinstance(f, Forall):
         y = f.var
         body = f.body
-        parts = _iff_parts(body)
+        parts = iff_of(body)
         if parts is not None:
-            fwd, bwd = parts
+            a, b = parts
             # forall y ((t = y) <-> G): the forward instance plus the guarded
             # reverse implication
-            for eq_side, g_side in ((fwd.left, fwd.right), (fwd.right, fwd.left)):
+            for eq_side, g_side in ((a, b), (b, a)):
                 t = _guard_term(eq_side, y) if isinstance(eq_side, Equal) else None
                 if t is not None:
                     inst = subst(g_side, {y: t})
@@ -456,16 +448,17 @@ def emit_smtlib(f: Formula, c, sig: Signature, bg: BackgroundTheory,
             raise FragmentError(
                 "theory is not tight; dependency cycle: " + " -> ".join(cycle))
         f = complete(f, c, sig)
-    f = _simplify_not_not(f)
-    f = _expand_finite_quantifiers(f, sig, bg)
-    f = eliminate_background_quantifiers(f)
-
+    # each rewrite maps a conjunction to the conjunction of its rewritten
+    # conjuncts; rewriting one top-level conjunct at a time keeps the
+    # recursion as deep as one rule, not as long as the program
+    fresh = FreshNames("Q")
     comp = _Compiler(sig, bg)
     assertions = []
-    for item in conjuncts(f):
-        if item == TOP:
-            continue
-        assertions.append(comp.formula(item, {}))
+    for rule in conjuncts(f):
+        rule = _expand_finite_quantifiers(_simplify_not_not(rule), sig, bg)
+        for item in conjuncts(eliminate_background_quantifiers(rule, fresh)):
+            if item != TOP:
+                assertions.append(comp.formula(item, {}))
     guard_assertions = [comp.guards[n] for n in comp.decls if n in comp.guards]
     all_assertions = guard_assertions + assertions
     if logic is None:

@@ -61,16 +61,6 @@ class FiniteInterpretation:
             return decl.elements
         raise DomainError(f"no finite extent for sort {sort!r}")
 
-    def with_funcs(self, **funcs):
-        new = dict(self.funcs)
-        new.update(funcs)
-        return FiniteInterpretation(self.signature, self.universe, new, dict(self.preds))
-
-    def with_preds(self, **preds):
-        new = dict(self.preds)
-        new.update({k: frozenset(v) for k, v in preds.items()})
-        return FiniteInterpretation(self.signature, self.universe, dict(self.funcs), new)
-
     def agrees_on(self, other: "FiniteInterpretation", names) -> bool:
         for n in names:
             if self.funcs.get(n) != other.funcs.get(n):

@@ -30,7 +30,7 @@ from .syntax import (
     And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, Formula,
     FsmError, Implies, INT, Lit, Not, Obj, Or, Program, REAL, Rule,
     RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature, SortError, TOP, Var,
-    is_not,
+    choice_of, iff_of, is_not,
 )
 
 
@@ -239,7 +239,7 @@ class Parser:
             return Rule(BOT, body, RULE_CONSTRAINT)
         head = self.parse_formula()
         kind = RULE_PLAIN
-        inner = _choice_pattern(head)
+        inner = choice_of(head)
         if inner is not None:
             head, kind = inner, RULE_CHOICE
         if head == BOT:
@@ -465,21 +465,6 @@ def parse_formula(text, signature: Signature, var_sorts=None, file="<input>") ->
 # ---------------------------------------------------------------------------
 # pretty printer
 
-def _choice_pattern(f):
-    """If f is G | not G, return G, else None."""
-    if isinstance(f, Or) and is_not(f.right) == f.left:
-        return f.left
-    return None
-
-
-def _iff_pattern(f):
-    if isinstance(f, And) and isinstance(f.left, Implies) and isinstance(f.right, Implies) \
-            and f.left.right != BOT and f.right.right != BOT \
-            and f.left.left == f.right.right and f.left.right == f.right.left:
-        return f.left.left, f.left.right
-    return None
-
-
 _PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4, "unary": 5, "atom": 6}
 
 
@@ -529,10 +514,10 @@ def _pf(f, prec):
             return f"({s})" if prec > _PREC["atom"] else s
         s = f"not {_pf(neg, _PREC['unary'])}"
         return f"({s})" if prec > _PREC["unary"] else s
-    ch = _choice_pattern(f)
+    ch = choice_of(f)
     if ch is not None:
         return "{ " + _pf(ch, 0) + " }"
-    iff = _iff_pattern(f)
+    iff = iff_of(f)
     if iff is not None:
         s = f"{_pf(iff[0], _PREC['iff'] + 1)} <-> {_pf(iff[1], _PREC['iff'] + 1)}"
         return f"({s})" if prec > _PREC["iff"] else s
@@ -547,7 +532,15 @@ def _pf(f, prec):
         s = f"{_pt(f.left, 1)} = {_pt(f.right, 1)}"
         return f"({s})" if prec > _PREC["atom"] else s
     if isinstance(f, And):
-        s = f"{_pf(f.left, _PREC['and'])} & {_pf(f.right, _PREC['and'])}"
+        # a program nests one conjunction per rule down the left spine:
+        # walk it in a loop, up to a conjunct that prints as an iff
+        parts = [f.right]
+        f = f.left
+        while isinstance(f, And) and iff_of(f) is None:
+            parts.append(f.right)
+            f = f.left
+        parts.append(f)
+        s = " & ".join(_pf(g, _PREC["and"]) for g in reversed(parts))
         return f"({s})" if prec > _PREC["and"] else s
     if isinstance(f, Or):
         s = f"{_pf(f.left, _PREC['or'])} | {_pf(f.right, _PREC['or'])}"

@@ -19,10 +19,7 @@ from .syntax import (
     symbols, transform,
 )
 from .interp import FiniteInterpretation, eval_term, satisfies
-from .stable import (
-    extend_signature_with_mirrors, extended_interpretation, mirror_names,
-    witnesses,
-)
+from .stable import Mirrors
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +71,11 @@ def cm_check(rules, flist, i: FiniteInterpretation) -> bool:
     theory = causal_theory_formula(rules)
     if not satisfies(i, theory):
         return False
-    mirrors = mirror_names(flist, i.signature)
-    ext_sig = extend_signature_with_mirrors(i.signature, flist, mirrors)
-    dagger = conj(Rule(rename_symbols(r.head, mirrors), r.body).as_formula()
-                  for r in rules)
-    for j in witnesses(i, flist, ordered=False):
-        ext = extended_interpretation(i, j, flist, mirrors, ext_sig)
-        if satisfies(ext, dagger):
-            return False
-    return True
+    mirrors = Mirrors(flist, i.signature)
+    dagger = conj(Rule(rename_symbols(r.head, mirrors.names),
+                       r.body).as_formula() for r in rules)
+    return not any(satisfies(ext, dagger)
+                   for _, ext in mirrors.witnesses(i, ordered=False))
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +119,12 @@ def if_check(rules, flist, i: FiniteInterpretation) -> bool:
     program = conj(Rule(r.head, r.body).as_formula() for r in rules)
     if not satisfies(i, program):
         return False
-    mirrors = mirror_names(flist, i.signature)
-    ext_sig = extend_signature_with_mirrors(i.signature, flist, mirrors)
-    variant = conj(Rule(_diamond(r.head, mirrors),
-                        _diamond(r.body, mirrors)).as_formula()
+    mirrors = Mirrors(flist, i.signature)
+    variant = conj(Rule(_diamond(r.head, mirrors.names),
+                        _diamond(r.body, mirrors.names)).as_formula()
                    for r in rules)
-    for j in witnesses(i, flist, ordered=False):
-        ext = extended_interpretation(i, j, flist, mirrors, ext_sig)
-        if satisfies(ext, variant):
-            return False
-    return True
+    return not any(satisfies(ext, variant)
+                   for _, ext in mirrors.witnesses(i, ordered=False))
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +162,21 @@ def crules_to_formula(rules) -> Formula:
     return conj(parts)
 
 
-def _lfp(definite):
-    """Least model of a set of (head, body-atom-set) pairs."""
+def _least_model_is(reduct, x) -> bool:
+    """Whether x is the least model of a reduct of (head, body atoms)
+    rules, where head None marks a constraint, and no constraint fires in
+    it."""
+    reduct = [(head, set(body)) for head, body in reduct]
     model = set()
     changed = True
     while changed:
         changed = False
-        for head, body in definite:
-            if head not in model and body <= model:
+        for head, body in reduct:
+            if head is not None and head not in model and body <= model:
                 model.add(head)
                 changed = True
-    return model
+    return model == x and not any(head is None and body <= model
+                                  for head, body in reduct)
 
 
 def clingcon_answer_sets(rules, valuation: FiniteInterpretation):
@@ -203,15 +196,10 @@ def clingcon_answer_sets(rules, valuation: FiniteInterpretation):
 
 
 def _clingcon_holds(rules, x, valuation):
-    kept = [r for r in rules
-            if all(satisfies(valuation, cn) for cn in r.constraints)
-            and not (set(r.neg) & x)]
-    definite = [(r.head, set(r.pos)) for r in kept if r.head is not None]
-    least = _lfp(definite)
-    for r in kept:
-        if r.head is None and set(r.pos) <= least:
-            return False
-    return least == x
+    return _least_model_is([(r.head, r.pos) for r in rules
+                            if all(satisfies(valuation, cn)
+                                   for cn in r.constraints)
+                            and not (set(r.neg) & x)], x)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +285,8 @@ def ljn_answer_check(rules, x, t, slice_values=None) -> bool:
         if set(r.pos) <= x and not (set(r.neg) & x) and set(r.lcs) <= t:
             if r.head is None or r.head not in x:
                 return False
-    kept = [r for r in rules
-            if not (set(r.neg) & x) and set(r.lcs) <= t]
-    definite = [(r.head, set(r.pos)) for r in kept if r.head is not None]
-    least = _lfp(definite)
-    for r in kept:
-        if r.head is None and set(r.pos) <= least:
-            return False
-    return least == x
+    return _least_model_is([(r.head, r.pos) for r in rules
+                            if not (set(r.neg) & x) and set(r.lcs) <= t], x)
 
 
 def lrules_to_formula(rules, lc_formula) -> Formula:
@@ -395,14 +377,9 @@ def lw_answer_check(rules, i: FiniteInterpretation, sig: Signature) -> bool:
                     tuple(eval_term(i, a) for a in r.head.args))[1:]
         reduct.append((head, pos_atoms))
 
-    definite = [(h, set(b)) for h, b in reduct if h is not None]
-    least = _lfp(definite)
-    for h, b in reduct:
-        if h is None and set(b) <= least:
-            return False
     true_atoms = {(p, t) for p, ext in i.preds.items() for t in ext
                   if sig.background.get(p) == "user"}
-    return least == true_atoms
+    return _least_model_is(reduct, true_atoms)
 
 
 def lw_formula(rules) -> Formula:

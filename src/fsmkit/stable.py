@@ -196,20 +196,6 @@ def _reduct_pass(g, interp):
 # ---------------------------------------------------------------------------
 # the star construction F*(d)
 
-def mirror_names(c, sig: Signature) -> dict:
-    """A deterministic fresh mirror name for each member of c."""
-    c = as_clist(c)
-    taken = set(sig.functions) | set(sig.predicates)
-    out = {}
-    for n in c:
-        m = n + "^"
-        while m in taken:
-            m += "^"
-        taken.add(m)
-        out[n] = m
-    return out
-
-
 def star(f: Formula, c, mirrors: dict) -> Formula:
     """F*(d) of the defining recursion; mirrors maps each member of c to a
     fresh similar constant name."""
@@ -228,31 +214,40 @@ def star(f: Formula, c, mirrors: dict) -> Formula:
     return transform(f, step)
 
 
-def extend_signature_with_mirrors(sig: Signature, c, mirrors: dict) -> Signature:
-    ext = sig.copy()
-    for n in as_clist(c):
-        m = mirrors[n]
-        if n in sig.functions:
-            args, val = sig.functions[n]
-            ext.declare_func(m, args, val)
-        else:
-            ext.declare_pred(m, sig.predicates[n])
-    return ext
+class Mirrors:
+    """The mirror constants d of c: a deterministic fresh name for each
+    member of c, and the signature extended with them."""
 
+    def __init__(self, c, sig: Signature):
+        self.c = as_clist(c)
+        taken = set(sig.functions) | set(sig.predicates)
+        self.names = {}
+        self.signature = sig.copy()
+        for n in self.c:
+            m = n + "^"
+            while m in taken:
+                m += "^"
+            taken.add(m)
+            self.names[n] = m
+            if n in sig.functions:
+                args, val = sig.functions[n]
+                self.signature.declare_func(m, args, val)
+            else:
+                self.signature.declare_pred(m, sig.predicates[n])
 
-def extended_interpretation(i: FiniteInterpretation, j: FiniteInterpretation,
-                            c, mirrors: dict, ext_sig: Signature) -> FiniteInterpretation:
-    """The interpretation that agrees with I on the original signature and
-    interprets each mirror as J interprets the mirrored constant."""
-    funcs = dict(i.funcs)
-    preds = dict(i.preds)
-    for n in as_clist(c):
-        m = mirrors[n]
-        if n in i.signature.functions:
-            funcs[m] = j.funcs[n]
-        else:
-            preds[m] = j.preds.get(n, frozenset())
-    return FiniteInterpretation(ext_sig, i.universe, funcs, preds)
+    def witnesses(self, i: FiniteInterpretation, ordered: bool = True):
+        """(J, I extended by J's values of c under the mirror names) for
+        each candidate witness J of witnesses(i, c, ordered)."""
+        for j in witnesses(i, self.c, ordered):
+            funcs = dict(i.funcs)
+            preds = dict(i.preds)
+            for n, m in self.names.items():
+                if n in i.signature.functions:
+                    funcs[m] = j.funcs[n]
+                else:
+                    preds[m] = j.preds.get(n, frozenset())
+            yield j, FiniteInterpretation(self.signature, i.universe,
+                                          funcs, preds)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +286,10 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
         red = reduct(grounding, i)
         return not any(gsat(j, red) for j in witnesses(i, c))
     if method == METHOD_SECOND_ORDER:
-        mirrors = mirror_names(c, i.signature)
-        ext_sig = extend_signature_with_mirrors(i.signature, c, mirrors)
-        starred = star(f, c, mirrors)
-        for j in witnesses(i, c):
-            ext = extended_interpretation(i, j, c, mirrors, ext_sig)
-            if satisfies(ext, starred):
-                return False
-        return True
+        mirrors = Mirrors(c, i.signature)
+        starred = star(f, c, mirrors.names)
+        return not any(satisfies(ext, starred)
+                       for _, ext in mirrors.witnesses(i))
     raise FsmError(f"unknown method {method!r}")
 
 
@@ -330,23 +321,18 @@ def universe_grounding(f: Formula, sig: Signature, universe: dict,
 
 
 def stable_models(f: Formula, c, sig: Signature, universe: dict,
-                  fixed_funcs=None, fixed_preds=None, vary=None,
-                  method: str = METHOD_REDUCT):
+                  fixed_funcs=None, method: str = METHOD_REDUCT):
     """All stable models of F relative to c over the given finite universe.
 
-    Non-intensional symbols are pinned by the fixed part; intensional ones
-    (plus any extra symbols listed in vary) range over all assignments.
-    F is grounded once for the universe, and every candidate is checked
-    against that one grounding.  method may also be METHOD_BOTH.
+    The functions in fixed_funcs keep the given tables; every other user
+    symbol ranges over all its assignments.  F is grounded once for the
+    universe, and every candidate is checked against that one grounding.
+    method may also be METHOD_BOTH.
     """
     c = as_clist(c)
-    if vary is None:
-        fixed = set(fixed_funcs or {}) | set(fixed_preds or {})
-        vary = [n for n in sig.user_symbols() if n not in fixed]
     check = checker(method)
     grounding = universe_grounding(f, sig, universe, method)
-    return [i for i in enumerate_interpretations(sig, universe, fixed_funcs,
-                                                 fixed_preds, vary=vary)
+    return [i for i in enumerate_interpretations(sig, universe, fixed_funcs)
             if check(f, c, i, grounding=grounding)]
 
 

@@ -205,6 +205,24 @@ def is_not(f: Formula):
     return None
 
 
+def choice_of(f: Formula):
+    """If f is a choice G | not G, return G, else None."""
+    if isinstance(f, Or) and is_not(f.right) == f.left:
+        return f.left
+    return None
+
+
+def iff_of(f: Formula):
+    """If f is a biconditional (A -> B) & (B -> A) in which neither
+    implication is a negation, return (A, B), else None."""
+    if isinstance(f, And) and isinstance(f.left, Implies) \
+            and isinstance(f.right, Implies) \
+            and f.left.right != BOT and f.right.right != BOT \
+            and f.left.left == f.right.right and f.left.right == f.right.left:
+        return f.left.left, f.left.right
+    return None
+
+
 def conj(fs: Iterable[Formula]) -> Formula:
     fs = list(fs)
     if not fs:
@@ -501,25 +519,40 @@ def transform(x, fn):
     """Rebuild x bottom-up, replacing each node g by fn(g, rebuilt), where
     rebuilt is g over its already transformed children.
 
-    Children are visited left to right.  A quantifier keeps its variable;
-    fn sees the quantifier and can change it.  The recursion takes one
-    frame per connective or quantifier level.
+    Children are visited left to right, so fn is called in post-order.  A
+    quantifier keeps its variable; fn sees the quantifier and can change
+    it.  The walk keeps its own stack, so the depth of x is not limited by
+    the recursion limit.
     """
-    if isinstance(x, (And, Or, Implies)):
-        new = type(x)(transform(x.left, fn), transform(x.right, fn))
-    elif isinstance(x, (Forall, Exists)):
-        new = type(x)(x.var, transform(x.body, fn))
-    elif isinstance(x, Equal):
-        new = Equal(transform(x.left, fn), transform(x.right, fn))
-    elif isinstance(x, Atom):
-        new = Atom(x.pred, tuple([transform(a, fn) for a in x.args]))
-    elif isinstance(x, App):
-        new = App(x.fn, tuple([transform(a, fn) for a in x.args]))
-    elif isinstance(x, (Bottom, Var, Lit, Obj)):
-        new = x
-    else:
-        raise TypeError(f"not a formula/term: {x!r}")
-    return fn(x, new)
+    done = []                      # rebuilt subtrees, left to right
+    stack = [(x, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if isinstance(g, (And, Or, Implies, Equal)):
+            if not expanded:
+                stack += ((g, True), (g.right, False), (g.left, False))
+                continue
+            right = done.pop()
+            new = type(g)(done.pop(), right)
+        elif isinstance(g, (Forall, Exists)):
+            if not expanded:
+                stack += ((g, True), (g.body, False))
+                continue
+            new = type(g)(g.var, done.pop())
+        elif isinstance(g, (Atom, App)) and g.args:
+            if not expanded:
+                stack.append((g, True))
+                stack += ((a, False) for a in reversed(g.args))
+                continue
+            args = tuple(done[-len(g.args):])
+            del done[-len(g.args):]
+            new = Atom(g.pred, args) if isinstance(g, Atom) else App(g.fn, args)
+        elif isinstance(g, (Atom, App, Bottom, Var, Lit, Obj)):
+            new = g
+        else:
+            raise TypeError(f"not a formula/term: {g!r}")
+        done.append(fn(g, new))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -623,79 +656,33 @@ def fol_representation(program: Program) -> Formula:
 # ---------------------------------------------------------------------------
 # polarity analysis
 
-@dataclass(frozen=True)
-class Occurrence:
-    """One occurrence of a constant, with its implication-nesting context."""
-    name: str
-    path: tuple                  # child indices from the root
-    antecedent_depth: int        # implications containing it in the antecedent
-    negated: bool                # inside a subformula that begins with negation
-
-    @property
-    def positive(self):
-        return self.antecedent_depth % 2 == 0
-
-    @property
-    def strictly_positive(self):
-        return self.antecedent_depth == 0
-
-    @property
-    def polarity(self):
-        if self.antecedent_depth == 0:
-            return "strictly-positive"
-        return "positive" if self.positive else "negative"
-
-
-def occurrences(f: Formula, names) -> list:
-    """All occurrences of the given constant names, in left-to-right order."""
-    names = set(names)
-    out = []
-
-    def scan_term(t, path, depth, neg):
-        if isinstance(t, App):
-            if t.fn in names:
-                out.append(Occurrence(t.fn, path, depth, neg))
-            for i, a in enumerate(t.args):
-                scan_term(a, path + (i,), depth, neg)
-
-    def scan(g, path, depth, neg):
-        if isinstance(g, Bottom):
-            return
-        if isinstance(g, Atom):
-            if g.pred in names:
-                out.append(Occurrence(g.pred, path, depth, neg))
-            for i, a in enumerate(g.args):
-                scan_term(a, path + (i,), depth, neg)
-        elif isinstance(g, Equal):
-            scan_term(g.left, path + (0,), depth, neg)
-            scan_term(g.right, path + (1,), depth, neg)
-        elif isinstance(g, (And, Or)):
-            scan(g.left, path + (0,), depth, neg)
-            scan(g.right, path + (1,), depth, neg)
+def strictly_positive(f: Formula) -> Iterator[Formula]:
+    """Every subformula of f that lies inside no implication's antecedent,
+    f first, in pre-order from left to right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (And, Or)):
+            stack.append(g.right)
+            stack.append(g.left)
         elif isinstance(g, Implies):
-            child_neg = neg or (g.right == BOT)
-            scan(g.left, path + (0,), depth + 1, child_neg)
-            scan(g.right, path + (1,), depth, neg)
+            stack.append(g.right)
         elif isinstance(g, (Forall, Exists)):
-            scan(g.body, path + (0,), depth, neg)
-        else:
+            stack.append(g.body)
+        elif not isinstance(g, (Bottom, Atom, Equal)):
             raise TypeError(f"not a formula: {g!r}")
-
-    scan(f, (), 0, False)
-    return out
 
 
 def strictly_positive_symbols(f: Formula, names) -> set:
-    return {o.name for o in occurrences(f, names) if o.strictly_positive}
+    """The given constant names that occur strictly positively in f."""
+    names = set(names)
+    return {n for g in strictly_positive(f) if isinstance(g, (Atom, Equal))
+            for n in symbols(g) & names}
 
 
 def negative_on(f: Formula, c) -> bool:
     """True iff F has no strictly positive occurrence of any member of c."""
-    c = as_clist(c)
-    return not strictly_positive_symbols(f, c.names)
-
-
-def occurrence_negated(f: Formula, names, index: int) -> bool:
-    """Whether the index-th occurrence (in textual order) of any of the names
-    lies inside a subformula beginning with negation."""
-    return occurrences(f, names)[index].negated
+    names = set(as_clist(c).names)
+    return not any(symbols(g) & names for g in strictly_positive(f)
+                   if isinstance(g, (Atom, Equal)))

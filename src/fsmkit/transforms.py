@@ -7,17 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    And, App, Atom, BOT, ContractViolation, Equal, Exists, Forall, Formula,
-    FragmentError, FreshNames, Iff, Implies, Not, Or, Signature, TOP, Var,
-    as_clist, close_existentially, close_universally, conj, conjuncts, disj,
-    free_vars, is_not, negative_on, nodes, occurrences, subst, symbols,
-    transform,
+    App, Atom, BOT, ContractViolation, Equal, Exists, Forall, Formula,
+    FragmentError, FreshNames, Iff, Implies, Not, Signature, TOP, Var,
+    as_clist, choice_of, close_existentially, close_universally, conj,
+    conjuncts, disj, free_vars, negative_on, nodes, strictly_positive,
+    strictly_positive_symbols, subst, symbols, transform,
 )
 from .interp import FiniteInterpretation, enumerate_interpretations, satisfies
-from .stable import (
-    extend_signature_with_mirrors, extended_interpretation, mirror_names, star,
-    witnesses,
-)
+from .stable import Mirrors, star
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +41,13 @@ def _head_constant(head, c):
     Recognized heads: p(t), f(t) = t0 (left-rooted), and the choice form
     { H } of either.
     """
-    inner = _choice_of(head)
+    inner = choice_of(head)
     target = inner if inner is not None else head
     if isinstance(target, Atom) and target.pred in c:
         return target.pred
     if isinstance(target, Equal) and isinstance(target.left, App) \
             and target.left.fn in c:
         return target.left.fn
-    return None
-
-
-def _choice_of(f):
-    if isinstance(f, Or) and is_not(f.right) == f.left:
-        return f.left
     return None
 
 
@@ -113,7 +104,7 @@ def to_clark_normal_form(f: Formula, c, sig: Signature) -> Formula:
 
 def _cnf_case(n, rule, xs, val_var, target, c):
     variables, body, head = rule
-    inner = _choice_of(head)
+    inner = choice_of(head)
     is_choice = inner is not None
     head = inner if is_choice else head
 
@@ -205,63 +196,51 @@ def complete(f: Formula, c, sig: Signature) -> Formula:
 def dependency_graph(f: Formula, c) -> dict:
     """Edges n -> m between members of c: n has a strictly positive
     occurrence in the consequent of a strictly positive implication whose
-    antecedent mentions m."""
+    antecedent has a strictly positive occurrence of m."""
     c = as_clist(c)
-    names = set(c.names)
     edges = {n: set() for n in c}
-
-    def scan(g, sp):
-        if isinstance(g, (And, Or)):
-            scan(g.left, sp)
-            scan(g.right, sp)
-        elif isinstance(g, (Forall, Exists)):
-            scan(g.body, sp)
-        elif isinstance(g, Implies):
-            if sp:
-                heads = {o.name for o in occurrences(g.right, names)
-                         if o.strictly_positive}
-                bodies = {o.name for o in occurrences(g.left, names)
-                          if o.strictly_positive}
-                for h in heads:
-                    edges[h] |= bodies
-            scan(g.right, sp)
-            scan(g.left, False)
-
-    scan(f, True)
+    for g in strictly_positive(f):
+        if isinstance(g, Implies):
+            bodies = strictly_positive_symbols(g.left, c.names)
+            for h in strictly_positive_symbols(g.right, c.names):
+                edges[h] |= bodies
     return {n: sorted(ms) for n, ms in edges.items()}
 
 
 def find_cycle(graph: dict):
-    """A cycle in the graph as a list of nodes, or None."""
-    color = {n: 0 for n in graph}
+    """A cycle in the graph as a list of nodes, or None.
+
+    A depth-first search from each node in turn, with successors in list
+    order; the path is kept on an explicit stack, so long chains do not hit
+    the recursion limit."""
+    color = {n: 0 for n in graph}          # 0 new, 1 on the path, 2 done
     parent = {}
-
-    def dfs(n):
-        color[n] = 1
-        for m in graph.get(n, ()):
-            if m not in color:
-                continue
-            if color[m] == 1:
-                cycle = [m, n]
-                cur = n
-                while cur != m:
-                    cur = parent[cur]
-                    cycle.append(cur)
-                cycle.reverse()
-                return cycle
-            if color[m] == 0:
-                parent[m] = n
-                found = dfs(m)
-                if found:
-                    return found
-        color[n] = 2
-        return None
-
-    for n in graph:
-        if color[n] == 0:
-            found = dfs(n)
-            if found:
-                return found
+    for root in graph:
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [(root, iter(graph.get(root, ())))]
+        while path:
+            n, successors = path[-1]
+            for m in successors:
+                if m not in color:
+                    continue
+                if color[m] == 1:
+                    cycle = [m, n]
+                    cur = n
+                    while cur != m:
+                        cur = parent[cur]
+                        cycle.append(cur)
+                    cycle.reverse()
+                    return cycle
+                if color[m] == 0:
+                    parent[m] = n
+                    color[m] = 1
+                    path.append((m, iter(graph.get(m, ()))))
+                    break
+            else:
+                color[n] = 2
+                path.pop()
     return None
 
 
@@ -306,23 +285,12 @@ def is_c_plain(f: Formula, c, sig: Signature) -> bool:
     return is_f_plain(f, c.func_part(sig))
 
 
-def _strictly_positive_atoms(f):
-    if isinstance(f, (Atom, Equal)):
-        yield f
-    elif isinstance(f, (And, Or)):
-        yield from _strictly_positive_atoms(f.left)
-        yield from _strictly_positive_atoms(f.right)
-    elif isinstance(f, Implies):
-        yield from _strictly_positive_atoms(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from _strictly_positive_atoms(f.body)
-
-
 def is_head_c_plain(f: Formula, c, sig: Signature) -> bool:
     """Every strictly positive atomic occurrence is c-plain."""
     c = as_clist(c)
     cf = set(c.func_part(sig))
-    return all(_plain_atom(g, cf) for g in _strictly_positive_atoms(f))
+    return all(_plain_atom(g, cf) for g in strictly_positive(f)
+               if isinstance(g, (Atom, Equal)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +386,9 @@ def check_strong_equivalence_bounded(sig: Signature, f: Formula, g: Formula,
     c = as_clist(c)
     overrides = dict(universe_overrides or {})
 
-    mirrors = mirror_names(c, sig)
-    ext_sig = extend_signature_with_mirrors(sig, c, mirrors)
-    fs = star(f, c, mirrors)
-    gs = star(g, c, mirrors)
+    mirrors = Mirrors(c, sig)
+    fs = star(f, c, mirrors.names)
+    gs = star(g, c, mirrors.names)
 
     checked = 0
     open_sorts = [s for s in sig.sorts
@@ -442,8 +409,7 @@ def check_strong_equivalence_bounded(sig: Signature, f: Formula, g: Formula,
             if satisfies(i, f) != satisfies(i, g):
                 return SEReport(False, checked, max_size, witness=i,
                                 reason="classical models differ")
-            for j in witnesses(i, c):
-                ext = extended_interpretation(i, j, c, mirrors, ext_sig)
+            for j, ext in mirrors.witnesses(i):
                 if satisfies(ext, fs) != satisfies(ext, gs):
                     return SEReport(False, checked, max_size, witness=i,
                                     mirror_witness=j,

@@ -152,6 +152,30 @@ h = Y :- Z > Y & Z < g.
     assert s1 == s2
 
 
+def test_residual_quantifiers_share_one_name_supply():
+    # the rules are compiled one top-level conjunct at a time; the fresh
+    # names still count across the whole script
+    prog = parse_program("""
+func h : -> real.
+func k : -> real.
+func g : -> real.
+var Y : real.
+var Z : real.
+intensional h, k.
+h = Y :- Z > Y & Z < g.
+k = Y :- Z > Y & Z < h.
+""")
+    f = conj(r.as_formula() for r in prog.rules)
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    script = emit_smtlib(cnf, prog.intensional, prog.signature,
+                         BackgroundTheory("reals"))
+    assert [a for a in script.assertions if "forall" in a] == [
+        "(forall ((X1 Real)) (forall ((Q1 Real)) "
+        "(=> (and (> Q1 X1) (< Q1 g)) (= h X1))))",
+        "(forall ((X2 Real)) (forall ((Q2 Real)) "
+        "(=> (and (> Q2 X2) (< Q2 h)) (= k X2))))"]
+
+
 def test_emission_includes_range_guards():
     prog, f = water_tank()
     cnf = to_clark_normal_form(f, prog.intensional, prog.signature)

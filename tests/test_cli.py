@@ -113,6 +113,31 @@ def test_programs_past_a_thousand_rules(tmp_path):
         assert proc.returncode == EXIT_OK, (command, proc.stderr[-2000:])
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_chain_of_1201_intensional_predicates(tmp_path, reverse):
+    # every walk over the program formula and over the dependency graph
+    # goes 1201 levels deep; the reversed declaration order makes the
+    # depth-first search in find_cycle follow the whole chain
+    n = 1201
+    names = [f"p{k}" for k in range(n)]
+    lines = [f"pred {p}." for p in names]
+    lines.append("intensional "
+                 + ", ".join(reversed(names) if reverse else names) + ".")
+    lines.append("p0.")
+    lines += [f"p{k + 1} :- p{k}." for k in range(n - 1)]
+    src = tmp_path / "chain.fsm"
+    src.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    for command in (["unfold"], ["desort"], ["check-tight"], ["complete"],
+                    ["to-smt"], ["eliminate", "--pred", "p0", "--to-func", "f0"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsmkit.cli"] + command + [str(src)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_OK, (command, proc.stderr[-2000:])
+
+
 @pytest.mark.parametrize("argv", [["stable", "--method", "second-order"],
                                   ["compare"]])
 def test_sort_without_finite_extent_exits_2(capsys, argv):

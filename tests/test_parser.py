@@ -109,6 +109,20 @@ def test_print_formula_round_trip():
         assert parse_formula(print_formula(f), sig, var_sorts=vs) == f
 
 
+def test_print_conjunction_chains():
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    iff = And(Implies(p, q), Implies(q, p))
+    # an iff at the bottom of the spine, in the middle and at the top
+    f = And(And(And(iff, r), iff), Or(p, q))
+    assert print_formula(f) == "(p <-> q) & r & (p <-> q) & (p | q)"
+    assert print_formula(Not(And(And(p, q), r))) == "not (p & q & r)"
+    assert print_formula(iff) == "p <-> q"
+    deep = p
+    for _ in range(5000):
+        deep = And(deep, q)
+    assert print_formula(deep) == " & ".join(["p"] + ["q"] * 5000)
+
+
 def test_demo_files_parse():
     import pathlib
     demos = pathlib.Path(__file__).resolve().parent.parent / "demos"

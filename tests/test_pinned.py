@@ -23,7 +23,7 @@ from fsmkit.cli import main
 from fsmkit.eliminations import eliminate_function, eliminate_predicate
 from fsmkit.related import _check_if_fragment, _diamond
 from fsmkit.sortsred import relativize
-from fsmkit.stable import mirror_names, star
+from fsmkit.stable import Mirrors, star
 from fsmkit.syntax import FsmError, Lit, Obj, as_clist, rename_symbols, transform
 from fsmkit.transforms import complete, to_clark_normal_form, unfold
 
@@ -148,7 +148,7 @@ def generator_outputs():
         sig, gen = make_gen(seed, with_unary_func=unary)
         f = gen.formula(5)
         c = as_clist(["p", "q", "a"] + (["f"] if unary else []))
-        mirrors = mirror_names(c, sig)
+        mirrors = Mirrors(c, sig).names
         rename = {"p": "q", "q": "p", "a": "b", "f": "g"}
         outputs[f"gen/{seed}/star"] = repr(star(f, c, mirrors))
         outputs[f"gen/{seed}/rename"] = repr(rename_symbols(f, rename))
