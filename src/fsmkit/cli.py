@@ -22,7 +22,7 @@ from .parser import ParseError, parse_program, print_formula, print_program
 from .interp import FiniteInterpretation, enumerate_interpretations
 from .stable import (
     METHOD_BOTH, METHOD_REDUCT, METHOD_SECOND_ORDER, check_stable, checker,
-    ground, stable_models, universe_grounding,
+    ground, prepare, stable_models,
 )
 from .transforms import (
     check_strong_equivalence_bounded, complete, dependency_graph, find_cycle,
@@ -79,16 +79,16 @@ def _start_worker(job):
 
 def _worker(k):
     """Stable models among candidates k, k + jobs, k + 2*jobs, ..."""
-    f, c, sig, universe, method, grounding, jobs = _worker_job
+    f, c, sig, universe, method, shared, jobs = _worker_job
     check = checker(method)
     return [i for i in itertools.islice(enumerate_interpretations(sig, universe),
                                         k, None, jobs)
-            if check(f, c.names, i, grounding=grounding)]
+            if check(f, c.names, i, **shared)]
 
 
 def _stable_models_parallel(f, c, sig, universe, method, jobs):
-    grounding = universe_grounding(f, sig, universe, method)
-    job = (f, c, sig, universe, method, grounding, jobs)
+    shared = prepare(f, c, sig, universe, method)
+    job = (f, c, sig, universe, method, shared, jobs)
     with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
                              initargs=(job,)) as pool:
         return [i for part in pool.map(_worker, range(jobs)) for i in part]
@@ -248,14 +248,13 @@ def cmd_compare(args):
     if_rules = [IfRule(_choice_free(r), r.body) for r in program.rules]
     cm_rules = [CausalRule(_choice_free(r), r.body) for r in program.rules]
     interps = list(enumerate_interpretations(program.signature, universe))
-    grounding = (universe_grounding(f, program.signature, universe)
-                 if "fsm" in semantics else None)
+    shared = (prepare(f, c, program.signature, universe)
+              if "fsm" in semantics else {})
     verdicts = {s: [] for s in semantics}
     for i in interps:
         for s in semantics:
             if s == "fsm":
-                verdicts[s].append(check_stable(f, c.names, i,
-                                                grounding=grounding))
+                verdicts[s].append(check_stable(f, c.names, i, **shared))
             elif s == "if":
                 verdicts[s].append(if_check(if_rules, c.names, i))
             else:

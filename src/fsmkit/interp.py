@@ -27,8 +27,19 @@ class DomainError(FsmError):
     pass
 
 
+class InterpretationError(FsmError):
+    """An interpretation that does not fit its signature and universe."""
+
+
 #: marker for "no value" (out-of-domain function application)
 UNDEF = object()
+
+
+def elem_key(v):
+    """A hashable key under which two values are equal exactly when an
+    equation between them holds: == and the same bool-ness, so True and 1
+    get different keys while 1 and Fraction(1) share one."""
+    return isinstance(v, bool), v
 
 
 @dataclass
@@ -84,6 +95,18 @@ class FiniteInterpretation:
 
     @classmethod
     def from_json(cls, data: dict, signature: Signature) -> "FiniteInterpretation":
+        """The interpretation to_json wrote; raises InterpretationError on
+        JSON of another shape or one that fails validate()."""
+        try:
+            interp = cls._decode(data, signature)
+            interp.validate()
+        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as e:
+            raise InterpretationError(
+                f"malformed interpretation JSON: {e}") from e
+        return interp
+
+    @classmethod
+    def _decode(cls, data, signature):
         def dec(e):
             if isinstance(e, dict) and "rat" in e:
                 return Fraction(e["rat"][0], e["rat"][1])
@@ -110,6 +133,50 @@ class FiniteInterpretation:
             funcs[n] = table
         preds = {n: frozenset(tuple(t) for t in ext) for n, ext in data.get("preds", {}).items()}
         return cls(signature, universe, funcs, preds)
+
+    def validate(self):
+        """Raise InterpretationError unless every user symbol is interpreted,
+        every interpreted symbol is declared, and every argument and value
+        lies in the extent of its sort.  A function table may be partial
+        (an application with no entry is undefined), and a sort with no
+        finite extent is not checked."""
+        sig = self.signature
+        keys = {}
+
+        def check(elems, sorts, what):
+            if len(elems) != len(sorts):
+                raise InterpretationError(
+                    f"{what}: {len(elems)} arguments, want {len(sorts)}")
+            for e, s in zip(elems, sorts):
+                if s not in keys:
+                    try:
+                        keys[s] = {elem_key(x) for x in self.extent(s)}
+                    except DomainError:
+                        keys[s] = None
+                if keys[s] is not None and elem_key(e) not in keys[s]:
+                    raise InterpretationError(
+                        f"{what}: {e!r} is outside sort {s!r}")
+
+        for n in sig.user_symbols():
+            if n not in (self.funcs if n in sig.functions else self.preds):
+                raise InterpretationError(
+                    f"symbol {n!r} missing from the interpretation")
+        for kind, table, declared in (
+                ("function", self.funcs, sig.functions),
+                ("predicate", self.preds, sig.predicates)):
+            for n in table:
+                if n not in declared:
+                    raise InterpretationError(f"undeclared {kind} {n!r}")
+        for n, table in self.funcs.items():
+            argsorts, valsort = sig.functions[n]
+            for args, v in table.items():
+                what = f"{n}({', '.join(map(repr, args))})"
+                check(args, argsorts, what)
+                check((v,), (valsort,), f"value of {what}")
+        for n, ext in self.preds.items():
+            for args in ext:
+                check(args, sig.predicates[n],
+                      f"{n}({', '.join(map(repr, args))})")
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import (
     And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula, FsmError,
-    Implies, Lit, Obj, Or, Signature, Var, as_clist, free_vars,
+    Implies, Lit, Obj, Or, Signature, Var, as_clist, conjuncts, free_vars,
     rename_symbols, transform,
 )
 from .interp import (
-    COMPARE_PREDS, UNDEF, FiniteInterpretation, _compare, enumerate_interpretations,
-    eval_term, less_on_c, satisfies, vary_on,
+    COMPARE_PREDS, UNDEF, FiniteInterpretation, _compare, elem_key,
+    enumerate_interpretations, eval_term, less_on_c, satisfies, vary_on,
 )
 
 
@@ -83,6 +83,32 @@ class GImp:
         return f"({self.left!r} -> {self.right!r})"
 
 
+@dataclass(frozen=True)
+class GIndex:
+    """The instances of one universally quantified implication, keyed by
+    the element their guard t = X binds X to.
+
+    Under an interpretation only the instances keyed by the value of t can
+    be false: every other one has a false antecedent, and so has a reduct
+    that every J satisfies.  cases holds (element, instance) per element
+    of X's extent; table maps elem_key of each element to its instances.
+    """
+    term: object
+    cases: tuple
+    table: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = {}
+        for e, g in self.cases:
+            table.setdefault(elem_key(e), []).append(g)
+        object.__setattr__(self, "table", table)
+
+    def guarded(self, interp):
+        """The instances whose guard holds in interp."""
+        v = eval_term(interp, self.term)
+        return () if v is UNDEF else self.table.get(elem_key(v), ())
+
+
 def gand(members) -> GAnd:
     return GAnd(frozenset(members))
 
@@ -91,7 +117,8 @@ def gor(members) -> GOr:
     return GOr(frozenset(members))
 
 
-def ground(f: Formula, interp: FiniteInterpretation, env=None):
+def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
+           index=False):
     """Structure-preserving grounding of a sentence relative to interp.
 
     Quantifiers become finite set-conjunctions/disjunctions over the
@@ -100,6 +127,10 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None):
     universe of interp is read, so one grounding serves every candidate
     over that universe.  The top-level call (env is None) rejects a formula
     with free variables; nested calls bind every variable they meet.
+
+    With index, a universal quantifier over a guarded implication
+    (see _guard) becomes a GIndex on the ground guard term instead of a
+    GAnd, so that gsat and the reduct visit one instance, not the extent.
     """
     if env is None:
         if free_vars(f):
@@ -120,18 +151,38 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None):
     if isinstance(f, Equal):
         return GEqual(g_term(f.left), g_term(f.right))
     if isinstance(f, And):
-        return gand([ground(f.left, interp, env), ground(f.right, interp, env)])
+        return gand([ground(f.left, interp, env, index=index),
+                     ground(f.right, interp, env, index=index)])
     if isinstance(f, Or):
-        return gor([ground(f.left, interp, env), ground(f.right, interp, env)])
+        return gor([ground(f.left, interp, env, index=index),
+                    ground(f.right, interp, env, index=index)])
     if isinstance(f, Implies):
-        return GImp(ground(f.left, interp, env), ground(f.right, interp, env))
+        return GImp(ground(f.left, interp, env, index=index),
+                    ground(f.right, interp, env, index=index))
     if isinstance(f, Forall):
-        return gand([ground(f.body, interp, {**env, f.var: e})
-                     for e in interp.extent(f.var.sort)])
+        cases = [(e, ground(f.body, interp, {**env, f.var: e}, index=index))
+                 for e in interp.extent(f.var.sort)]
+        guard = _guard(f) if index else None
+        if guard is not None:
+            return GIndex(g_term(guard), tuple(cases))
+        return gand(g for _, g in cases)
     if isinstance(f, Exists):
-        return gor([ground(f.body, interp, {**env, f.var: e})
+        return gor([ground(f.body, interp, {**env, f.var: e}, index=index)
                     for e in interp.extent(f.var.sort)])
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _guard(f: Forall):
+    """t when f is forall X ((... & t = X & ...) -> H), with the equation
+    in either orientation and X not free in t; else None."""
+    if not isinstance(f.body, Implies):
+        return None
+    for a in conjuncts(f.body.left):
+        if isinstance(a, Equal):
+            for t, x in ((a.left, a.right), (a.right, a.left)):
+                if x == f.var and f.var not in free_vars(t):
+                    return t
+    return None
 
 
 def gsat(interp: FiniteInterpretation, g) -> bool:
@@ -144,7 +195,10 @@ def gsat(interp: FiniteInterpretation, g) -> bool:
             return False
         if g.pred in COMPARE_PREDS:
             return _compare(g.pred, *vals)
-        return tuple(vals) in interp.preds.get(g.pred, frozenset())
+        ext = interp.preds.get(g.pred)
+        if ext is None:
+            raise FsmError(f"uninterpreted predicate {g.pred!r}")
+        return tuple(vals) in ext
     if isinstance(g, GEqual):
         lv, rv = eval_term(interp, g.left), eval_term(interp, g.right)
         if lv is UNDEF or rv is UNDEF:
@@ -158,6 +212,8 @@ def gsat(interp: FiniteInterpretation, g) -> bool:
         return any(gsat(interp, m) for m in g.members)
     if isinstance(g, GImp):
         return (not gsat(interp, g.left)) or gsat(interp, g.right)
+    if isinstance(g, GIndex):
+        return all(gsat(interp, m) for m in g.guarded(interp))
     raise TypeError(f"not a ground formula: {g!r}")
 
 
@@ -167,6 +223,8 @@ def reduct(g, interp: FiniteInterpretation):
 
     One bottom-up pass: each atom is evaluated once, and whether a node
     holds in interp is derived from its members instead of re-evaluated.
+    A GIndex reduces to the conjunction of its guarded instances: the
+    others have a false antecedent, so every J satisfies their reduct.
     """
     return _reduct_pass(g, interp)[1]
 
@@ -188,6 +246,9 @@ def _reduct_pass(g, interp):
         holds = all if isinstance(g, GAnd) else any
         return (holds(s for s, _ in pairs),
                 type(g)(frozenset(r for _, r in pairs)))
+    if isinstance(g, GIndex):
+        pairs = [_reduct_pass(m, interp) for m in g.guarded(interp)]
+        return all(s for s, _ in pairs), gand(r for _, r in pairs)
     if isinstance(g, GBot):
         return False, GBOT
     raise TypeError(f"not a ground formula: {g!r}")
@@ -269,55 +330,70 @@ def witnesses(i: FiniteInterpretation, c, ordered: bool = True):
 
 
 def check_stable(f: Formula, c, i: FiniteInterpretation,
-                 method: str = METHOD_REDUCT, *, grounding=None) -> bool:
+                 method: str = METHOD_REDUCT, *, grounding=None,
+                 starred=None) -> bool:
     """Whether I is a stable model of F relative to c.
 
-    grounding is ground(f, ...) over I's universe.  Callers that check many
-    candidates over one universe build it once (see universe_grounding);
-    when it is None the reduct route grounds F itself.  The second-order
-    route does not use it.
+    Callers that check many candidates over one universe build what the
+    route needs once and pass it in (see prepare); what is None is built
+    here.  The reduct route takes grounding, ground(f, ...) over I's
+    universe (indexed or not), and uses it for the classical test too.
+    The second-order route takes starred, the pair (Mirrors(c, sig),
+    F*) of star_of.
     """
     c = as_clist(c)
-    if not satisfies(i, f):
-        return False
     if method == METHOD_REDUCT:
         if grounding is None:
-            grounding = ground(f, i)
+            grounding = ground(f, i, index=True)
+        if not gsat(i, grounding):
+            return False
         red = reduct(grounding, i)
         return not any(gsat(j, red) for j in witnesses(i, c))
     if method == METHOD_SECOND_ORDER:
-        mirrors = Mirrors(c, i.signature)
-        starred = star(f, c, mirrors.names)
-        return not any(satisfies(ext, starred)
+        if not satisfies(i, f):
+            return False
+        mirrors, starred_f = starred or star_of(f, c, i.signature)
+        return not any(satisfies(ext, starred_f)
                        for _, ext in mirrors.witnesses(i))
     raise FsmError(f"unknown method {method!r}")
 
 
 def check_stable_both(f: Formula, c, i: FiniteInterpretation, *,
-                      grounding=None) -> bool:
+                      grounding=None, starred=None) -> bool:
     """Run both checkers and fail loudly if they ever disagree."""
     a = check_stable(f, c, i, METHOD_REDUCT, grounding=grounding)
-    b = check_stable(f, c, i, METHOD_SECOND_ORDER)
+    b = check_stable(f, c, i, METHOD_SECOND_ORDER, starred=starred)
     if a != b:
         raise FsmError(f"stable checker divergence on {f!r}: reduct={a} second-order={b}")
     return a
 
 
 def checker(method: str):
-    """The check for method, called as fn(f, c, i, grounding=...); METHOD_BOTH
-    runs both checkers and compares them."""
+    """The check for method, called as fn(f, c, i, **prepare(...));
+    METHOD_BOTH runs both checkers and compares them."""
     if method == METHOD_BOTH:
         return check_stable_both
     return functools.partial(check_stable, method=method)
 
 
-def universe_grounding(f: Formula, sig: Signature, universe: dict,
-                       method: str = METHOD_REDUCT):
-    """ground(f) over the universe, to share across every candidate checked
-    there; None when method does not take the reduct."""
-    if method == METHOD_SECOND_ORDER:
-        return None
-    return ground(f, FiniteInterpretation(sig, universe))
+def star_of(f: Formula, c, sig: Signature):
+    """(Mirrors(c, sig), F*(d)) for the second-order route."""
+    mirrors = Mirrors(c, sig)
+    return mirrors, star(f, c, mirrors.names)
+
+
+def prepare(f: Formula, c, sig: Signature, universe: dict,
+            method: str = METHOD_REDUCT) -> dict:
+    """What every check of F over the universe shares, built once, as the
+    keyword arguments of checker(method): the indexed grounding for the
+    reduct route and star_of for the second-order route."""
+    shared = {}
+    if method != METHOD_SECOND_ORDER:
+        shared["grounding"] = ground(f, FiniteInterpretation(sig, universe),
+                                     index=True)
+    if method != METHOD_REDUCT:
+        shared["starred"] = star_of(f, c, sig)
+    return shared
 
 
 def stable_models(f: Formula, c, sig: Signature, universe: dict,
@@ -325,15 +401,15 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
     """All stable models of F relative to c over the given finite universe.
 
     The functions in fixed_funcs keep the given tables; every other user
-    symbol ranges over all its assignments.  F is grounded once for the
-    universe, and every candidate is checked against that one grounding.
+    symbol ranges over all its assignments.  What the checks share (see
+    prepare) is built once, and every candidate is checked against it.
     method may also be METHOD_BOTH.
     """
     c = as_clist(c)
     check = checker(method)
-    grounding = universe_grounding(f, sig, universe, method)
+    shared = prepare(f, c, sig, universe, method)
     return [i for i in enumerate_interpretations(sig, universe, fixed_funcs)
-            if check(f, c, i, grounding=grounding)]
+            if check(f, c, i, **shared)]
 
 
 # ---------------------------------------------------------------------------

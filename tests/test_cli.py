@@ -72,11 +72,8 @@ def test_stable_jobs_matches_serial(capsys):
     assert json.loads(serial) == json.loads(parallel)
 
 
-@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
-def test_stable_jobs_works_under_start_method(capsys, start_method):
-    # workers must get their job through the pool, not through state that
-    # only a forked child inherits
-    argv = ["stable", str(TANK), "--universe", "amt=0..6"]
+def assert_jobs_match_serial(capsys, start_method, argv):
+    """`argv --jobs 2` under start_method prints what argv does serially."""
     _, serial = run(capsys, *argv)
     code = ("import multiprocessing, sys\n"
             f"multiprocessing.set_start_method({start_method!r})\n"
@@ -90,6 +87,14 @@ def test_stable_jobs_works_under_start_method(capsys, start_method):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == serial
+
+
+@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+def test_stable_jobs_works_under_start_method(capsys, start_method):
+    # workers must get their job through the pool, not through state that
+    # only a forked child inherits
+    assert_jobs_match_serial(capsys, start_method,
+                             ["stable", str(TANK), "--universe", "amt=0..6"])
 
 
 def test_programs_past_a_thousand_rules(tmp_path):
@@ -161,6 +166,52 @@ def test_check_malformed_interp_exits_2(tmp_path):
     path = tmp_path / "interp.json"
     path.write_text("{not json")
     assert main(["check", "--interp", str(path), str(TANK)]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["funcs"]["amt1"].update({"": 99}),
+     "value of amt1(): 99 is outside sort 'amt'"),
+    (lambda d: d["funcs"]["amt1"].update({"": True}),
+     "value of amt1(): True is outside sort 'amt'"),
+    (lambda d: d["preds"].pop("flush"),
+     "symbol 'flush' missing from the interpretation"),
+    (lambda d: d["funcs"].pop("amt0"),
+     "symbol 'amt0' missing from the interpretation"),
+    (lambda d: d["funcs"].update({"amt2": {"": 1}}),
+     "undeclared function 'amt2'"),
+    (lambda d: d["preds"].update({"flush": [[1]]}),
+     "flush(1): 1 arguments, want 0"),
+    (lambda d: d["preds"].update({"flush": 5}),
+     "malformed interpretation JSON"),
+], ids=["value-outside", "bool-value", "no-flush", "no-amt0", "undeclared",
+        "arity", "shape"])
+def test_check_rejects_an_interpretation_outside_the_signature(
+        tmp_path, capsys, edit, message):
+    path = pathlib.Path(tank_interp_file(tmp_path, 5, 6, False))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    assert main(["check", "--interp", str(path), str(TANK)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_check_accepts_what_stable_prints(tmp_path, capsys):
+    # every model `stable` prints loads again, and is stable
+    _, out = run(capsys, "stable", str(TANK), "--universe", "amt=0..3")
+    for k, model in enumerate(json.loads(out)):
+        path = tmp_path / f"model{k}.json"
+        path.write_text(json.dumps(model))
+        code, verdict = run(capsys, "check", "--interp", str(path), str(TANK))
+        assert (code, json.loads(verdict)) == (EXIT_OK, {"stable": True})
+
+
+def test_stable_jobs_shares_both_routes_under_spawn(capsys):
+    # the grounding, the mirrors and F* all reach spawned workers
+    assert_jobs_match_serial(capsys, "spawn",
+                             ["stable", str(TANK), "--universe", "amt=0..4",
+                              "--method", "both"])
 
 
 def test_check_tight(tmp_path, capsys):

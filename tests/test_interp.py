@@ -1,9 +1,12 @@
 """Finite interpretations: evaluation, enumeration, ordering, JSON."""
 
+import re
 from fractions import Fraction
 
+import pytest
+
 from fsmkit.interp import (
-    FiniteInterpretation, count_assignments,
+    FiniteInterpretation, InterpretationError, count_assignments,
     enumerate_interpretations, eval_term, less_on_c, satisfies, vary_on,
 )
 from fsmkit.syntax import (
@@ -126,3 +129,28 @@ def test_json_round_trip_with_fractions():
         funcs={"a": {(): Fraction(1, 2)}, "b": {(): Fraction(3, 2)}},
         preds={"p": frozenset(), "q": frozenset()})
     assert FiniteInterpretation.from_json(j.to_json(), sig2) == j
+
+
+def test_from_json_validates_against_signature_and_universe():
+    sig = small_signature(with_unary_func=True)
+    i = FiniteInterpretation(
+        sig, {"u": (1, 2)},
+        funcs={"a": {(): 1}, "b": {(): 2}, "f": {(1,): 2}},
+        preds={"p": frozenset({(2,)}), "q": frozenset()})
+    # a partial table is legal: f(2) reads as undefined
+    assert FiniteInterpretation.from_json(i.to_json(), sig) == i
+    for edit, message in [
+            (lambda d: d["funcs"]["f"].update({"3": 1}), "f(3): 3 is outside"),
+            (lambda d: d["funcs"]["a"].update({"": 3}), "value of a(): 3"),
+            (lambda d: d["preds"]["p"].append([3]), "p(3): 3 is outside"),
+            (lambda d: d["preds"]["q"].append([1]), "q(1): 1 arguments"),
+            (lambda d: d["preds"].pop("q"), "symbol 'q' missing"),
+            (lambda d: d["preds"].update({"r": []}), "undeclared predicate"),
+            (lambda d: d["preds"].update({"q": 5}), "malformed"),
+            (lambda d: d["funcs"].update({"a": [[[], 1]]}), "malformed"),
+            (lambda d: d["funcs"]["a"].update({"": {"rat": [1, 0]}}),
+             "malformed")]:
+        data = i.to_json()
+        edit(data)
+        with pytest.raises(InterpretationError, match=re.escape(message)):
+            FiniteInterpretation.from_json(data, sig)
