@@ -9,6 +9,7 @@ term is false (so out-of-range arithmetic never raises).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -337,21 +338,48 @@ def enumerate_interpretations(sig: Signature, universe: dict,
     else:
         vary = [n for n in user if n not in fixed_funcs and n not in fixed_preds]
 
-    choice_iters = []
+    choices = []
     for n in vary:
         if n in sig.functions:
-            choice_iters.append([(n, "f", a) for a in _func_assignments(universe, sig, n)])
+            choices.append((n, _func_assignments))
         elif n in sig.predicates:
-            choice_iters.append([(n, "p", a) for a in _pred_assignments(universe, sig, n)])
+            choices.append((n, _pred_assignments))
         else:
             raise FsmError(f"unknown symbol {n!r}")
 
-    for combo in itertools.product(*choice_iters):
+    for combo in _lazy_product(
+            [functools.partial(assignments, universe, sig, n)
+             for n, assignments in choices]):
         funcs = dict(fixed_funcs)
         preds = dict(fixed_preds)
-        for n, kind, a in combo:
-            (funcs if kind == "f" else preds)[n] = a
+        for (n, _), a in zip(choices, combo):
+            (funcs if n in sig.functions else preds)[n] = a
         yield FiniteInterpretation(sig, universe, funcs, preds)
+
+
+_DONE = object()
+
+
+def _lazy_product(factories):
+    """itertools.product(*(f() for f in factories)), in the same order,
+    without building any input first: the k-th input is restarted by calling
+    factories[k] once per combination of the ones before it.  An odometer
+    over a stack of iterators, so the depth is not limited by recursion."""
+    if not factories:
+        yield ()
+        return
+    iters, combo = [factories[0]()], []
+    while iters:
+        item = next(iters[-1], _DONE)
+        if item is _DONE:
+            iters.pop()
+            if combo:
+                combo.pop()
+        elif len(iters) == len(factories):
+            yield tuple(combo) + (item,)
+        else:
+            combo.append(item)
+            iters.append(factories[len(iters)]())
 
 
 def vary_on(interp: FiniteInterpretation, names):

@@ -18,13 +18,14 @@ import itertools
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula, FsmError,
-    Implies, Lit, Obj, Or, Signature, Var, as_clist, conjuncts, free_vars,
-    rename_symbols, transform,
+    ARITH_FUNCS, And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula,
+    FsmError, Implies, Lit, Obj, Or, Signature, Var, as_clist, conjuncts,
+    free_vars, rename_symbols, transform,
 )
 from .interp import (
-    COMPARE_PREDS, UNDEF, FiniteInterpretation, _compare, elem_key,
-    enumerate_interpretations, eval_term, less_on_c, satisfies, vary_on,
+    COMPARE_PREDS, UNDEF, DomainError, FiniteInterpretation, _arith,
+    _compare, _extent, elem_key, enumerate_interpretations, eval_term,
+    less_on_c, satisfies, vary_on,
 )
 
 
@@ -312,6 +313,233 @@ class Mirrors:
 
 
 # ---------------------------------------------------------------------------
+# the smaller witness J, searched on the reduct
+
+_UNKNOWN = object()     # a term whose value depends on an unassigned location
+_ABSENT = object()      # no entry in I's table
+
+
+def smaller_witness(red, i: FiniteInterpretation, c):
+    """A J with J <^c I that satisfies the ground reduct red = F^I, or None.
+
+    Backtracking search over the c-locations: each argument tuple of a
+    function in c, over the universe, takes a value of its value sort (I's
+    value first), and each tuple in I(p) of a predicate p in c is in or out
+    (in first).  Tuples outside I(p) stay false, which is the subset rule
+    of <^c; off c, J is I.  Under a partial J, red is evaluated three-valued
+    (Kleene): a branch is pruned as soon as red is false, and the search
+    branches on the first unassigned location the evaluation reads.
+
+    Lemma: I |= F implies I |= F^I, and a Kleene "true" holds under every
+    completion of the partial J.  So the search succeeds as soon as red is
+    true and either J already differs from I on c, or some unassigned
+    location has a value other than I's: give it that value and I's values
+    everywhere else.  This is also the relevance cut: the branch that gives
+    every location red reads I's value ends true, so a location red never
+    reads refutes stability at once.  A location where I's table has no
+    entry differs from I under every value.
+    """
+    return _PartialJ(i, c).search(red)
+
+
+class _PartialJ:
+    """J agreeing with I off c, with the c-locations assigned so far.
+    A location is (symbol, argument tuple)."""
+
+    def __init__(self, i: FiniteInterpretation, c):
+        c = as_clist(c)
+        sig = i.signature
+        self.i = i
+        self.base = {}          # location -> I's value, or _ABSENT
+        self.values = {}        # location -> the values it ranges over
+        for n in c.names:
+            if n in sig.functions:
+                argsorts, valsort = sig.functions[n]
+                values = _extent(i.universe, valsort)
+                if not values:
+                    raise DomainError(f"empty extent for sort {valsort!r}")
+                table = i.funcs.get(n, {})
+                for args in itertools.product(
+                        *[_extent(i.universe, s) for s in argsorts]):
+                    self.base[n, args] = table.get(args, _ABSENT)
+                    self.values[n, args] = values
+            elif n in sig.predicates:
+                for args in i.preds.get(n, ()):
+                    self.base[n, args] = True
+                    self.values[n, args] = (True, False)
+            else:
+                raise FsmError(f"unknown symbol {n!r}")
+        self.funcs_in_c = set(c.func_part(sig))
+        self.preds_in_c = set(c.pred_part(sig))
+        self.assigned = {}
+        self.branch = None      # first unassigned location read, if any
+        # assigned locations that differ from I (a predicate in c that I
+        # leaves out differs from the empty extent J gives it), and
+        # unassigned ones that could
+        self.differing = sum(p not in i.preds for p in self.preds_in_c)
+        self.free = sum(map(self._can_differ, self.base))
+
+    def _differs(self, loc, v) -> bool:
+        base = self.base[loc]
+        return base is _ABSENT or v != base
+
+    def _can_differ(self, loc) -> bool:
+        base = self.base[loc]
+        return base is _ABSENT or any(v != base for v in self.values[loc])
+
+    def _options(self, loc):
+        """The values of loc, I's first, and of the rest one per elem_key
+        (gsat cannot tell apart values that share one)."""
+        base = self.base[loc]
+        if base is _ABSENT:
+            return iter(self.values[loc])
+        key = elem_key(base)
+        return itertools.chain((base,), (v for v in self.values[loc]
+                                         if elem_key(v) != key))
+
+    def _assign(self, loc, v):
+        self.assigned[loc] = v
+        self.differing += self._differs(loc, v)
+
+    def _unassign(self, loc):
+        self.differing -= self._differs(loc, self.assigned.pop(loc))
+
+    def search(self, red):
+        trail = []      # (location, iterator over its remaining values)
+        while True:
+            v = self.evaluate(red)
+            if v and (self.differing or self.free):
+                return self.completion()
+            if v is None:
+                loc = self.branch
+                values = self._options(loc)
+                trail.append((loc, values))
+                self.free -= self._can_differ(loc)
+                self._assign(loc, next(values))
+                continue
+            while trail:
+                loc, values = trail[-1]
+                self._unassign(loc)
+                v = next(values, _ABSENT)
+                if v is not _ABSENT:
+                    self._assign(loc, v)
+                    break
+                trail.pop()
+                self.free += self._can_differ(loc)
+            else:
+                return None
+
+    def evaluate(self, red):
+        """red under the partial J: True, False, or None (unknown)."""
+        self.branch = None
+        return self.holds(red)
+
+    def completion(self) -> FiniteInterpretation:
+        """A total J extending the partial one that differs from I on c:
+        I's values where unassigned, but one free location differs when
+        no assigned one does."""
+        values = dict(self.assigned)
+        for loc, base in self.base.items():
+            if loc not in values:
+                values[loc] = self.values[loc][0] if base is _ABSENT else base
+        if not self.differing:
+            loc = next(loc for loc in self.base
+                       if loc not in self.assigned and self._can_differ(loc))
+            values[loc] = next(v for v in self.values[loc]
+                               if self._differs(loc, v))
+        funcs = dict(self.i.funcs)
+        preds = dict(self.i.preds)
+        for n in self.funcs_in_c:
+            funcs[n] = {}
+        for n in self.preds_in_c:
+            preds[n] = set()
+        for (n, args), v in values.items():
+            if n in self.funcs_in_c:
+                funcs[n][args] = v
+            elif v:
+                preds[n].add(args)
+        return FiniteInterpretation(self.i.signature, self.i.universe,
+                                    funcs, preds)
+
+    def lookup(self, loc):
+        """The value of a location, or _UNKNOWN; records the first
+        unassigned location read."""
+        v = self.assigned.get(loc, _UNKNOWN)
+        if v is _UNKNOWN and self.branch is None:
+            self.branch = loc
+        return v
+
+    def term(self, t):
+        if isinstance(t, Obj):
+            return t.elem
+        if isinstance(t, Lit):
+            return t.value
+        if not isinstance(t, App):
+            raise TypeError(f"not a ground term: {t!r}")
+        vals = tuple(self.term(a) for a in t.args)
+        if any(v is UNDEF for v in vals):
+            return UNDEF
+        if any(v is _UNKNOWN for v in vals):
+            return _UNKNOWN
+        if t.fn in ARITH_FUNCS:
+            return _arith(t.fn, vals)
+        if t.fn in self.funcs_in_c:
+            loc = (t.fn, vals)
+            return self.lookup(loc) if loc in self.base else UNDEF
+        table = self.i.funcs.get(t.fn)
+        if table is None:
+            raise FsmError(f"uninterpreted function {t.fn!r}")
+        return table.get(vals, UNDEF)
+
+    def holds(self, g):
+        """Kleene value of a ground formula: True, False or None."""
+        if isinstance(g, (GAtom, GEqual)):
+            if isinstance(g, GAtom):
+                vals = tuple(self.term(a) for a in g.args)
+            else:
+                vals = (self.term(g.left), self.term(g.right))
+            if any(v is UNDEF for v in vals):
+                return False
+            if any(v is _UNKNOWN for v in vals):
+                return None
+            if isinstance(g, GEqual):
+                lv, rv = vals
+                return isinstance(lv, bool) == isinstance(rv, bool) and lv == rv
+            if g.pred in COMPARE_PREDS:
+                return _compare(g.pred, *vals)
+            if g.pred in self.preds_in_c:
+                loc = (g.pred, vals)
+                if loc not in self.base:
+                    return False
+                v = self.lookup(loc)
+                return None if v is _UNKNOWN else v
+            ext = self.i.preds.get(g.pred)
+            if ext is None:
+                raise FsmError(f"uninterpreted predicate {g.pred!r}")
+            return vals in ext
+        if isinstance(g, GImp):
+            left = self.holds(g.left)
+            if left is False:
+                return True
+            right = self.holds(g.right)
+            return right if right is True or left is True else None
+        if isinstance(g, (GAnd, GOr)):
+            # the member that decides an And is false, an Or's is true
+            decides = isinstance(g, GOr)
+            value = not decides
+            for m in g.members:
+                v = self.holds(m)
+                if v is decides:
+                    return v
+                if v is None:
+                    value = None
+            return value
+        if isinstance(g, GBot):
+            return False
+        raise TypeError(f"not a reduct: {g!r}")
+
+
+# ---------------------------------------------------------------------------
 # stable-model checking
 
 METHOD_REDUCT = "reduct"
@@ -347,8 +575,7 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
             grounding = ground(f, i, index=True)
         if not gsat(i, grounding):
             return False
-        red = reduct(grounding, i)
-        return not any(gsat(j, red) for j in witnesses(i, c))
+        return smaller_witness(reduct(grounding, i), i, c) is None
     if method == METHOD_SECOND_ORDER:
         if not satisfies(i, f):
             return False
@@ -360,7 +587,8 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
 
 def check_stable_both(f: Formula, c, i: FiniteInterpretation, *,
                       grounding=None, starred=None) -> bool:
-    """Run both checkers and fail loudly if they ever disagree."""
+    """Run both checkers, the witness search on the reduct and the
+    enumeration of witnesses for F*, and fail loudly if they disagree."""
     a = check_stable(f, c, i, METHOD_REDUCT, grounding=grounding)
     b = check_stable(f, c, i, METHOD_SECOND_ORDER, starred=starred)
     if a != b:

@@ -88,13 +88,25 @@ class Lit:
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Obj:
     """Object name: a handle that denotes a universe element directly.
 
     Only produced by grounding; every interpretation maps Obj(e) to e.
+    Two names are equal when an equation between their elements holds:
+    == and the same bool-ness, so Obj(True) != Obj(1).  The hash is the
+    one a plain dataclass would have, which keeps set orders as they were.
     """
     elem: object
+
+    def __eq__(self, other):
+        if not isinstance(other, Obj):
+            return NotImplemented
+        return (isinstance(self.elem, bool) == isinstance(other.elem, bool)
+                and self.elem == other.elem)
+
+    def __hash__(self):
+        return hash((self.elem,))
 
     def __repr__(self):
         return f"<{self.elem!r}>"

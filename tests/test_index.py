@@ -21,8 +21,8 @@ from fsmkit.stable import (
     reduct, stable_models, witnesses,
 )
 from fsmkit.syntax import (
-    And, App, Atom, Equal, Forall, FsmError, Implies, Lit, Or, Signature, Var,
-    fol_representation,
+    And, App, Atom, Equal, Forall, FsmError, Implies, Lit, Obj, Or, Signature,
+    Var, fol_representation,
 )
 from conftest import make_gen, random_definition_program
 
@@ -188,8 +188,7 @@ def test_guard_edge_cases(guard, elements):
 
 
 def test_equal_elements_share_one_key_and_bools_get_their_own():
-    # only the index is tested here: the plain grounding merges the
-    # instances for 1 and True, since Obj(1) == Obj(True)
+    # the index alone: the plain grounding keys instances by Obj, below
     elements = (0, 1, Fraction(1), True)
     sig = edge_signature(elements)
     g = ground(GUARDS["t=X"], FiniteInterpretation(sig, {"u": elements}),
@@ -203,6 +202,26 @@ def test_equal_elements_share_one_key_and_bools_get_their_own():
         assert len(got) == len(guarded_elements)
         assert [type(m.right.args[0].elem) for m in got] \
             == [type(e) for e in guarded_elements]
+
+
+def test_object_names_keep_bool_ness():
+    # were Obj(True) == Obj(1), the plain grounding would keep only one of
+    # the instances for X = 1 and X = True; with h(0) = True the one for
+    # True fails and the one for 1 holds, so gsat could say true
+    assert Obj(True) != Obj(1) and Obj(1) == Obj(Fraction(1))
+    assert hash(Obj(True)) == hash((True,))
+    elements = (0, 1, Fraction(1), True)
+    sig = edge_signature(elements)
+    i = FiniteInterpretation(sig, {"u": elements},
+                             funcs={"a": {(): 0}, "h": {(0,): True},
+                                    "t": {(): False}},
+                             preds={"p": frozenset({(0,)})})
+    f = GUARDS["conjunct"]
+    # 1 and Fraction(1) still share one instance, True gets its own
+    assert len(ground(f, i).members) == 3
+    assert not satisfies(i, f)
+    assert not gsat(i, ground(f, i))
+    assert not gsat(i, ground(f, i, index=True))
 
 
 def test_unguarded_quantifiers_stay_plain():

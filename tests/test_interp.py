@@ -1,18 +1,26 @@
 """Finite interpretations: evaluation, enumeration, ordering, JSON."""
 
+import itertools
+import pathlib
 import re
 from fractions import Fraction
 
 import pytest
 
+from fsmkit import interp as interp_module
 from fsmkit.interp import (
-    FiniteInterpretation, InterpretationError, count_assignments,
-    enumerate_interpretations, eval_term, less_on_c, satisfies, vary_on,
+    FiniteInterpretation, InterpretationError, _func_assignments,
+    _pred_assignments, count_assignments, enumerate_interpretations,
+    eval_term, less_on_c, satisfies, vary_on,
 )
+from fsmkit.parser import parse_program
 from fsmkit.syntax import (
-    And, App, Atom, Equal, Exists, Forall, Implies, Lit, Not, Var, as_clist,
+    TAG_USER, And, App, Atom, Equal, Exists, Forall, Implies, Lit, Not, Var,
+    as_clist,
 )
-from conftest import small_signature
+from conftest import definition_signature, small_signature
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def make_interp(sig, a=1, b=2, p=(1,), q=False):
@@ -154,3 +162,73 @@ def test_from_json_validates_against_signature_and_universe():
         edit(data)
         with pytest.raises(InterpretationError, match=re.escape(message)):
             FiniteInterpretation.from_json(data, sig)
+
+
+# ---------------------------------------------------------------------------
+# lazy enumeration
+
+def materialized_enumeration(sig, universe, fixed_funcs=None,
+                             fixed_preds=None, vary=None):
+    """enumerate_interpretations as first written: itertools.product over
+    the full list of every varied symbol's assignments.  Reference for the
+    order of the lazy one."""
+    fixed_funcs = dict(fixed_funcs or {})
+    fixed_preds = {k: frozenset(v) for k, v in (fixed_preds or {}).items()}
+    if vary is None:
+        vary = [n for n in list(sig.functions) + list(sig.predicates)
+                if sig.background.get(n, TAG_USER) == TAG_USER
+                and n not in fixed_funcs and n not in fixed_preds]
+    choice_iters = []
+    for n in vary:
+        if n in sig.functions:
+            choice_iters.append(
+                [(n, "f", a) for a in _func_assignments(universe, sig, n)])
+        else:
+            choice_iters.append(
+                [(n, "p", a) for a in _pred_assignments(universe, sig, n)])
+    for combo in itertools.product(*choice_iters):
+        funcs = dict(fixed_funcs)
+        preds = dict(fixed_preds)
+        for n, kind, a in combo:
+            (funcs if kind == "f" else preds)[n] = a
+        yield FiniteInterpretation(sig, universe, funcs, preds)
+
+
+def enumeration_cases():
+    yield small_signature(), {"u": (1, 2)}
+    yield small_signature((1, 2, 3), with_unary_func=True), {"u": (1, 2, 3)}
+    yield definition_signature(), {"u": (1, 2)}
+    for name, universe in (("watertank.fsm", {"amt": tuple(range(5))}),
+                           ("switches.fsm", {})):
+        program = parse_program((DEMOS / name).read_text())
+        yield program.signature, dict(program.universe, **universe)
+
+
+@pytest.mark.parametrize("sig, universe", list(enumeration_cases()))
+def test_lazy_enumeration_keeps_the_order(sig, universe):
+    got = list(enumerate_interpretations(sig, universe))
+    assert got and got == list(materialized_enumeration(sig, universe))
+    # and with a fixed part and an explicit vary, as vary_on calls it
+    first = got[len(got) // 2]
+    names = sorted(first.funcs)[:1] + sorted(first.preds)[-1:]
+    fixed_funcs = {k: v for k, v in first.funcs.items() if k not in names}
+    fixed_preds = {k: v for k, v in first.preds.items() if k not in names}
+    assert list(vary_on(first, names)) == list(materialized_enumeration(
+        sig, universe, fixed_funcs, fixed_preds, vary=names))
+
+
+def test_lazy_enumeration_builds_nothing_ahead(monkeypatch):
+    # f : u -> u over 3 elements has 27 tables, a 3 of them, p 8 extents:
+    # the first interpretation needs one of each
+    made = [0]
+
+    def counting(universe, sig, name):
+        for a in _func_assignments(universe, sig, name):
+            made[0] += 1
+            yield a
+    monkeypatch.setattr(interp_module, "_func_assignments", counting)
+    sig = small_signature((1, 2, 3), with_unary_func=True)
+    first = next(enumerate_interpretations(sig, {"u": (1, 2, 3)}))
+    assert first.funcs == {"a": {(): 1}, "b": {(): 1},
+                           "f": {(1,): 1, (2,): 1, (3,): 1}}
+    assert made[0] == 3
