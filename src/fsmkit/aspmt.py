@@ -22,7 +22,7 @@ from .syntax import (
     And, App, Atom, ARITH_FUNCS, BOOL, Bottom, COMPARE_PREDS, Equal,
     Exists, Forall, Formula, FragmentError, FreshNames, FsmError, INT,
     Implies, Lit, Not, Obj, Or, REAL, Signature, TAG_USER, TOP, Var, as_clist,
-    conj, conjuncts, free_vars, iff_of, is_not, subst,
+    conj, conjuncts, free_vars, guard_term, iff_of, is_not, subst,
 )
 from .interp import FiniteInterpretation
 from .stable import check_stable, METHOD_REDUCT
@@ -165,17 +165,6 @@ def _expand_finite_quantifiers(f, sig, bg):
     return f
 
 
-def _guard_term(cj, y):
-    """If cj is an equality determining y, the defining term, else None."""
-    if not isinstance(cj, Equal):
-        return None
-    if cj.left == y and y not in free_vars(cj.right):
-        return cj.right
-    if cj.right == y and y not in free_vars(cj.left):
-        return cj.left
-    return None
-
-
 def eliminate_background_quantifiers(f, fresh=None):
     """Remove quantifiers over background sorts wherever an equality guard
     pins down the variable; quantifiers that resist elimination remain.
@@ -188,7 +177,7 @@ def eliminate_background_quantifiers(f, fresh=None):
         body = eliminate_background_quantifiers(f.body, fresh)
         cs = list(conjuncts(body))
         for idx, cj in enumerate(cs):
-            t = _guard_term(cj, f.var)
+            t = guard_term(cj, f.var)
             if t is not None:
                 rest = cs[:idx] + cs[idx + 1:]
                 replaced = subst(conj(rest), {f.var: t}) if rest else TOP
@@ -203,7 +192,7 @@ def eliminate_background_quantifiers(f, fresh=None):
             # forall y ((t = y) <-> G): the forward instance plus the guarded
             # reverse implication
             for eq_side, g_side in ((a, b), (b, a)):
-                t = _guard_term(eq_side, y) if isinstance(eq_side, Equal) else None
+                t = guard_term(eq_side, y)
                 if t is not None:
                     inst = subst(g_side, {y: t})
                     rev = Forall(y, Implies(g_side, eq_side))
@@ -225,7 +214,7 @@ def eliminate_background_quantifiers(f, fresh=None):
                     Forall(y, Forall(z, Implies(inner, b))), fresh)
             cs = list(conjuncts(a))
             for idx, cj in enumerate(cs):
-                t = _guard_term(cj, y)
+                t = guard_term(cj, y)
                 if t is not None:
                     rest = cs[:idx] + cs[idx + 1:]
                     ante = conj(rest) if rest else None

@@ -6,7 +6,8 @@ The two checkers realize the same semantics by different routes:
   universe, take the reduct relative to I, and search for a smaller witness J.
 * ``method="second-order"``: build the star transform F*(d) over mirror
   constants d and test the defining second-order condition directly by
-  enumerating candidate witness assignments for d.
+  enumerating candidate witness assignments for d, evaluating the indexed
+  grounding of F* under each.
 
 Their agreement is a continuously-audited invariant.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from .syntax import (
     ARITH_FUNCS, And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula,
     FsmError, Implies, Lit, Obj, Or, Signature, Var, as_clist, conjuncts,
-    free_vars, rename_symbols, transform,
+    free_vars, guard_term, rename_symbols, transform,
 )
 from .interp import (
     COMPARE_PREDS, UNDEF, DomainError, FiniteInterpretation, _arith,
@@ -86,13 +87,15 @@ class GImp:
 
 @dataclass(frozen=True)
 class GIndex:
-    """The instances of one universally quantified implication, keyed by
-    the element their guard t = X binds X to.
+    """The instances of one universally quantified guarded body (see
+    _guard), keyed by the element their guard t = X binds X to.
 
     Under an interpretation only the instances keyed by the value of t can
-    be false: every other one has a false antecedent, and so has a reduct
-    that every J satisfies.  cases holds (element, instance) per element
-    of X's extent; table maps elem_key of each element to its instances.
+    be false: in every other one each implication has a false antecedent,
+    and so has a reduct that every J satisfies.  The same holds for F*
+    under a mirror extension of I, where t is evaluated as in I.  cases
+    holds (element, instance) per element of X's extent; table maps
+    elem_key of each element to its instances.
     """
     term: object
     cases: tuple
@@ -175,15 +178,19 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
 
 def _guard(f: Forall):
     """t when f is forall X ((... & t = X & ...) -> H), with the equation
-    in either orientation and X not free in t; else None."""
-    if not isinstance(f.body, Implies):
-        return None
-    for a in conjuncts(f.body.left):
-        if isinstance(a, Equal):
-            for t, x in ((a.left, a.right), (a.right, a.left)):
-                if x == f.var and f.var not in free_vars(t):
-                    return t
-    return None
+    in either orientation and X not free in t; else None.
+
+    The body may also be a conjunction of such implications, as star makes
+    of one: (A* -> H*) & (A -> H).  Then t is the first guard of the first
+    conjunct that every other conjunct's antecedent also holds.  When t
+    mentions a symbol in c, A* holds both t^ = X and t = X, and only t is
+    shared."""
+    guards = [[t for a in conjuncts(g.left)
+               if (t := guard_term(a, f.var)) is not None]
+              if isinstance(g, Implies) else []
+              for g in conjuncts(f.body)]
+    first, *rest = guards
+    return next((t for t in first if all(t in ts for ts in rest)), None)
 
 
 def gsat(interp: FiniteInterpretation, g) -> bool:
@@ -567,7 +574,8 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
     here.  The reduct route takes grounding, ground(f, ...) over I's
     universe (indexed or not), and uses it for the classical test too.
     The second-order route takes starred, the pair (Mirrors(c, sig),
-    F*) of star_of.
+    ground F*) of star_of; without it, the pair is built only once I has
+    passed the classical test, which stays satisfies(i, f).
     """
     c = as_clist(c)
     if method == METHOD_REDUCT:
@@ -579,9 +587,8 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
     if method == METHOD_SECOND_ORDER:
         if not satisfies(i, f):
             return False
-        mirrors, starred_f = starred or star_of(f, c, i.signature)
-        return not any(satisfies(ext, starred_f)
-                       for _, ext in mirrors.witnesses(i))
+        mirrors, gstar = starred or star_of(f, c, i.signature, i.universe)
+        return not any(gsat(ext, gstar) for _, ext in mirrors.witnesses(i))
     raise FsmError(f"unknown method {method!r}")
 
 
@@ -604,23 +611,28 @@ def checker(method: str):
     return functools.partial(check_stable, method=method)
 
 
-def star_of(f: Formula, c, sig: Signature):
-    """(Mirrors(c, sig), F*(d)) for the second-order route."""
+def star_of(f: Formula, c, sig: Signature, universe: dict):
+    """(Mirrors(c, sig), F*(d) grounded with the guard index over the
+    universe) for the second-order route: gsat of the grounding under each
+    mirror extension replaces satisfies of F*, and visits the guarded
+    instances only."""
     mirrors = Mirrors(c, sig)
-    return mirrors, star(f, c, mirrors.names)
+    base = FiniteInterpretation(mirrors.signature, universe)
+    return mirrors, ground(star(f, c, mirrors.names), base, index=True)
 
 
 def prepare(f: Formula, c, sig: Signature, universe: dict,
             method: str = METHOD_REDUCT) -> dict:
     """What every check of F over the universe shares, built once, as the
-    keyword arguments of checker(method): the indexed grounding for the
-    reduct route and star_of for the second-order route."""
+    keyword arguments of checker(method): the indexed grounding of F for
+    the reduct route, and star_of (the mirrors and the indexed grounding
+    of F*) for the second-order route."""
     shared = {}
     if method != METHOD_SECOND_ORDER:
         shared["grounding"] = ground(f, FiniteInterpretation(sig, universe),
                                      index=True)
     if method != METHOD_REDUCT:
-        shared["starred"] = star_of(f, c, sig)
+        shared["starred"] = star_of(f, c, sig, universe)
     return shared
 
 

@@ -79,10 +79,23 @@ class App:
         return f"{self.fn}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lit:
-    """A builtin literal: int, exact rational, or boolean."""
+    """A builtin literal: int, exact rational, or boolean.
+
+    Equal as Obj is: == and the same bool-ness, so Lit(True) != Lit(1);
+    the hash is the one a plain dataclass would have.
+    """
     value: Union[int, Fraction, bool]
+
+    def __eq__(self, other):
+        if not isinstance(other, Lit):
+            return NotImplemented
+        return (isinstance(self.value, bool) == isinstance(other.value, bool)
+                and self.value == other.value)
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __repr__(self):
         return repr(self.value)
@@ -592,6 +605,17 @@ def free_vars(f) -> set:
     if isinstance(f, (Forall, Exists)):
         return free_vars(f.body) - {f.var}
     raise TypeError(f"not a formula/term: {f!r}")
+
+
+def guard_term(f, var: Var):
+    """t when f is the equation t = var or var = t and var is not free in
+    t; else None."""
+    if not isinstance(f, Equal):
+        return None
+    for t, x in ((f.left, f.right), (f.right, f.left)):
+        if x == var and var not in free_vars(t):
+            return t
+    return None
 
 
 def subst_term(t: Term, mapping: dict) -> Term:

@@ -1,10 +1,15 @@
 """The guard index of the grounding: differential tests against the plain
-grounding and classical satisfaction, the guard edge cases, and work
-counts that pin the per-candidate cost of the reduct route."""
+grounding and classical satisfaction, on F and on F*, the guard edge cases
+and shapes, and work counts that pin the per-candidate cost of the reduct
+route and the per-witness cost of the second-order route."""
 
 import itertools
+import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,16 +22,18 @@ from fsmkit.interp import (
 )
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    METHOD_SECOND_ORDER, GAnd, GImp, GIndex, GOr, check_stable, ground, gsat,
-    reduct, stable_models, witnesses,
+    METHOD_REDUCT, METHOD_SECOND_ORDER, GAnd, GImp, GIndex, GOr, Mirrors,
+    _guard, check_stable, check_stable_both, ground, gsat, reduct, star,
+    star_of, stable_models, witnesses,
 )
 from fsmkit.syntax import (
-    And, App, Atom, Equal, Forall, FsmError, Implies, Lit, Obj, Or, Signature,
-    Var, fol_representation,
+    BOT, And, App, Atom, Equal, Forall, FsmError, Implies, Lit, Obj, Or,
+    Signature, Var, fol_representation,
 )
 from conftest import make_gen, random_definition_program
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def index_nodes(g) -> int:
@@ -59,6 +66,19 @@ def assert_index_agrees(f, c, interps, base):
             assert gsat(j, red_indexed) == gsat(j, red_plain), \
                 (i.to_json(), j.to_json())
     return index_nodes(indexed)
+
+
+def assert_star_index_agrees(f, c, interps, universe):
+    """For every I and every (J, ext) of Mirrors.witnesses(I): the indexed
+    grounding of F* that star_of builds holds in ext exactly when F* does
+    classically.  Returns the number of GIndex nodes in that grounding."""
+    mirrors, gstar = star_of(f, c, interps[0].signature, universe)
+    fstar = star(f, c, mirrors.names)
+    for i in interps:
+        for j, ext in mirrors.witnesses(i):
+            assert gsat(ext, gstar) == satisfies(ext, fstar), \
+                (f, c, i.to_json(), j.to_json())
+    return index_nodes(gstar)
 
 
 def demo(name, **universe):
@@ -121,6 +141,50 @@ def test_index_agrees_on_demos(name, universe, fixed, c):
     interps = enumerate_interpretations(sig, full, fixed)
     assert assert_index_agrees(f, c or intensional, interps,
                                FiniteInterpretation(sig, full)) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_star_index_agrees_on_random_formulas(seed):
+    # 20 formulas per seed, half of them guarded, each under several c
+    sig, gen = make_gen(seed=seed, with_unary_func=seed == 2)
+    universe = {"u": (1, 2)}
+    interps = list(enumerate_interpretations(sig, universe))
+    # f gives four times the interpretations, so the largest c gives way
+    cs = [("a", "p"), ("p",), ("a", "b")] + (
+        [("f",), ("f", "p")] if seed == 2 else [("a", "b", "p", "q")])
+    formulas = [gen.formula(depth=3) for _ in range(10)]
+    formulas += [guarded_formula(gen, n) for n in range(10)]
+    indexed = 0
+    for f in formulas:
+        for c in cs:
+            indexed += assert_star_index_agrees(f, c, interps, universe)
+    assert indexed >= 10 * len(cs)
+
+
+def test_star_index_agrees_on_definition_programs():
+    rng = random.Random(17)
+    universe = {"u": (1, 2)}
+    indexed = 0
+    for _ in range(20):
+        sig, f = random_definition_program(rng)
+        interps = list(enumerate_interpretations(sig, universe))
+        for c in (("f", "g", "p"), ("f",), ("g", "p")):
+            indexed += assert_star_index_agrees(f, c, interps, universe)
+    assert indexed > 0
+
+
+@pytest.mark.parametrize("name, universe, fixed, c", [
+    ("watertank.fsm", {"amt": tuple(range(11))}, None, None),
+    ("switches.fsm", {}, None, None),
+    ("car.fsm", {"real": (0, 1)},
+     {"speed0": {(): 0}, "location0": {(): 0}, "duration0": {(): 1},
+      "duration1": {(): 1}, "decel0": {(): False}, "decel1": {(): False}},
+     ("speed1", "location1", "accel0")),
+])
+def test_star_index_agrees_on_demos(name, universe, fixed, c):
+    f, intensional, sig, full = demo(name, **universe)
+    interps = list(enumerate_interpretations(sig, full, fixed))
+    assert assert_star_index_agrees(f, c or intensional, interps, full) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +288,36 @@ def test_object_names_keep_bool_ness():
     assert not gsat(i, ground(f, i, index=True))
 
 
+LIT_BOOL_NESS = """
+from fsmkit.interp import FiniteInterpretation, satisfies
+from fsmkit.stable import ground, gsat
+from fsmkit.syntax import And, App, Equal, Lit, Signature
+
+sig = Signature()
+sig.declare_sort("u", (0, 1, True))
+sig.declare_func("a", (), "u")
+i = FiniteInterpretation(sig, {"u": (0, 1, True)}, funcs={"a": {(): 1}})
+one, true = Equal(App("a", ()), Lit(1)), Equal(App("a", ()), Lit(True))
+for f in (And(one, true), And(true, one)):
+    assert not satisfies(i, f)
+    assert gsat(i, ground(f, i)) == satisfies(i, f), f
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2", "3", "4"])
+def test_literals_keep_bool_ness(hash_seed):
+    # were Lit(True) == Lit(1), the conjunction would ground to a one-member
+    # set holding either equation, and gsat would say true with a = 1
+    assert Lit(True) != Lit(1) and Lit(1) == Lit(Fraction(1))
+    assert hash(Lit(True)) == hash((True,))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", LIT_BOOL_NESS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_unguarded_quantifiers_stay_plain():
     sig = edge_signature((0, 1, 2))
     base = FiniteInterpretation(sig, {"u": (0, 1, 2)})
@@ -248,6 +342,85 @@ def test_skipped_instances_are_not_evaluated():
     i.funcs["a"] = {(): 1}
     with pytest.raises(EvaluationError):
         check_stable(f, ("p",), i)
+
+
+def test_skipped_star_instances_are_not_evaluated():
+    # b is in c and its sort v = {1, 2} keeps b - X nonzero in I, but the
+    # witness b = 1 makes the mirror b^ - X zero at X = 1.  The guard a = X
+    # is false there, so the index never evaluates that instance: the
+    # second-order route now agrees with the reduct route instead of
+    # raising, as satisfies of F* still does.
+    sig = Signature()
+    sig.declare_sort("u", (0, 1))
+    sig.declare_sort("v", (1, 2))
+    sig.declare_func("a", (), "u")
+    sig.declare_func("b", (), "v")
+    sig.declare_pred("p", ("u",))
+    universe = {"u": (0, 1), "v": (1, 2)}
+    by_b = App("/", (Lit(1), App("-", (App("b", ()), X))))
+    f = Forall(X, Implies(And(Atom("p", (by_b,)), Equal(A, X)), BOT))
+    i = FiniteInterpretation(sig, universe,
+                             funcs={"a": {(): 0}, "b": {(): 2}},
+                             preds={"p": frozenset()})
+    assert satisfies(i, f)
+    mirrors, _ = star_of(f, ("b",), sig, universe)
+    (_, ext), = mirrors.witnesses(i)
+    with pytest.raises(EvaluationError):
+        satisfies(ext, star(f, ("b",), mirrors.names))
+    assert not check_stable(f, ("b",), i, METHOD_SECOND_ORDER)
+    assert not check_stable(f, ("b",), i, METHOD_REDUCT)
+    assert not check_stable_both(f, ("b",), i)
+
+
+# ---------------------------------------------------------------------------
+# guard shapes
+
+P_A, P_X = Atom("p", (A,)), Atom("p", (X,))
+H_A = App("h", (A,))
+
+
+def test_guard_of_a_single_implication():
+    assert _guard(Forall(X, Implies(And(P_A, Equal(X, A)), P_X))) == A
+    assert _guard(Forall(X, Implies(And(Equal(H_A, X), Equal(A, X)),
+                                    P_X))) == H_A
+
+
+def test_guard_of_the_starred_shape():
+    # (A* -> H*) & (A -> H); a is not in c, so A* holds a = X twice
+    f = guarded_by(Equal(A, X))
+    mirrors = Mirrors(("p",), edge_signature(INTS))
+    starred = star(f, ("p",), mirrors.names)
+    assert isinstance(starred.body, And)
+    assert all(isinstance(g, Implies)
+               for g in (starred.body.left, starred.body.right))
+    assert _guard(starred) == A
+
+
+def test_guard_on_a_c_function_is_the_unmirrored_term():
+    # a in c: A* holds a^ = X before a = X, and only a is shared
+    f = GUARDS["conjunct"]
+    sig = edge_signature(INTS)
+    mirrors = Mirrors(("a", "h"), sig)
+    starred = star(f, ("a", "h"), mirrors.names)
+    assert _guard(starred) == H_A
+    _, gstar = star_of(f, ("a", "h"), sig, {"u": INTS})
+    assert isinstance(gstar, GIndex) and gstar.term == H_A
+
+
+@pytest.mark.parametrize("body", [
+    # one conjunct lacks the guard
+    And(Implies(Equal(A, X), P_X), Implies(P_A, P_X)),
+    # the conjuncts' guards differ
+    And(Implies(Equal(A, X), P_X), Implies(Equal(H_A, X), P_X)),
+    # a conjunct is not an implication
+    And(Implies(Equal(A, X), P_X), P_X),
+    And(P_X, Implies(Equal(A, X), P_X)),
+], ids=["unguarded", "different", "no-implication", "no-implication-first"])
+def test_guard_rejects(body):
+    f = Forall(X, body)
+    assert _guard(f) is None
+    base = FiniteInterpretation(edge_signature(INTS), {"u": INTS})
+    assert isinstance(ground(f, base, index=True), GAnd)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +459,19 @@ def count_calls(monkeypatch, module, name, *also):
 def test_second_order_route_stars_once_per_run(monkeypatch):
     f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(6)))
     calls = count_calls(monkeypatch, stable_module, "star")
+    top_level = []
+    original = stable_module.ground
+
+    def counting(g, interp, env=None, **kw):
+        if env is None:
+            top_level.append(g)
+        return original(g, interp, env, **kw)
+    monkeypatch.setattr(stable_module, "ground", counting)
     models = stable_models(f, c, sig, universe, method=METHOD_SECOND_ORDER)
     assert len(models) == 11
     assert calls[0] == 1
+    # F* only: the second-order route does not ground F
+    assert len(top_level) == 1 and top_level[0] != f
 
 
 def test_term_evaluations_per_candidate_do_not_grow_with_the_sort(
@@ -306,3 +489,59 @@ def test_term_evaluations_per_candidate_do_not_grow_with_the_sort(
     # range depends on the hash order of the ground conjunctions.
     assert per_candidate[1] < 1.5 * per_candidate[0]
     assert max(per_candidate) < 30
+
+
+COUNT_EVALUATIONS = """
+import json, sys
+from fsmkit import interp, stable
+from fsmkit.interp import FiniteInterpretation
+from fsmkit.parser import parse_program
+from fsmkit.syntax import fol_representation
+
+calls = [0]
+eval_term = interp.eval_term
+def counting(*args):
+    calls[0] += 1
+    return eval_term(*args)
+
+prog = parse_program(sys.stdin.read())
+f, c = fol_representation(prog), prog.intensional
+per_witness = []
+for n in (10, 20, 40):
+    universe = dict(prog.universe, amt=tuple(range(n + 1)))
+    # stable, no flush, amt0 in mid-sort
+    i = FiniteInterpretation(prog.signature, universe,
+                             funcs={"amt0": {(): n // 2},
+                                    "amt1": {(): n // 2 + 1}},
+                             preds={"flush": frozenset()})
+    starred = stable.star_of(f, c, prog.signature, universe)
+    count = sum(1 for _ in starred[0].witnesses(i))
+    calls[0] = 0
+    interp.eval_term = stable.eval_term = counting
+    assert stable.check_stable(f, c, i, stable.METHOD_SECOND_ORDER,
+                               starred=starred)
+    interp.eval_term = stable.eval_term = eval_term
+    per_witness.append(calls[0] / count)
+print(json.dumps(per_witness))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2", "3"])
+def test_term_evaluations_per_witness_do_not_grow_with_the_sort(hash_seed):
+    # satisfies of F* evaluates every instance: 39, 58 and 98 per witness at
+    # amt=0..10/20/40.  The index evaluates the guarded one, and the
+    # classical test I |= F, spread over the n witnesses, adds about the
+    # same at every size.  Which members of a ground conjunction run before
+    # the first false one follows their hash order: 13 to 36 per witness
+    # under seeds 0-40, so the seeds are fixed.
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", COUNT_EVALUATIONS],
+                          input=(DEMOS / "watertank.fsm").read_text(),
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    per_witness = json.loads(proc.stdout)
+    assert per_witness[2] < 1.5 * per_witness[0]
+    assert max(per_witness) < 40
