@@ -9,10 +9,8 @@ no models, not tight, refuted), 2 usage or fragment errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .syntax import (
     Choice, FsmError, FragmentError, RULE_CHOICE, as_clist,
@@ -69,31 +67,6 @@ def _relative_to(program, flag):
     return as_clist(program.intensional)
 
 
-_worker_job = None
-
-
-def _start_worker(job):
-    global _worker_job
-    _worker_job = job
-
-
-def _worker(k):
-    """Stable models among candidates k, k + jobs, k + 2*jobs, ..."""
-    f, c, sig, universe, method, shared, jobs = _worker_job
-    check = checker(method)
-    return [i for i in itertools.islice(enumerate_interpretations(sig, universe),
-                                        k, None, jobs)
-            if check(f, c.names, i, **shared)]
-
-
-def _stable_models_parallel(f, c, sig, universe, method, jobs):
-    shared = prepare(f, c, sig, universe, method)
-    job = (f, c, sig, universe, method, shared, jobs)
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                             initargs=(job,)) as pool:
-        return [i for part in pool.map(_worker, range(jobs)) for i in part]
-
-
 def _canonical_models(models):
     out = [m.to_json() for m in models]
     out.sort(key=lambda m: json.dumps(m, sort_keys=True))
@@ -123,12 +96,8 @@ def cmd_stable(args):
     universe = _universe(program, args.universe)
     c = _relative_to(program, args.relative_to)
     f = fol_representation(program)
-    if args.jobs > 1:
-        models = _stable_models_parallel(f, c, program.signature, universe,
-                                         args.method, args.jobs)
-    else:
-        models = stable_models(f, c, program.signature, universe,
-                               method=args.method)
+    models = stable_models(f, c, program.signature, universe,
+                           method=args.method)
     json.dump(_canonical_models(models), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK if models else EXIT_NO
@@ -330,7 +299,6 @@ def build_parser():
     common(p)
     p.add_argument("--method", default=METHOD_REDUCT,
                    choices=[METHOD_REDUCT, METHOD_SECOND_ORDER, METHOD_BOTH])
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_stable)
 
     p = sub.add_parser("check", help="check one interpretation")

@@ -4,6 +4,8 @@ The two checkers realize the same semantics by different routes:
 
 * ``method="reduct"``: ground the sentence over the interpretation's finite
   universe, take the reduct relative to I, and search for a smaller witness J.
+  stable_models finds its candidates I with the same search (_Search), run
+  on the grounding instead of the reduct.
 * ``method="second-order"``: build the star transform F*(d) over mirror
   constants d and test the defining second-order condition directly by
   enumerating candidate witness assignments for d, evaluating the indexed
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     ARITH_FUNCS, And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula,
-    FsmError, Implies, Lit, Obj, Or, Signature, Var, as_clist, conjuncts,
-    free_vars, guard_term, rename_symbols, transform,
+    FsmError, Implies, Lit, Obj, Or, Signature, Var, as_clist, choice_of,
+    conjuncts, free_vars, guard_term, rename_symbols, transform,
 )
 from .interp import (
     COMPARE_PREDS, UNDEF, DomainError, FiniteInterpretation, _arith,
@@ -61,16 +63,25 @@ class GEqual:
 
 
 @dataclass(frozen=True)
-class GAnd:
+class _GSet:
+    """The members of a set-connective.  order holds them in the order they
+    were built, without repeats; gsat, the reduct and the searches iterate
+    it, so their work does not depend on the hash seed.  It is not part of
+    equality, the hash or the repr."""
     members: frozenset
+    order: tuple = field(compare=False)
 
+
+@dataclass(frozen=True)
+class GAnd(_GSet):
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.members)) + "}&"
 
 
 @dataclass(frozen=True)
-class GOr:
-    members: frozenset
+class GOr(_GSet):
+    #: a ground choice G | not G, which holds whatever G is
+    choice: bool = field(default=False, compare=False)
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.members)) + "}|"
@@ -114,11 +125,15 @@ class GIndex:
 
 
 def gand(members) -> GAnd:
-    return GAnd(frozenset(members))
+    # a set built from a dict reuses the dict's hashes
+    unique = dict.fromkeys(members)
+    return GAnd(frozenset(unique), tuple(unique))
 
 
-def gor(members) -> GOr:
-    return GOr(frozenset(members))
+def gor(members, choice=False) -> GOr:
+    unique = dict.fromkeys(members)
+    return GOr(frozenset(unique), tuple(unique), choice)
+
 
 
 def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
@@ -159,7 +174,8 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
                      ground(f.right, interp, env, index=index)])
     if isinstance(f, Or):
         return gor([ground(f.left, interp, env, index=index),
-                    ground(f.right, interp, env, index=index)])
+                    ground(f.right, interp, env, index=index)],
+                   choice_of(f) is not None)
     if isinstance(f, Implies):
         return GImp(ground(f.left, interp, env, index=index),
                     ground(f.right, interp, env, index=index))
@@ -215,9 +231,9 @@ def gsat(interp: FiniteInterpretation, g) -> bool:
             return False
         return lv == rv
     if isinstance(g, GAnd):
-        return all(gsat(interp, m) for m in g.members)
+        return all(gsat(interp, m) for m in g.order)
     if isinstance(g, GOr):
-        return any(gsat(interp, m) for m in g.members)
+        return any(gsat(interp, m) for m in g.order)
     if isinstance(g, GImp):
         return (not gsat(interp, g.left)) or gsat(interp, g.right)
     if isinstance(g, GIndex):
@@ -250,10 +266,10 @@ def _reduct_pass(g, interp):
             return False, GBOT
         return True, GImp(left, right)
     if isinstance(g, (GAnd, GOr)):
-        pairs = [_reduct_pass(m, interp) for m in g.members]
-        holds = all if isinstance(g, GAnd) else any
-        return (holds(s for s, _ in pairs),
-                type(g)(frozenset(r for _, r in pairs)))
+        pairs = [_reduct_pass(m, interp) for m in g.order]
+        if isinstance(g, GAnd):
+            return all(s for s, _ in pairs), gand(r for _, r in pairs)
+        return any(s for s, _ in pairs), gor(r for _, r in pairs)
     if isinstance(g, GIndex):
         pairs = [_reduct_pass(m, interp) for m in g.guarded(interp)]
         return all(s for s, _ in pairs), gand(r for _, r in pairs)
@@ -320,161 +336,170 @@ class Mirrors:
 
 
 # ---------------------------------------------------------------------------
-# the smaller witness J, searched on the reduct
+# ground locations, and one search over them for I and for J
 
 _UNKNOWN = object()     # a term whose value depends on an unassigned location
 _ABSENT = object()      # no entry in I's table
+_DONE = object()
 
 
-def smaller_witness(red, i: FiniteInterpretation, c):
-    """A J with J <^c I that satisfies the ground reduct red = F^I, or None.
+class Locations:
+    """The ground locations of the symbols of a signature over a universe:
+    each argument tuple of a function, which takes a value of its value
+    sort, and each argument tuple of a predicate, which is false or true.
 
-    Backtracking search over the c-locations: each argument tuple of a
-    function in c, over the universe, takes a value of its value sort (I's
-    value first), and each tuple in I(p) of a predicate p in c is in or out
-    (in first).  Tuples outside I(p) stay false, which is the subset rule
-    of <^c; off c, J is I.  Under a partial J, red is evaluated three-valued
-    (Kleene): a branch is pruned as soon as red is false, and the search
-    branches on the first unassigned location the evaluation reads.
+    A symbol gets consecutive positions, its argument tuples in
+    itertools.product order, the first time a search asks for them (span).
+    One table serves every search of a run (see prepare)."""
 
-    Lemma: I |= F implies I |= F^I, and a Kleene "true" holds under every
-    completion of the partial J.  So the search succeeds as soon as red is
-    true and either J already differs from I on c, or some unassigned
-    location has a value other than I's: give it that value and I's values
-    everywhere else.  This is also the relevance cut: the branch that gives
-    every location red reads I's value ends true, so a location red never
-    reads refutes stability at once.  A location where I's table has no
-    entry differs from I under every value.
-    """
-    return _PartialJ(i, c).search(red)
+    def __init__(self, sig: Signature, universe: dict):
+        self.sig = sig
+        self.universe = universe
+        self.index = {}     # (symbol, args) -> position
+        self.keys = []      # position -> (symbol, args)
+        self.values = []    # position -> the values it ranges over, in order
+        self.spans = {}     # symbol -> range of its positions
+
+    def span(self, n) -> range:
+        if n in self.spans:
+            return self.spans[n]
+        sig = self.sig
+        if n in sig.functions:
+            argsorts, valsort = sig.functions[n]
+            values = _extent(self.universe, valsort)
+            if not values:
+                raise DomainError(f"empty extent for sort {valsort!r}")
+        elif n in sig.predicates:
+            argsorts, values = sig.predicates[n], (False, True)
+        else:
+            raise FsmError(f"unknown symbol {n!r}")
+        start = len(self.keys)
+        for args in itertools.product(
+                *[_extent(self.universe, s) for s in argsorts]):
+            self.index[n, args] = len(self.keys)
+            self.keys.append((n, args))
+            self.values.append(values)
+        self.spans[n] = range(start, len(self.keys))
+        return self.spans[n]
 
 
-class _PartialJ:
-    """J agreeing with I off c, with the c-locations assigned so far.
-    A location is (symbol, argument tuple)."""
+def _conjuncts(g) -> list:
+    """The members of g's nested GAnds, in order; g itself if it is none."""
+    out, stack = [], [g]
+    while stack:
+        h = stack.pop()
+        if isinstance(h, GAnd):
+            stack.extend(reversed(h.order))
+        else:
+            out.append(h)
+    return out
 
-    def __init__(self, i: FiniteInterpretation, c):
-        c = as_clist(c)
-        sig = i.signature
-        self.i = i
-        self.base = {}          # location -> I's value, or _ABSENT
-        self.values = {}        # location -> the values it ranges over
-        for n in c.names:
-            if n in sig.functions:
-                argsorts, valsort = sig.functions[n]
-                values = _extent(i.universe, valsort)
-                if not values:
-                    raise DomainError(f"empty extent for sort {valsort!r}")
-                table = i.funcs.get(n, {})
-                for args in itertools.product(
-                        *[_extent(i.universe, s) for s in argsorts]):
-                    self.base[n, args] = table.get(args, _ABSENT)
-                    self.values[n, args] = values
-            elif n in sig.predicates:
-                for args in i.preds.get(n, ()):
-                    self.base[n, args] = True
-                    self.values[n, args] = (True, False)
-            else:
-                raise FsmError(f"unknown symbol {n!r}")
-        self.funcs_in_c = set(c.func_part(sig))
-        self.preds_in_c = set(c.pred_part(sig))
-        self.assigned = {}
-        self.branch = None      # first unassigned location read, if any
-        # assigned locations that differ from I (a predicate in c that I
-        # leaves out differs from the empty extent J gives it), and
-        # unassigned ones that could
-        self.differing = sum(p not in i.preds for p in self.preds_in_c)
-        self.free = sum(map(self._can_differ, self.base))
 
-    def _differs(self, loc, v) -> bool:
-        base = self.base[loc]
-        return base is _ABSENT or v != base
+class _Search:
+    """Backtracking over the locations of some symbols, pruned by the
+    three-valued (Kleene) value of a list of ground conjuncts.
 
-    def _can_differ(self, loc) -> bool:
-        base = self.base[loc]
-        return base is _ABSENT or any(v != base for v in self.values[loc])
+    value[p] is the value of position p, or _UNKNOWN while p is unassigned;
+    the symbols in searched are read from it, every other one from the
+    interpretation outside.  A conjunct not yet decided watches one
+    unassigned position it reads, and is evaluated again only when that
+    position is assigned: then it is true, or it is false and the branch is
+    pruned, or it watches another unassigned position it reads.  So every
+    undecided conjunct watches an unassigned position, and the watchers of
+    an unassigned position are all undecided; backtracking restores this
+    without moving a watch back."""
 
-    def _options(self, loc):
-        """The values of loc, I's first, and of the rest one per elem_key
-        (gsat cannot tell apart values that share one)."""
-        base = self.base[loc]
-        if base is _ABSENT:
-            return iter(self.values[loc])
-        key = elem_key(base)
-        return itertools.chain((base,), (v for v in self.values[loc]
-                                         if elem_key(v) != key))
+    def __init__(self, table: Locations, conjuncts, outside, searched):
+        for n in searched:
+            table.span(n)
+        self.searched = frozenset(searched)
+        self.index = table.index
+        self.conjuncts = conjuncts
+        self.outside = outside
+        self.value = [_UNKNOWN] * len(table.keys)
+        self.watch = {}         # position -> the conjuncts that watch it
+        self.undecided = 0
+        self.read = None        # the first unassigned position read
+        self.recent = None      # the position a conjunct moved to last
+        #: per assigned position, oldest first: [position, its remaining
+        #: (index, value) options, conjuncts it decided, index of its value]
+        self.trail = []
 
-    def _assign(self, loc, v):
-        self.assigned[loc] = v
-        self.differing += self._differs(loc, v)
-
-    def _unassign(self, loc):
-        self.differing -= self._differs(loc, self.assigned.pop(loc))
-
-    def search(self, red):
-        trail = []      # (location, iterator over its remaining values)
-        while True:
-            v = self.evaluate(red)
-            if v and (self.differing or self.free):
-                return self.completion()
+    def nodes(self, options):
+        """Yield at each node where no conjunct is undecided.  Then every
+        conjunct is Kleene-true, so it holds under every completion of the
+        partial assignment (monotonicity).  options(p) lists the values
+        position p is tried with, in order; the search branches on the
+        position the most recently moved watch reads."""
+        for k in range(len(self.conjuncts)):
+            v = self.evaluate(k)
+            if v is False:
+                return
             if v is None:
-                loc = self.branch
-                values = self._options(loc)
-                trail.append((loc, values))
-                self.free -= self._can_differ(loc)
-                self._assign(loc, next(values))
-                continue
-            while trail:
-                loc, values = trail[-1]
-                self._unassign(loc)
-                v = next(values, _ABSENT)
-                if v is not _ABSENT:
-                    self._assign(loc, v)
-                    break
-                trail.pop()
-                self.free += self._can_differ(loc)
+                self._watch(k)
+                self.undecided += 1
+        trail = self.trail
+        while True:
+            if self.undecided:
+                p = self._branch()
+                trail.append([p, enumerate(options(p)), 0, None])
             else:
+                yield
+            while trail:
+                top = trail[-1]
+                p = top[0]
+                if self.value[p] is not _UNKNOWN:
+                    self.value[p] = _UNKNOWN
+                    self.undecided += top[2]
+                top[3], v = next(top[1], (None, _DONE))
+                if v is _DONE:
+                    trail.pop()
+                    continue
+                decided = self._assign(p, v)
+                if decided is not None:
+                    top[2] = decided
+                    break
+            else:
+                return
+
+    def _watch(self, k):
+        self.watch.setdefault(self.read, []).append(k)
+        self.recent = self.read
+
+    def _branch(self):
+        p = self.recent
+        if self.value[p] is not _UNKNOWN or not self.watch[p]:
+            p = next(q for q, ks in self.watch.items()
+                     if ks and self.value[q] is _UNKNOWN)
+        return p
+
+    def _assign(self, p, v):
+        """Give p the value v and evaluate the conjuncts that watch it: the
+        number decided true, or None on a conflict, with p unassigned."""
+        self.value[p] = v
+        watchers = self.watch.get(p, ())
+        stay, decided = [], 0
+        for n, k in enumerate(watchers):
+            r = self.evaluate(k)
+            if r is None:
+                self._watch(k)
+                continue
+            stay.append(k)
+            if r is False:
+                self.watch[p] = stay + watchers[n + 1:]
+                self.value[p] = _UNKNOWN
+                self.undecided += decided
                 return None
+            decided += 1
+            self.undecided -= 1
+        self.watch[p] = stay
+        return decided
 
-    def evaluate(self, red):
-        """red under the partial J: True, False, or None (unknown)."""
-        self.branch = None
-        return self.holds(red)
-
-    def completion(self) -> FiniteInterpretation:
-        """A total J extending the partial one that differs from I on c:
-        I's values where unassigned, but one free location differs when
-        no assigned one does."""
-        values = dict(self.assigned)
-        for loc, base in self.base.items():
-            if loc not in values:
-                values[loc] = self.values[loc][0] if base is _ABSENT else base
-        if not self.differing:
-            loc = next(loc for loc in self.base
-                       if loc not in self.assigned and self._can_differ(loc))
-            values[loc] = next(v for v in self.values[loc]
-                               if self._differs(loc, v))
-        funcs = dict(self.i.funcs)
-        preds = dict(self.i.preds)
-        for n in self.funcs_in_c:
-            funcs[n] = {}
-        for n in self.preds_in_c:
-            preds[n] = set()
-        for (n, args), v in values.items():
-            if n in self.funcs_in_c:
-                funcs[n][args] = v
-            elif v:
-                preds[n].add(args)
-        return FiniteInterpretation(self.i.signature, self.i.universe,
-                                    funcs, preds)
-
-    def lookup(self, loc):
-        """The value of a location, or _UNKNOWN; records the first
-        unassigned location read."""
-        v = self.assigned.get(loc, _UNKNOWN)
-        if v is _UNKNOWN and self.branch is None:
-            self.branch = loc
-        return v
+    def evaluate(self, k):
+        """The Kleene value of conjunct k: True, False, or None (unknown),
+        and then self.read is an unassigned position it reads."""
+        self.read = None
+        return self.holds(self.conjuncts[k])
 
     def term(self, t):
         if isinstance(t, Obj):
@@ -483,67 +508,234 @@ class _PartialJ:
             return t.value
         if not isinstance(t, App):
             raise TypeError(f"not a ground term: {t!r}")
-        vals = tuple(self.term(a) for a in t.args)
-        if any(v is UNDEF for v in vals):
+        # the markers equal nothing but themselves, so `in` tests identity
+        vals = tuple([self.term(a) for a in t.args])
+        if UNDEF in vals:
             return UNDEF
-        if any(v is _UNKNOWN for v in vals):
+        if _UNKNOWN in vals:
             return _UNKNOWN
         if t.fn in ARITH_FUNCS:
             return _arith(t.fn, vals)
-        if t.fn in self.funcs_in_c:
-            loc = (t.fn, vals)
-            return self.lookup(loc) if loc in self.base else UNDEF
-        table = self.i.funcs.get(t.fn)
+        if t.fn in self.searched:
+            return self.lookup((t.fn, vals), UNDEF)
+        table = self.outside.funcs.get(t.fn)
         if table is None:
             raise FsmError(f"uninterpreted function {t.fn!r}")
         return table.get(vals, UNDEF)
 
+    def lookup(self, loc, missing):
+        """The value of a location, missing if it has no position, or
+        _UNKNOWN; records the first unassigned position read."""
+        p = self.index.get(loc)
+        if p is None:
+            return missing
+        v = self.value[p]
+        if v is _UNKNOWN and self.read is None:
+            self.read = p
+        return v
+
     def holds(self, g):
         """Kleene value of a ground formula: True, False or None."""
-        if isinstance(g, (GAtom, GEqual)):
-            if isinstance(g, GAtom):
-                vals = tuple(self.term(a) for a in g.args)
-            else:
-                vals = (self.term(g.left), self.term(g.right))
-            if any(v is UNDEF for v in vals):
-                return False
-            if any(v is _UNKNOWN for v in vals):
-                return None
-            if isinstance(g, GEqual):
-                lv, rv = vals
-                return isinstance(lv, bool) == isinstance(rv, bool) and lv == rv
-            if g.pred in COMPARE_PREDS:
-                return _compare(g.pred, *vals)
-            if g.pred in self.preds_in_c:
-                loc = (g.pred, vals)
-                if loc not in self.base:
-                    return False
-                v = self.lookup(loc)
-                return None if v is _UNKNOWN else v
-            ext = self.i.preds.get(g.pred)
-            if ext is None:
-                raise FsmError(f"uninterpreted predicate {g.pred!r}")
-            return vals in ext
         if isinstance(g, GImp):
             left = self.holds(g.left)
             if left is False:
                 return True
             right = self.holds(g.right)
             return right if right is True or left is True else None
-        if isinstance(g, (GAnd, GOr)):
-            # the member that decides an And is false, an Or's is true
-            decides = isinstance(g, GOr)
-            value = not decides
-            for m in g.members:
+        if isinstance(g, (GAtom, GEqual)):
+            if isinstance(g, GAtom):
+                vals = tuple([self.term(a) for a in g.args])
+            else:
+                vals = (self.term(g.left), self.term(g.right))
+            if UNDEF in vals:
+                return False
+            if _UNKNOWN in vals:
+                return None
+            if isinstance(g, GEqual):
+                lv, rv = vals
+                return isinstance(lv, bool) == isinstance(rv, bool) and lv == rv
+            if g.pred in COMPARE_PREDS:
+                return _compare(g.pred, *vals)
+            if g.pred in self.searched:
+                v = self.lookup((g.pred, vals), False)
+                return None if v is _UNKNOWN else v
+            ext = self.outside.preds.get(g.pred)
+            if ext is None:
+                raise FsmError(f"uninterpreted predicate {g.pred!r}")
+            return vals in ext
+        if isinstance(g, GAnd):
+
+            return self.all(g.order)
+        if isinstance(g, GOr):
+            if g.choice:
+                return True
+            value = False
+            for m in g.order:
                 v = self.holds(m)
-                if v is decides:
-                    return v
+                if v is True:
+                    return True
                 if v is None:
                     value = None
             return value
+        if isinstance(g, GIndex):
+            v = self.term(g.term)
+            if v is _UNKNOWN:
+                return None
+            if v is UNDEF:
+                return True
+            return self.all(g.table.get(elem_key(v), ()))
         if isinstance(g, GBot):
             return False
-        raise TypeError(f"not a reduct: {g!r}")
+        raise TypeError(f"not a ground formula: {g!r}")
+
+    def all(self, members):
+        value = True
+        for m in members:
+            v = self.holds(m)
+            if v is False:
+                return False
+            if v is None:
+                value = None
+        return value
+
+
+def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
+                     locations=None):
+    """The interpretations over universe that extend fixed_funcs and
+    satisfy g, a grounding of a sentence over universe, as pairs (key, I);
+    sorted by key they come in enumerate_interpretations order.
+
+    Backtracking search over the locations of every user symbol outside
+    fixed_funcs, each tried with every value in extent order, pruned by the
+    Kleene value of g's conjuncts (see _Search).  Once no conjunct is
+    undecided, every completion of the unassigned locations is a model
+    (Kleene monotonicity), and all are yielded without evaluating g again.
+    A choice G | not G is true whatever G is (excluded middle), and a
+    GIndex whose guard is unknown is unknown, undefined is true, and known
+    is the conjunction of the instances it guards, as in gsat.
+
+    The search evaluates a conjunct under a partial assignment that gsat
+    would not have reached, so it can raise EvaluationError where
+    filtering enumerate_interpretations with gsat does not, and the other
+    way round (see tests/test_search.py).
+    """
+    fixed_funcs = dict(fixed_funcs or {})
+    for s, ext in universe.items():
+        if len(ext) == 0:
+            raise DomainError(f"empty extent for sort {s!r}")
+    table = locations or Locations(sig, universe)
+    vary = [n for n in sig.user_symbols() if n not in fixed_funcs]
+    search = _Search(table, _conjuncts(g),
+                     FiniteInterpretation(sig, universe, fixed_funcs), vary)
+    positions = [p for n in vary for p in table.span(n)]
+    keys, values = table.keys, table.values
+    for _ in search.nodes(values.__getitem__):
+        picked = {top[0]: top[3] for top in search.trail}
+        free = [p for p in positions if p not in picked]
+        for combo in itertools.product(*[range(len(values[p])) for p in free]):
+            picked.update(zip(free, combo))
+            funcs = dict(fixed_funcs)
+            preds = {}
+            for n in vary:
+                span = table.span(n)
+                if n in sig.functions:
+                    funcs[n] = {keys[p][1]: values[p][picked[p]] for p in span}
+                else:
+                    preds[n] = frozenset(keys[p][1] for p in span
+                                         if values[p][picked[p]])
+            yield (tuple(picked[p] for p in positions),
+                   FiniteInterpretation(sig, universe, funcs, preds))
+
+
+def smaller_witness(red, i: FiniteInterpretation, c, locations=None):
+    """A J with J <^c I that satisfies the ground reduct red = F^I, or None.
+
+    The search of _Search over the c-locations, on the conjuncts of red:
+    each argument tuple of a function in c, over the universe, takes a
+    value of its value sort (I's value first, then one value per other
+    elem_key, since gsat cannot tell apart values that share one), and
+    each tuple in I(p) of a predicate p in c is in or out (in first).
+    Tuples outside I(p) stay false, which is the subset rule of <^c; off c,
+    J is I.
+
+    Lemmas: a Kleene "true" holds under every completion of the partial J
+    (monotonicity).  So the search succeeds as soon as no conjunct of red
+    is undecided and either J already differs from I on c, or some
+    unassigned location has a value other than I's: give it that value and
+    I's values everywhere else (the <^c success rule).  This is also the
+    relevance cut: I |= F implies I |= F^I, so the branch that gives every
+    location red reads I's value ends true, and a location red never reads
+    refutes stability at once.  A location where I's table has no entry
+    differs from I under every value.
+    """
+    c = as_clist(c)
+    sig = i.signature
+    table = locations or Locations(sig, i.universe)
+    search = _Search(table, _conjuncts(red), i, c.names)
+    value = search.value
+    base = {}       # location position -> I's value, or _ABSENT
+    for n in c.names:
+        if n in sig.functions:
+            own = i.funcs.get(n, {})
+            for p in table.span(n):
+                base[p] = own.get(table.keys[p][1], _ABSENT)
+        else:
+            own = i.preds.get(n, frozenset())
+            for p in table.span(n):
+                if table.keys[p][1] in own:
+                    base[p] = True
+                else:
+                    value[p] = False
+    # a predicate in c that I leaves out differs from the empty extent of J
+    left_out = any(p not in i.preds for p in c.pred_part(sig))
+
+    def differs(p, v):
+        return base[p] is _ABSENT or v != base[p]
+
+    def options(p):
+        b = base[p]
+        if b is _ABSENT:
+            return table.values[p]
+        key = elem_key(b)
+        return (b, *(v for v in table.values[p] if elem_key(v) != key))
+
+    for _ in search.nodes(options):
+        if left_out or any(value[p] is not _UNKNOWN and differs(p, value[p])
+                           for p in base):
+            return _completion(i, c, table, base, value, None)
+        free = next((p for p in base if value[p] is _UNKNOWN and any(
+            differs(p, v) for v in table.values[p])), None)
+        if free is not None:
+            return _completion(i, c, table, base, value,
+                               (free, next(v for v in table.values[free]
+                                           if differs(free, v))))
+    return None
+
+
+def _completion(i, c, table, base, value, change):
+    """The total J that takes the assigned values of the c-locations, I's
+    value (or the first of its sort) at the others, and the change
+    (position, value) if there is one."""
+    sig = i.signature
+    funcs = dict(i.funcs)
+    preds = dict(i.preds)
+    for n in c.names:
+        if n in sig.functions:
+            funcs[n] = {}
+        else:
+            preds[n] = set()
+    for p, b in base.items():
+        v = value[p]
+        if change is not None and p == change[0]:
+            v = change[1]
+        elif v is _UNKNOWN:
+            v = table.values[p][0] if b is _ABSENT else b
+        n, args = table.keys[p]
+        if n in sig.functions:
+            funcs[n][args] = v
+        elif v:
+            preds[n].add(args)
+    return FiniteInterpretation(sig, i.universe, funcs, preds)
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +758,14 @@ def witnesses(i: FiniteInterpretation, c, ordered: bool = True):
 
 def check_stable(f: Formula, c, i: FiniteInterpretation,
                  method: str = METHOD_REDUCT, *, grounding=None,
-                 starred=None) -> bool:
+                 locations=None, starred=None) -> bool:
     """Whether I is a stable model of F relative to c.
 
     Callers that check many candidates over one universe build what the
     route needs once and pass it in (see prepare); what is None is built
     here.  The reduct route takes grounding, ground(f, ...) over I's
-    universe (indexed or not), and uses it for the classical test too.
+    universe (indexed or not), and uses it for the classical test too,
+    and locations, the Locations table over that universe.
     The second-order route takes starred, the pair (Mirrors(c, sig),
     ground F*) of star_of; without it, the pair is built only once I has
     passed the classical test, which stays satisfies(i, f).
@@ -583,7 +776,7 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
             grounding = ground(f, i, index=True)
         if not gsat(i, grounding):
             return False
-        return smaller_witness(reduct(grounding, i), i, c) is None
+        return smaller_witness(reduct(grounding, i), i, c, locations) is None
     if method == METHOD_SECOND_ORDER:
         if not satisfies(i, f):
             return False
@@ -593,10 +786,11 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
 
 
 def check_stable_both(f: Formula, c, i: FiniteInterpretation, *,
-                      grounding=None, starred=None) -> bool:
+                      grounding=None, locations=None, starred=None) -> bool:
     """Run both checkers, the witness search on the reduct and the
     enumeration of witnesses for F*, and fail loudly if they disagree."""
-    a = check_stable(f, c, i, METHOD_REDUCT, grounding=grounding)
+    a = check_stable(f, c, i, METHOD_REDUCT, grounding=grounding,
+                     locations=locations)
     b = check_stable(f, c, i, METHOD_SECOND_ORDER, starred=starred)
     if a != b:
         raise FsmError(f"stable checker divergence on {f!r}: reduct={a} second-order={b}")
@@ -624,13 +818,14 @@ def star_of(f: Formula, c, sig: Signature, universe: dict):
 def prepare(f: Formula, c, sig: Signature, universe: dict,
             method: str = METHOD_REDUCT) -> dict:
     """What every check of F over the universe shares, built once, as the
-    keyword arguments of checker(method): the indexed grounding of F for
-    the reduct route, and star_of (the mirrors and the indexed grounding
-    of F*) for the second-order route."""
+    keyword arguments of checker(method): the indexed grounding of F and
+    the table of locations for the reduct route, and star_of (the mirrors
+    and the indexed grounding of F*) for the second-order route."""
     shared = {}
     if method != METHOD_SECOND_ORDER:
         shared["grounding"] = ground(f, FiniteInterpretation(sig, universe),
                                      index=True)
+        shared["locations"] = Locations(sig, universe)
     if method != METHOD_REDUCT:
         shared["starred"] = star_of(f, c, sig, universe)
     return shared
@@ -638,18 +833,38 @@ def prepare(f: Formula, c, sig: Signature, universe: dict,
 
 def stable_models(f: Formula, c, sig: Signature, universe: dict,
                   fixed_funcs=None, method: str = METHOD_REDUCT):
-    """All stable models of F relative to c over the given finite universe.
+    """All stable models of F relative to c over the given finite universe,
+    in enumerate_interpretations order.
 
     The functions in fixed_funcs keep the given tables; every other user
     symbol ranges over all its assignments.  What the checks share (see
     prepare) is built once, and every candidate is checked against it.
-    method may also be METHOD_BOTH.
+    On the reduct route the candidates are the classical models that
+    classical_models finds by search on the grounding, and each is still
+    checked in full, gsat first.  The search is exact by three lemmas:
+    a Kleene "true" under a partial assignment holds under every
+    completion (monotonicity), so once every conjunct is true all the
+    completions are models; a choice G | not G holds whatever G is
+    (excluded middle); and smaller_witness stops as soon as some J <^c I
+    is sure to satisfy the reduct (the <^c success rule).  Only the
+    stable candidates are kept, and they are sorted into enumeration
+    order at the end.  METHOD_SECOND_ORDER and METHOD_BOTH check every
+    interpretation, as the generate-and-test reference.
     """
     c = as_clist(c)
     check = checker(method)
     shared = prepare(f, c, sig, universe, method)
-    return [i for i in enumerate_interpretations(sig, universe, fixed_funcs)
-            if check(f, c, i, **shared)]
+    if method != METHOD_REDUCT:
+        return [i for i in enumerate_interpretations(sig, universe,
+                                                     fixed_funcs)
+                if check(f, c, i, **shared)]
+    found = [(key, i) for key, i in classical_models(
+                 shared["grounding"], sig, universe, fixed_funcs,
+                 shared["locations"])
+             if check(f, c, i, **shared)]
+    found.sort(key=lambda pair: pair[0])
+    return [i for _, i in found]
+
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,15 @@ def small_signature(elements=(1, 2), with_unary_func=False):
 
 
 class FormulaGen:
-    """Seeded random closed formulas over a small_signature."""
+    """Seeded random closed formulas over a small_signature.  With arith,
+    terms may also be t + 1, which leaves the sort at its top element."""
 
-    def __init__(self, rng, sig, elements):
+    def __init__(self, rng, sig, elements, arith=False):
         self.rng = rng
         self.sig = sig
         self.elements = elements
         self.has_f = "f" in sig.functions
+        self.arith = arith
         self.counter = 0
 
     def term(self, env):
@@ -42,7 +44,11 @@ class FormulaGen:
             choices.append("var")
         if self.has_f:
             choices.append("f")
+        if self.arith:
+            choices.append("succ")
         kind = self.rng.choice(choices)
+        if kind == "succ":
+            return App("+", (self.term_flat(env), Lit(1)))
         if kind == "lit":
             return Lit(self.rng.choice(self.elements))
         if kind == "var":
@@ -142,7 +148,7 @@ def rng():
     return random.Random(20240817)
 
 
-def make_gen(seed, elements=(1, 2), with_unary_func=False):
+def make_gen(seed, elements=(1, 2), with_unary_func=False, with_arith=False):
     sig = small_signature(elements, with_unary_func)
-    gen = FormulaGen(random.Random(seed), sig, elements)
+    gen = FormulaGen(random.Random(seed), sig, elements, with_arith)
     return sig, gen

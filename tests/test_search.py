@@ -1,8 +1,11 @@
-"""The smaller-witness search of the reduct route: differential tests against
-enumerating every J <^c I, the edge cases of partial tables and one-element
-sorts, the work it does per stable model, and where its evaluation order
+"""The two searches of the reduct route, for the classical models I and
+for a smaller witness J: differential tests against filtering and
+enumerating every interpretation, the edge cases of partial tables and
+one-element sorts, the work they do, and where their evaluation order
 differs from gsat's on arithmetic errors."""
 
+import functools
+import itertools
 import json
 import os
 import pathlib
@@ -11,17 +14,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsmkit.interp import (
     EvaluationError, FiniteInterpretation, enumerate_interpretations,
     less_on_c,
 )
 from fsmkit.parser import parse_program
+from fsmkit import stable
 from fsmkit.stable import (
-    check_stable, ground, gsat, reduct, smaller_witness, witnesses,
+    check_stable, classical_models, ground, gsat, reduct, smaller_witness,
+    stable_models, witnesses,
 )
 from fsmkit.syntax import (
-    And, App, Atom, Equal, Forall, Implies, Lit, Signature,
+    And, App, Atom, BOT, Choice, Equal, Forall, Implies, Lit, Signature,
     fol_representation,
 )
 from conftest import make_gen, random_definition_program
@@ -247,51 +253,227 @@ def test_c_function_over_a_one_element_sort():
 
 
 # ---------------------------------------------------------------------------
+# the classical search against filtering every interpretation
+
+def searched_models(g, sig, universe, fixed_funcs=None):
+    """The classical models the search finds, in enumeration order."""
+    found = sorted(classical_models(g, sig, universe, fixed_funcs),
+                   key=lambda pair: pair[0])
+    return [i for _, i in found]
+
+
+def filtered_models(g, sig, universe, fixed_funcs=None):
+    return [i for i in enumerate_interpretations(sig, universe, fixed_funcs)
+            if gsat(i, g)]
+
+
+def assert_searches_agree(f, c, sig, universe, fixed_funcs):
+    """On both groundings the search finds the classical models that
+    filtering finds, in the same order; and the reduct route, which runs on
+    those, finds the stable models the second-order route finds."""
+    base = FiniteInterpretation(sig, universe)
+    for index in (False, True):
+        g = ground(f, base, index=index)
+        assert (searched_models(g, sig, universe, fixed_funcs)
+                == filtered_models(g, sig, universe, fixed_funcs)), f
+    assert (stable_models(f, c, sig, universe, fixed_funcs)
+            == stable_models(f, c, sig, universe, fixed_funcs,
+                             method="second-order")), (f, c)
+
+
+FORMULA_CS = [("a", "p"), ("p",), ("a", "b"), ("q",), ("a", "b", "p", "q"),
+              ("f",), ("f", "p")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), unary=st.booleans(),
+       arith=st.booleans(), fixed=st.sampled_from([None, 1, 2]),
+       c=st.sampled_from(FORMULA_CS))
+def test_classical_search_on_random_formulas(seed, unary, arith, fixed, c):
+    # p is unary; with arith, a + 1 and f(b + 1) leave u = {1, 2}
+    sig, gen = make_gen(seed, with_unary_func=unary, with_arith=arith)
+    if "f" in c and not unary:
+        c = ("a", "p")
+    fixed_funcs = None if fixed is None else {"b": {(): fixed}}
+    assert_searches_agree(gen.formula(depth=3), c, sig, {"u": (1, 2)},
+                          fixed_funcs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), fixed=st.sampled_from([None, 1, 2]),
+       c=st.sampled_from([("f", "g", "p"), ("f",), ("g", "p")]))
+def test_classical_search_on_definition_programs(seed, fixed, c):
+    sig, f = random_definition_program(random.Random(seed))
+    fixed_funcs = None if fixed is None else {"g": {(): fixed}}
+    if fixed_funcs:
+        c = tuple(n for n in c if n != "g")
+    assert_searches_agree(f, c, sig, {"u": (1, 2)}, fixed_funcs)
+
+
+def test_classical_search_on_the_demos():
+    for f, c, sig, universe in (
+            demo("watertank.fsm", amt=tuple(range(6))),
+            demo("switches.fsm"),
+            program(SWITCHES_2)):
+        g = ground(f, FiniteInterpretation(sig, universe), index=True)
+        assert (searched_models(g, sig, universe)
+                == filtered_models(g, sig, universe))
+
+
+# ---------------------------------------------------------------------------
 # work per stable model
 
-COUNT_NODES = """
+COUNT_EVALUATIONS = """
 import json, sys
 from fsmkit import stable
 from fsmkit.parser import parse_program
 from fsmkit.syntax import fol_representation
 
-nodes = [0]
-evaluate = stable._PartialJ.evaluate
-def counting(self, red):
-    nodes[0] += 1
-    return evaluate(self, red)
-stable._PartialJ.evaluate = counting
+count = [0]
+evaluate = stable._Search.evaluate
+def counting(self, k):
+    count[0] += 1
+    return evaluate(self, k)
+stable._Search.evaluate = counting
 
 prog = parse_program(sys.stdin.read())
 f, c = fol_representation(prog), prog.intensional
-shared = stable.prepare(f, c, prog.signature, dict(prog.universe))
-models = stable.stable_models(f, c, prog.signature, dict(prog.universe))
+universe = dict(prog.universe)
+shared = stable.prepare(f, c, prog.signature, universe)
+models = stable.stable_models(f, c, prog.signature, universe)
+total = count[0]
 per_model = []
 for m in models:
-    nodes[0] = 0
+    count[0] = 0
     assert stable.check_stable(f, c, m, **shared)
-    per_model.append(nodes[0])
-locations = len(stable._PartialJ(models[0], c).base)
-print(json.dumps({"models": len(models), "locations": locations,
+    per_model.append(count[0])
+table = stable.Locations(prog.signature, universe)
+print(json.dumps({"models": len(models), "total": total,
+                  "locations": sum(len(table.span(n)) for n in c),
                   "per_model": per_model}))
 """
+
+
+@functools.cache
+def evaluation_counts(hash_seed):
+    """Conjunct evaluations on the 2-pair switches program in a fresh
+    interpreter under PYTHONHASHSEED=hash_seed: in the whole stable_models
+    run, and in the witness search of each stable model."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", COUNT_EVALUATIONS],
+                          input=SWITCHES_2, capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "2", "3"])
 def test_search_nodes_per_stable_model(hash_seed):
     # enumeration tries all 4095 J <^c I for each stable model; the search
-    # evaluates the reduct a small multiple of the 12 locations times.  The
-    # branching order follows the hash order of the ground conjunctions.
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", COUNT_NODES],
-                          input=SWITCHES_2, capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    got = json.loads(proc.stdout)
+    # evaluates a conjunct of the reduct a small multiple of the 12
+    # locations times
+    got = evaluation_counts(hash_seed)
     assert got["models"] == 16 and got["locations"] == 12
     assert max(got["per_model"]) <= 8 * got["locations"]
+
+
+def test_search_work_does_not_depend_on_the_hash_seed():
+    # ground conjunctions keep the order they were built in, and the
+    # searches and gsat follow it, not the hash order of their sets
+    counts = [evaluation_counts(str(seed)) for seed in range(5)]
+    assert all(got == counts[0] for got in counts[1:]), counts
+
+
+SWITCHES_3 = """\
+sort switch = {a1, b1, a2, b2, a3, b3}.
+sort tm = 0..1.
+var S : switch.
+var X : bool.
+var Y : bool.
+func up : switch * tm -> bool.
+func flip : switch -> bool.
+intensional up, flip.
+
+up(S, 1) = X :- up(S, 0) = Y & flip(S) = true & X != Y.
+{ up(S, 1) = X } :- up(S, 0) = X.
+{ flip(S) = X }.
+up(a1, 1) = X :- up(b1, 1) = Y & X != Y.
+up(b1, 1) = X :- up(a1, 1) = Y & X != Y.
+up(a2, 1) = X :- up(b2, 1) = Y & X != Y.
+up(b2, 1) = X :- up(a2, 1) = Y & X != Y.
+up(a3, 1) = X :- up(b3, 1) = Y & X != Y.
+up(b3, 1) = X :- up(a3, 1) = Y & X != Y.
+up(a1, 0) = false.
+up(b1, 0) = true.
+up(a2, 0) = false.
+up(b2, 0) = true.
+up(a3, 0) = false.
+up(b3, 0) = true.
+"""
+
+
+def switch_models(pairs):
+    """Per pair (a, b), with a down and b up at time 0: either flip toggles
+    both switches, and with no flip both stay.  The pairs do not interact,
+    so there are 4 ** pairs models, as (flip, up) tables."""
+    per_pair = []
+    for k in range(1, pairs + 1):
+        a, b = f"a{k}", f"b{k}"
+        options = []
+        for fa, fb in itertools.product((False, True), repeat=2):
+            toggled = fa or fb
+            options.append(({(a,): fa, (b,): fb},
+                            {(a, 0): False, (b, 0): True,
+                             (a, 1): toggled, (b, 1): not toggled}))
+        per_pair.append(options)
+    models = []
+    for combo in itertools.product(*per_pair):
+        flip, up = {}, {}
+        for f, u in combo:
+            flip.update(f)
+            up.update(u)
+        models.append((flip, up))
+    return models
+
+
+def test_three_pairs_of_switches(monkeypatch):
+    # 2 ** 18 interpretations, 125 classical models, 64 stable ones.  Every
+    # classical model costs at most 8 conjunct evaluations per location,
+    # the search for it included, and so does each stable model's witness
+    # search.
+    count = {"evaluate": 0, "check": 0}
+    evaluate, check = stable._Search.evaluate, stable.check_stable
+
+    def counting_evaluate(self, k):
+        count["evaluate"] += 1
+        return evaluate(self, k)
+
+    def counting_check(*args, **kwargs):
+        count["check"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(stable._Search, "evaluate", counting_evaluate)
+    monkeypatch.setattr(stable, "check_stable", counting_check)
+    f, c, sig, universe = program(SWITCHES_3)
+    models = stable_models(f, c, sig, universe)
+
+    def tables(flip, up):
+        return tuple(sorted(flip.items())), tuple(sorted(up.items()))
+
+    assert len(models) == 64
+    assert ({tables(m.funcs["flip"], m.funcs["up"]) for m in models}
+            == {tables(*m) for m in switch_models(3)})
+    table = stable.Locations(sig, universe)
+    locations = sum(len(table.span(n)) for n in c)
+    assert locations == 18 and count["check"] == 125
+    assert count["evaluate"] <= 8 * locations * count["check"]
+    shared = stable.prepare(f, c, sig, universe)
+    for m in models:
+        count["evaluate"] = 0
+        assert check(f, c, m, **shared)
+        assert count["evaluate"] <= 8 * locations
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +520,32 @@ def test_search_skips_a_division_the_enumeration_reached():
     assert j.funcs == {"a": {(): 1}, "b": {(): 0}}
     assert not check_stable(f, c, i)
 
+
+
+def test_choice_rule_skips_a_division_gsat_reaches():
+    # {p(1/a)}: filtering with gsat divides by a = 0; the search takes a
+    # choice as true without evaluating it, and finds every interpretation.
+    # The stable-model check then runs gsat on a = 0 and divides.
+    f, c, i = division_case(Choice(ONE_BY_A))
+    sig, universe = i.signature, i.universe
+    g = ground(f, FiniteInterpretation(sig, universe), index=True)
+    with pytest.raises(EvaluationError):
+        filtered_models(g, sig, universe)
+    assert (searched_models(g, sig, universe)
+            == list(enumerate_interpretations(sig, universe)))
+    with pytest.raises(EvaluationError):
+        stable_models(f, ("p",), sig, universe)
+
+
+def test_candidate_search_divides_where_gsat_short_circuits():
+    # gsat meets a false conjunct before p(1/a) whenever a = 0.  The search
+    # branches on a, which all three conjuncts read first; at a = 0 the
+    # first two now wait for b, and the third divides by zero.
+    a0, b0 = Equal(A, Lit(0)), Equal(B, Lit(0))
+    f, c, i = division_case(And(And(Implies(And(a0, b0), BOT),
+                                    Implies(a0, b0)), ONE_BY_A))
+    sig, universe = i.signature, i.universe
+    g = ground(f, FiniteInterpretation(sig, universe), index=True)
+    assert filtered_models(g, sig, universe)
+    with pytest.raises(EvaluationError):
+        searched_models(g, sig, universe)
