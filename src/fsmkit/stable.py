@@ -27,8 +27,8 @@ from .syntax import (
 )
 from .interp import (
     COMPARE_PREDS, UNDEF, DomainError, FiniteInterpretation, _arith,
-    _compare, _extent, elem_key, enumerate_interpretations, eval_term,
-    less_on_c, satisfies, vary_on,
+    _compare, _extent, elem_key, enumerate_interpretations, less_on_c,
+    satisfies, vary_on,
 )
 
 
@@ -65,9 +65,9 @@ class GEqual:
 @dataclass(frozen=True)
 class _GSet:
     """The members of a set-connective.  order holds them in the order they
-    were built, without repeats; gsat, the reduct and the searches iterate
-    it, so their work does not depend on the hash seed.  It is not part of
-    equality, the hash or the repr."""
+    were built, without repeats; the evaluator, the reduct and the repr
+    iterate it, so their work and output do not depend on the hash seed.
+    It is not part of equality or the hash."""
     members: frozenset
     order: tuple = field(compare=False)
 
@@ -75,7 +75,7 @@ class _GSet:
 @dataclass(frozen=True)
 class GAnd(_GSet):
     def __repr__(self):
-        return "{" + ", ".join(map(repr, self.members)) + "}&"
+        return "{" + ", ".join(map(repr, self.order)) + "}&"
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class GOr(_GSet):
     choice: bool = field(default=False, compare=False)
 
     def __repr__(self):
-        return "{" + ", ".join(map(repr, self.members)) + "}|"
+        return "{" + ", ".join(map(repr, self.order)) + "}|"
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,6 @@ class GIndex:
         for e, g in self.cases:
             table.setdefault(elem_key(e), []).append(g)
         object.__setattr__(self, "table", table)
-
-    def guarded(self, interp):
-        """The instances whose guard holds in interp."""
-        v = eval_term(interp, self.term)
-        return () if v is UNDEF else self.table.get(elem_key(v), ())
 
 
 def gand(members) -> GAnd:
@@ -209,36 +204,134 @@ def _guard(f: Forall):
     return next((t for t in first if all(t in ts for ts in rest)), None)
 
 
+_UNKNOWN = object()     # a term whose value depends on an unassigned location
+
+
+class _Kleene:
+    """The three-valued (Kleene) value of ground formulas: True, False, or
+    None (unknown).
+
+    The symbols in searched are read from a partial assignment: index maps
+    each of their locations to a position p, and value[p] is its value, or
+    _UNKNOWN while p is unassigned; read is then the first unassigned
+    position an evaluation read.  Every other symbol is read from the
+    interpretation outside.  With nothing searched no value is unknown, and
+    holds is classical satisfaction (gsat)."""
+
+    def __init__(self, outside, searched=frozenset(), index=None,
+                 value=None):
+        self.outside = outside
+        self.searched = searched
+        self.index = index
+        self.value = value
+        self.read = None
+
+    def term(self, t):
+        if isinstance(t, Obj):
+            return t.elem
+        if isinstance(t, Lit):
+            return t.value
+        if not isinstance(t, App):
+            raise TypeError(f"not a ground term: {t!r}")
+        table = None
+        if t.fn not in ARITH_FUNCS and t.fn not in self.searched:
+            # before the arguments, so that an undefined one cannot hide it
+            table = self.outside.funcs.get(t.fn)
+            if table is None:
+                raise FsmError(f"uninterpreted function {t.fn!r}")
+        # the markers equal nothing but themselves, so `in` tests identity
+        vals = tuple([self.term(a) for a in t.args])
+        if UNDEF in vals:
+            return UNDEF
+        if _UNKNOWN in vals:
+            return _UNKNOWN
+        if table is not None:
+            return table.get(vals, UNDEF)
+        if t.fn in ARITH_FUNCS:
+            return _arith(t.fn, vals)
+        return self.lookup((t.fn, vals), UNDEF)
+
+    def lookup(self, loc, missing):
+        """The value of a location, missing if it has no position, or
+        _UNKNOWN; records the first unassigned position read."""
+        p = self.index.get(loc)
+        if p is None:
+            return missing
+        v = self.value[p]
+        if v is _UNKNOWN and self.read is None:
+            self.read = p
+        return v
+
+    def guarded(self, g: GIndex):
+        """The instances of g whose guard holds, or None while its term is
+        unknown.  An undefined term guards none."""
+        v = self.term(g.term)
+        if v is _UNKNOWN:
+            return None
+        return () if v is UNDEF else g.table.get(elem_key(v), ())
+
+    def holds(self, g):
+        """Kleene value of a ground formula: True, False or None."""
+        if isinstance(g, GImp):
+            left = self.holds(g.left)
+            if left is False:
+                return True
+            right = self.holds(g.right)
+            return right if right is True or left is True else None
+        if isinstance(g, (GAtom, GEqual)):
+            if isinstance(g, GAtom):
+                vals = tuple([self.term(a) for a in g.args])
+            else:
+                vals = (self.term(g.left), self.term(g.right))
+            if UNDEF in vals:
+                return False
+            if _UNKNOWN in vals:
+                return None
+            if isinstance(g, GEqual):
+                lv, rv = vals
+                return isinstance(lv, bool) == isinstance(rv, bool) and lv == rv
+            if g.pred in COMPARE_PREDS:
+                return _compare(g.pred, *vals)
+            if g.pred in self.searched:
+                v = self.lookup((g.pred, vals), False)
+                return None if v is _UNKNOWN else v
+            ext = self.outside.preds.get(g.pred)
+            if ext is None:
+                raise FsmError(f"uninterpreted predicate {g.pred!r}")
+            return vals in ext
+        if isinstance(g, GAnd):
+            return self.all(g.order)
+        if isinstance(g, GOr):
+            value = False
+            for m in g.order:
+                v = self.holds(m)
+                if v is True:
+                    return True
+                if v is None:
+                    value = None
+            # a choice G | not G is true while G is unknown (excluded middle)
+            return g.choice or value
+        if isinstance(g, GIndex):
+            members = self.guarded(g)
+            return None if members is None else self.all(members)
+        if isinstance(g, GBot):
+            return False
+        raise TypeError(f"not a ground formula: {g!r}")
+
+    def all(self, members):
+        value = True
+        for m in members:
+            v = self.holds(m)
+            if v is False:
+                return False
+            if v is None:
+                value = None
+        return value
+
+
 def gsat(interp: FiniteInterpretation, g) -> bool:
     """Satisfaction of ground formulas."""
-    if isinstance(g, GBot):
-        return False
-    if isinstance(g, GAtom):
-        vals = [eval_term(interp, a) for a in g.args]
-        if any(v is UNDEF for v in vals):
-            return False
-        if g.pred in COMPARE_PREDS:
-            return _compare(g.pred, *vals)
-        ext = interp.preds.get(g.pred)
-        if ext is None:
-            raise FsmError(f"uninterpreted predicate {g.pred!r}")
-        return tuple(vals) in ext
-    if isinstance(g, GEqual):
-        lv, rv = eval_term(interp, g.left), eval_term(interp, g.right)
-        if lv is UNDEF or rv is UNDEF:
-            return False
-        if isinstance(lv, bool) != isinstance(rv, bool):
-            return False
-        return lv == rv
-    if isinstance(g, GAnd):
-        return all(gsat(interp, m) for m in g.order)
-    if isinstance(g, GOr):
-        return any(gsat(interp, m) for m in g.order)
-    if isinstance(g, GImp):
-        return (not gsat(interp, g.left)) or gsat(interp, g.right)
-    if isinstance(g, GIndex):
-        return all(gsat(interp, m) for m in g.guarded(interp))
-    raise TypeError(f"not a ground formula: {g!r}")
+    return _Kleene(interp).holds(g)
 
 
 def reduct(g, interp: FiniteInterpretation):
@@ -250,28 +343,29 @@ def reduct(g, interp: FiniteInterpretation):
     A GIndex reduces to the conjunction of its guarded instances: the
     others have a false antecedent, so every J satisfies their reduct.
     """
-    return _reduct_pass(g, interp)[1]
+    return _reduct_pass(g, _Kleene(interp))[1]
 
 
-def _reduct_pass(g, interp):
-    """(interp satisfies g, reduct of g relative to interp)."""
+def _reduct_pass(g, kleene):
+    """(interp satisfies g, reduct of g relative to interp), where kleene
+    evaluates under interp."""
     if isinstance(g, (GAtom, GEqual)):
-        if gsat(interp, g):
+        if kleene.holds(g):
             return True, g
         return False, GBOT
     if isinstance(g, GImp):
-        left_sat, left = _reduct_pass(g.left, interp)
-        right_sat, right = _reduct_pass(g.right, interp)
+        left_sat, left = _reduct_pass(g.left, kleene)
+        right_sat, right = _reduct_pass(g.right, kleene)
         if left_sat and not right_sat:
             return False, GBOT
         return True, GImp(left, right)
     if isinstance(g, (GAnd, GOr)):
-        pairs = [_reduct_pass(m, interp) for m in g.order]
+        pairs = [_reduct_pass(m, kleene) for m in g.order]
         if isinstance(g, GAnd):
             return all(s for s, _ in pairs), gand(r for _, r in pairs)
         return any(s for s, _ in pairs), gor(r for _, r in pairs)
     if isinstance(g, GIndex):
-        pairs = [_reduct_pass(m, interp) for m in g.guarded(interp)]
+        pairs = [_reduct_pass(m, kleene) for m in kleene.guarded(g)]
         return all(s for s, _ in pairs), gand(r for _, r in pairs)
     if isinstance(g, GBot):
         return False, GBOT
@@ -338,7 +432,6 @@ class Mirrors:
 # ---------------------------------------------------------------------------
 # ground locations, and one search over them for I and for J
 
-_UNKNOWN = object()     # a term whose value depends on an unassigned location
 _ABSENT = object()      # no entry in I's table
 _DONE = object()
 
@@ -382,6 +475,20 @@ class Locations:
         self.spans[n] = range(start, len(self.keys))
         return self.spans[n]
 
+    def interpretation(self, outside, names, value_of):
+        """outside with the symbols in names read from their locations:
+        value_of(p) is the value of position p."""
+        funcs, preds = dict(outside.funcs), dict(outside.preds)
+        for n in names:
+            span = self.span(n)
+            if n in self.sig.functions:
+                funcs[n] = {self.keys[p][1]: value_of(p) for p in span}
+            else:
+                preds[n] = frozenset(self.keys[p][1] for p in span
+                                     if value_of(p))
+        return FiniteInterpretation(outside.signature, outside.universe,
+                                    funcs, preds)
+
 
 def _conjuncts(g) -> list:
     """The members of g's nested GAnds, in order; g itself if it is none."""
@@ -395,31 +502,26 @@ def _conjuncts(g) -> list:
     return out
 
 
-class _Search:
-    """Backtracking over the locations of some symbols, pruned by the
-    three-valued (Kleene) value of a list of ground conjuncts.
+class _Search(_Kleene):
+    """Backtracking over the locations of some symbols, pruned by the Kleene
+    value (see _Kleene) of a list of ground conjuncts.
 
-    value[p] is the value of position p, or _UNKNOWN while p is unassigned;
-    the symbols in searched are read from it, every other one from the
-    interpretation outside.  A conjunct not yet decided watches one
-    unassigned position it reads, and is evaluated again only when that
-    position is assigned: then it is true, or it is false and the branch is
-    pruned, or it watches another unassigned position it reads.  So every
-    undecided conjunct watches an unassigned position, and the watchers of
-    an unassigned position are all undecided; backtracking restores this
-    without moving a watch back."""
+    value[p] is the value of position p, or _UNKNOWN while p is unassigned.
+    A conjunct not yet decided watches one unassigned position it reads,
+    and is evaluated again only when that position is assigned: then it is
+    true, or it is false and the branch is pruned, or it watches another
+    unassigned position it reads.  So every undecided conjunct watches an
+    unassigned position, and the watchers of an unassigned position are all
+    undecided; backtracking restores this without moving a watch back."""
 
     def __init__(self, table: Locations, conjuncts, outside, searched):
         for n in searched:
             table.span(n)
-        self.searched = frozenset(searched)
-        self.index = table.index
+        super().__init__(outside, frozenset(searched), table.index,
+                         [_UNKNOWN] * len(table.keys))
         self.conjuncts = conjuncts
-        self.outside = outside
-        self.value = [_UNKNOWN] * len(table.keys)
         self.watch = {}         # position -> the conjuncts that watch it
         self.undecided = 0
-        self.read = None        # the first unassigned position read
         self.recent = None      # the position a conjunct moved to last
         #: per assigned position, oldest first: [position, its remaining
         #: (index, value) options, conjuncts it decided, index of its value]
@@ -501,103 +603,6 @@ class _Search:
         self.read = None
         return self.holds(self.conjuncts[k])
 
-    def term(self, t):
-        if isinstance(t, Obj):
-            return t.elem
-        if isinstance(t, Lit):
-            return t.value
-        if not isinstance(t, App):
-            raise TypeError(f"not a ground term: {t!r}")
-        # the markers equal nothing but themselves, so `in` tests identity
-        vals = tuple([self.term(a) for a in t.args])
-        if UNDEF in vals:
-            return UNDEF
-        if _UNKNOWN in vals:
-            return _UNKNOWN
-        if t.fn in ARITH_FUNCS:
-            return _arith(t.fn, vals)
-        if t.fn in self.searched:
-            return self.lookup((t.fn, vals), UNDEF)
-        table = self.outside.funcs.get(t.fn)
-        if table is None:
-            raise FsmError(f"uninterpreted function {t.fn!r}")
-        return table.get(vals, UNDEF)
-
-    def lookup(self, loc, missing):
-        """The value of a location, missing if it has no position, or
-        _UNKNOWN; records the first unassigned position read."""
-        p = self.index.get(loc)
-        if p is None:
-            return missing
-        v = self.value[p]
-        if v is _UNKNOWN and self.read is None:
-            self.read = p
-        return v
-
-    def holds(self, g):
-        """Kleene value of a ground formula: True, False or None."""
-        if isinstance(g, GImp):
-            left = self.holds(g.left)
-            if left is False:
-                return True
-            right = self.holds(g.right)
-            return right if right is True or left is True else None
-        if isinstance(g, (GAtom, GEqual)):
-            if isinstance(g, GAtom):
-                vals = tuple([self.term(a) for a in g.args])
-            else:
-                vals = (self.term(g.left), self.term(g.right))
-            if UNDEF in vals:
-                return False
-            if _UNKNOWN in vals:
-                return None
-            if isinstance(g, GEqual):
-                lv, rv = vals
-                return isinstance(lv, bool) == isinstance(rv, bool) and lv == rv
-            if g.pred in COMPARE_PREDS:
-                return _compare(g.pred, *vals)
-            if g.pred in self.searched:
-                v = self.lookup((g.pred, vals), False)
-                return None if v is _UNKNOWN else v
-            ext = self.outside.preds.get(g.pred)
-            if ext is None:
-                raise FsmError(f"uninterpreted predicate {g.pred!r}")
-            return vals in ext
-        if isinstance(g, GAnd):
-
-            return self.all(g.order)
-        if isinstance(g, GOr):
-            if g.choice:
-                return True
-            value = False
-            for m in g.order:
-                v = self.holds(m)
-                if v is True:
-                    return True
-                if v is None:
-                    value = None
-            return value
-        if isinstance(g, GIndex):
-            v = self.term(g.term)
-            if v is _UNKNOWN:
-                return None
-            if v is UNDEF:
-                return True
-            return self.all(g.table.get(elem_key(v), ()))
-        if isinstance(g, GBot):
-            return False
-        raise TypeError(f"not a ground formula: {g!r}")
-
-    def all(self, members):
-        value = True
-        for m in members:
-            v = self.holds(m)
-            if v is False:
-                return False
-            if v is None:
-                value = None
-        return value
-
 
 def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
                      locations=None):
@@ -610,14 +615,15 @@ def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
     Kleene value of g's conjuncts (see _Search).  Once no conjunct is
     undecided, every completion of the unassigned locations is a model
     (Kleene monotonicity), and all are yielded without evaluating g again.
-    A choice G | not G is true whatever G is (excluded middle), and a
-    GIndex whose guard is unknown is unknown, undefined is true, and known
-    is the conjunction of the instances it guards, as in gsat.
+    The conjuncts are evaluated as gsat evaluates them (see _Kleene): a
+    choice G | not G evaluates G and is true when G is unknown (excluded
+    middle), and a GIndex whose guard is unknown is unknown.
 
     The search evaluates a conjunct under a partial assignment that gsat
     would not have reached, so it can raise EvaluationError where
     filtering enumerate_interpretations with gsat does not, and the other
-    way round (see tests/test_search.py).
+    way round (see tests/test_search.py).  A choice whose G divides by zero
+    under fixed_funcs raises in both.
     """
     fixed_funcs = dict(fixed_funcs or {})
     for s, ext in universe.items():
@@ -625,26 +631,18 @@ def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
             raise DomainError(f"empty extent for sort {s!r}")
     table = locations or Locations(sig, universe)
     vary = [n for n in sig.user_symbols() if n not in fixed_funcs]
-    search = _Search(table, _conjuncts(g),
-                     FiniteInterpretation(sig, universe, fixed_funcs), vary)
+    outside = FiniteInterpretation(sig, universe, fixed_funcs)
+    search = _Search(table, _conjuncts(g), outside, vary)
     positions = [p for n in vary for p in table.span(n)]
-    keys, values = table.keys, table.values
+    values = table.values
     for _ in search.nodes(values.__getitem__):
         picked = {top[0]: top[3] for top in search.trail}
         free = [p for p in positions if p not in picked]
         for combo in itertools.product(*[range(len(values[p])) for p in free]):
             picked.update(zip(free, combo))
-            funcs = dict(fixed_funcs)
-            preds = {}
-            for n in vary:
-                span = table.span(n)
-                if n in sig.functions:
-                    funcs[n] = {keys[p][1]: values[p][picked[p]] for p in span}
-                else:
-                    preds[n] = frozenset(keys[p][1] for p in span
-                                         if values[p][picked[p]])
             yield (tuple(picked[p] for p in positions),
-                   FiniteInterpretation(sig, universe, funcs, preds))
+                   table.interpretation(outside, vary,
+                                        lambda p: values[p][picked[p]]))
 
 
 def smaller_witness(red, i: FiniteInterpretation, c, locations=None):
@@ -699,43 +697,25 @@ def smaller_witness(red, i: FiniteInterpretation, c, locations=None):
         key = elem_key(b)
         return (b, *(v for v in table.values[p] if elem_key(v) != key))
 
-    for _ in search.nodes(options):
-        if left_out or any(value[p] is not _UNKNOWN and differs(p, value[p])
-                           for p in base):
-            return _completion(i, c, table, base, value, None)
-        free = next((p for p in base if value[p] is _UNKNOWN and any(
-            differs(p, v) for v in table.values[p])), None)
-        if free is not None:
-            return _completion(i, c, table, base, value,
-                               (free, next(v for v in table.values[free]
-                                           if differs(free, v))))
-    return None
-
-
-def _completion(i, c, table, base, value, change):
-    """The total J that takes the assigned values of the c-locations, I's
-    value (or the first of its sort) at the others, and the change
-    (position, value) if there is one."""
-    sig = i.signature
-    funcs = dict(i.funcs)
-    preds = dict(i.preds)
-    for n in c.names:
-        if n in sig.functions:
-            funcs[n] = {}
-        else:
-            preds[n] = set()
-    for p, b in base.items():
+    def completed(p):
+        """p's value in the J found: the assigned one, else I's value (or
+        the first of its sort)."""
         v = value[p]
-        if change is not None and p == change[0]:
-            v = change[1]
-        elif v is _UNKNOWN:
-            v = table.values[p][0] if b is _ABSENT else b
-        n, args = table.keys[p]
-        if n in sig.functions:
-            funcs[n][args] = v
-        elif v:
-            preds[n].add(args)
-    return FiniteInterpretation(sig, i.universe, funcs, preds)
+        if v is _UNKNOWN:
+            v = table.values[p][0] if base[p] is _ABSENT else base[p]
+        return v
+
+    for _ in search.nodes(options):
+        if not left_out and not any(value[p] is not _UNKNOWN
+                                    and differs(p, value[p]) for p in base):
+            free = next((p for p in base if value[p] is _UNKNOWN and any(
+                differs(p, v) for v in table.values[p])), None)
+            if free is None:
+                continue
+            value[free] = next(v for v in table.values[free]
+                               if differs(free, v))
+        return table.interpretation(i, c.names, completed)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ def small_signature(elements=(1, 2), with_unary_func=False):
 
 class FormulaGen:
     """Seeded random closed formulas over a small_signature.  With arith,
-    terms may also be t + 1, which leaves the sort at its top element."""
+    terms may also be t + 1, which leaves the sort at its top element, and
+    f(t + 1), which is then undefined."""
 
     def __init__(self, rng, sig, elements, arith=False):
         self.rng = rng
@@ -54,7 +55,10 @@ class FormulaGen:
         if kind == "var":
             return self.rng.choice(env)
         if kind == "f":
-            return App("f", (self.term_flat(env),))
+            arg = self.term_flat(env)
+            if self.arith and self.rng.random() < 0.5:
+                arg = App("+", (arg, Lit(1)))
+            return App("f", (arg,))
         return App(kind, ())
 
     def term_flat(self, env):

@@ -81,6 +81,26 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["ground", str(DEMOS / "switches.fsm")],
+    ["ground", str(TANK), "--universe", "amt=0..3"],
+], ids=["switches", "watertank"])
+def test_ground_prints_the_same_under_every_hash_seed(argv):
+    # a ground conjunction or disjunction prints its members in the order
+    # they were built, not in the hash order of its set
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsmkit.cli", *argv], capture_output=True,
+            env=dict(env, PYTHONHASHSEED=seed), timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 def test_programs_past_a_thousand_rules(tmp_path):
     # 32 functions with 32 rules each: the program nests 1024 conjunctions
     # deep, its completion only about 64

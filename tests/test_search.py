@@ -523,9 +523,11 @@ def test_search_skips_a_division_the_enumeration_reached():
 
 
 def test_choice_rule_skips_a_division_gsat_reaches():
-    # {p(1/a)}: filtering with gsat divides by a = 0; the search takes a
-    # choice as true without evaluating it, and finds every interpretation.
-    # The stable-model check then runs gsat on a = 0 and divides.
+    # {p(1/a)}: filtering with gsat divides by a = 0.  The search evaluates
+    # a choice as gsat does, but a is open at the root, so p(1/a) is
+    # unknown there and the choice is true: the search finds every
+    # interpretation without dividing.  The stable-model check then runs
+    # gsat on a = 0 and divides.
     f, c, i = division_case(Choice(ONE_BY_A))
     sig, universe = i.signature, i.universe
     g = ground(f, FiniteInterpretation(sig, universe), index=True)
@@ -535,6 +537,21 @@ def test_choice_rule_skips_a_division_gsat_reaches():
             == list(enumerate_interpretations(sig, universe)))
     with pytest.raises(EvaluationError):
         stable_models(f, ("p",), sig, universe)
+
+
+def test_choice_rule_divides_once_its_term_is_fixed():
+    # with a fixed to 0 the search evaluates p(1/a) at the root, where the
+    # choice is decided, and divides as filtering with gsat does
+    f, c, i = division_case(Choice(ONE_BY_A))
+    sig, universe = i.signature, i.universe
+    fixed = {"a": {(): 0}}
+    g = ground(f, FiniteInterpretation(sig, universe, fixed), index=True)
+    with pytest.raises(EvaluationError):
+        filtered_models(g, sig, universe, fixed)
+    with pytest.raises(EvaluationError):
+        searched_models(g, sig, universe, fixed)
+    with pytest.raises(EvaluationError):
+        stable_models(f, ("p",), sig, universe, fixed)
 
 
 def test_candidate_search_divides_where_gsat_short_circuits():
