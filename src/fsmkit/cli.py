@@ -61,10 +61,22 @@ def _universe(program, overrides):
     return universe
 
 
+def _relative_names(program, flag):
+    """The symbols a --relative-to flag lists, or None without the flag;
+    raises FsmError on one the program does not declare."""
+    if not flag:
+        return None
+    names = [p.strip() for p in flag.split(",") if p.strip()]
+    sig = program.signature
+    for n in names:
+        if n not in sig.functions and n not in sig.predicates:
+            raise FsmError(f"unknown symbol {n!r}")
+    return names
+
+
 def _relative_to(program, flag):
-    if flag:
-        return as_clist([p.strip() for p in flag.split(",") if p.strip()])
-    return as_clist(program.intensional)
+    names = _relative_names(program, flag)
+    return as_clist(program.intensional if names is None else names)
 
 
 def _canonical_models(models):
@@ -85,6 +97,7 @@ def cmd_parse(args):
 def cmd_ground(args):
     program = _load_program(args.file)
     universe = _universe(program, args.universe)
+    _relative_to(program, args.relative_to)    # unused, but still checked
     f = fol_representation(program)
     base = FiniteInterpretation(program.signature, universe)
     print(repr(ground(f, base)))
@@ -246,9 +259,7 @@ def cmd_se_check(args):
     f = fol_representation(p1)
     g = fol_representation(p2)
     sig = p1.signature
-    c = None
-    if args.relative_to:
-        c = [s.strip() for s in args.relative_to.split(",") if s.strip()]
+    c = _relative_names(p1, args.relative_to)
     overrides = _universe(p1, args.universe) if args.universe else None
     report = check_strong_equivalence_bounded(
         sig, f, g, c=c, max_size=args.max_universe,

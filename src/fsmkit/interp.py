@@ -9,13 +9,12 @@ term is false (so out-of-range arithmetic never raises).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .syntax import (
-    ARITH_FUNCS, COMPARE_PREDS, TAG_USER, App, Atom, And, Bottom, Equal,
+    ARITH_FUNCS, COMPARE_PREDS, App, Atom, And, Bottom, Equal,
     Exists, Forall, FsmError, Implies, Lit, Obj, Or, Signature, Var, as_clist,
 )
 
@@ -295,21 +294,6 @@ def _domain_size(universe, argsorts):
     return size
 
 
-def _func_assignments(universe, sig, name):
-    argsorts, valsort = sig.functions[name]
-    domain = list(itertools.product(*[_extent(universe, s) for s in argsorts]))
-    values = _extent(universe, valsort)
-    for combo in itertools.product(values, repeat=len(domain)):
-        yield dict(zip(domain, combo))
-
-
-def _pred_assignments(universe, sig, name):
-    argsorts = sig.predicates[name]
-    domain = list(itertools.product(*[_extent(universe, s) for s in argsorts]))
-    for bits in itertools.product([False, True], repeat=len(domain)):
-        yield frozenset(t for t, b in zip(domain, bits) if b)
-
-
 def count_assignments(universe, sig, name) -> int:
     if name in sig.functions:
         argsorts, valsort = sig.functions[name]
@@ -317,69 +301,104 @@ def count_assignments(universe, sig, name) -> int:
     return 2 ** _domain_size(universe, sig.predicates[name])
 
 
-def enumerate_interpretations(sig: Signature, universe: dict,
-                              fixed_funcs=None, fixed_preds=None,
-                              vary=None):
-    """Yield all total extensions of the fixed part, each exactly once.
-
-    vary: restrict the varying symbols to this collection (default: every
-    user symbol not pinned by the fixed part).
-    """
-    fixed_funcs = dict(fixed_funcs or {})
-    fixed_preds = {k: frozenset(v) for k, v in (fixed_preds or {}).items()}
+def _require_nonempty(universe):
+    """Raise DomainError if some sort of universe has an empty extent."""
     for s, ext in universe.items():
         if len(ext) == 0:
             raise DomainError(f"empty extent for sort {s!r}")
 
-    user = [n for n in list(sig.functions) + list(sig.predicates)
-            if sig.background.get(n, TAG_USER) == TAG_USER]
-    if vary is not None:
-        vary = list(vary)
-    else:
-        vary = [n for n in user if n not in fixed_funcs and n not in fixed_preds]
 
-    choices = []
-    for n in vary:
+class Locations:
+    """The ground locations of the symbols of a signature over a universe:
+    each argument tuple of a function, which takes a value of its value
+    sort, and each argument tuple of a predicate, which is false or true.
+
+    A symbol gets consecutive positions, its argument tuples in
+    itertools.product order, the first time it is asked for (span).  One
+    table serves every enumeration and search of a run (see
+    stable.prepare)."""
+
+    def __init__(self, sig: Signature, universe: dict):
+        self.sig = sig
+        self.universe = universe
+        self.index = {}     # (symbol, args) -> position
+        self.keys = []      # position -> (symbol, args)
+        self.values = []    # position -> the values it ranges over, in order
+        self.spans = {}     # symbol -> range of its positions
+
+    def span(self, n) -> range:
+        if n in self.spans:
+            return self.spans[n]
+        sig = self.sig
         if n in sig.functions:
-            choices.append((n, _func_assignments))
+            argsorts, valsort = sig.functions[n]
+            values = _extent(self.universe, valsort)
+            if not values:
+                raise DomainError(f"empty extent for sort {valsort!r}")
         elif n in sig.predicates:
-            choices.append((n, _pred_assignments))
+            argsorts, values = sig.predicates[n], (False, True)
         else:
             raise FsmError(f"unknown symbol {n!r}")
+        start = len(self.keys)
+        for args in itertools.product(
+                *[_extent(self.universe, s) for s in argsorts]):
+            self.index[n, args] = len(self.keys)
+            self.keys.append((n, args))
+            self.values.append(values)
+        self.spans[n] = range(start, len(self.keys))
+        return self.spans[n]
 
-    for combo in _lazy_product(
-            [functools.partial(assignments, universe, sig, n)
-             for n, assignments in choices]):
-        funcs = dict(fixed_funcs)
-        preds = dict(fixed_preds)
-        for (n, _), a in zip(choices, combo):
-            (funcs if n in sig.functions else preds)[n] = a
-        yield FiniteInterpretation(sig, universe, funcs, preds)
+    def interpretation(self, outside, names, value_of):
+        """outside with the symbols in names read from their locations:
+        value_of(p) is the value of position p."""
+        funcs, preds = dict(outside.funcs), dict(outside.preds)
+        for n in names:
+            span = self.span(n)
+            if n in self.sig.functions:
+                funcs[n] = {self.keys[p][1]: value_of(p) for p in span}
+            else:
+                preds[n] = frozenset(self.keys[p][1] for p in span
+                                     if value_of(p))
+        return FiniteInterpretation(outside.signature, outside.universe,
+                                    funcs, preds)
+
+    def completions(self, outside, names, picked):
+        """(key, I) for every completion of picked, which maps some
+        positions of the symbols in names to the index of their value: I
+        is outside with names read from the positions, and key holds the
+        index of every position's value, in span order.  The free
+        positions take their values in itertools.product order, the last
+        varying fastest, so with nothing picked the keys ascend."""
+        positions = [p for n in names for p in self.span(n)]
+        free = [p for p in positions if p not in picked]
+        values = self.values
+        picked = dict(picked)
+        for combo in itertools.product(*[range(len(values[p]))
+                                         for p in free]):
+            picked.update(zip(free, combo))
+            yield (tuple([picked[p] for p in positions]),
+                   self.interpretation(outside, names,
+                                       lambda p: values[p][picked[p]]))
 
 
-_DONE = object()
+def enumerate_interpretations(sig: Signature, universe: dict,
+                              fixed_funcs=None, fixed_preds=None,
+                              vary=None):
+    """Yield all total extensions of the fixed part, each exactly once, in
+    the order of Locations.completions.
 
-
-def _lazy_product(factories):
-    """itertools.product(*(f() for f in factories)), in the same order,
-    without building any input first: the k-th input is restarted by calling
-    factories[k] once per combination of the ones before it.  An odometer
-    over a stack of iterators, so the depth is not limited by recursion."""
-    if not factories:
-        yield ()
-        return
-    iters, combo = [factories[0]()], []
-    while iters:
-        item = next(iters[-1], _DONE)
-        if item is _DONE:
-            iters.pop()
-            if combo:
-                combo.pop()
-        elif len(iters) == len(factories):
-            yield tuple(combo) + (item,)
-        else:
-            combo.append(item)
-            iters.append(factories[len(iters)]())
+    vary: restrict the varying symbols to this collection (default: every
+    user symbol not pinned by the fixed part).
+    """
+    _require_nonempty(universe)
+    outside = FiniteInterpretation(sig, universe, dict(fixed_funcs or {}),
+                                   dict(fixed_preds or {}))
+    if vary is None:
+        vary = [n for n in sig.user_symbols()
+                if n not in outside.funcs and n not in outside.preds]
+    table = Locations(sig, universe)
+    for _, i in table.completions(outside, list(vary), {}):
+        yield i
 
 
 def vary_on(interp: FiniteInterpretation, names):

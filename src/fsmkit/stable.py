@@ -26,8 +26,8 @@ from .syntax import (
     conjuncts, free_vars, guard_term, rename_symbols, transform,
 )
 from .interp import (
-    COMPARE_PREDS, UNDEF, DomainError, FiniteInterpretation, _arith,
-    _compare, _extent, elem_key, enumerate_interpretations, less_on_c,
+    COMPARE_PREDS, UNDEF, FiniteInterpretation, Locations, _arith, _compare,
+    _require_nonempty, elem_key, enumerate_interpretations, less_on_c,
     satisfies, vary_on,
 )
 
@@ -430,64 +430,10 @@ class Mirrors:
 
 
 # ---------------------------------------------------------------------------
-# ground locations, and one search over them for I and for J
+# one search over ground locations (interp.Locations) for I and for J
 
 _ABSENT = object()      # no entry in I's table
 _DONE = object()
-
-
-class Locations:
-    """The ground locations of the symbols of a signature over a universe:
-    each argument tuple of a function, which takes a value of its value
-    sort, and each argument tuple of a predicate, which is false or true.
-
-    A symbol gets consecutive positions, its argument tuples in
-    itertools.product order, the first time a search asks for them (span).
-    One table serves every search of a run (see prepare)."""
-
-    def __init__(self, sig: Signature, universe: dict):
-        self.sig = sig
-        self.universe = universe
-        self.index = {}     # (symbol, args) -> position
-        self.keys = []      # position -> (symbol, args)
-        self.values = []    # position -> the values it ranges over, in order
-        self.spans = {}     # symbol -> range of its positions
-
-    def span(self, n) -> range:
-        if n in self.spans:
-            return self.spans[n]
-        sig = self.sig
-        if n in sig.functions:
-            argsorts, valsort = sig.functions[n]
-            values = _extent(self.universe, valsort)
-            if not values:
-                raise DomainError(f"empty extent for sort {valsort!r}")
-        elif n in sig.predicates:
-            argsorts, values = sig.predicates[n], (False, True)
-        else:
-            raise FsmError(f"unknown symbol {n!r}")
-        start = len(self.keys)
-        for args in itertools.product(
-                *[_extent(self.universe, s) for s in argsorts]):
-            self.index[n, args] = len(self.keys)
-            self.keys.append((n, args))
-            self.values.append(values)
-        self.spans[n] = range(start, len(self.keys))
-        return self.spans[n]
-
-    def interpretation(self, outside, names, value_of):
-        """outside with the symbols in names read from their locations:
-        value_of(p) is the value of position p."""
-        funcs, preds = dict(outside.funcs), dict(outside.preds)
-        for n in names:
-            span = self.span(n)
-            if n in self.sig.functions:
-                funcs[n] = {self.keys[p][1]: value_of(p) for p in span}
-            else:
-                preds[n] = frozenset(self.keys[p][1] for p in span
-                                     if value_of(p))
-        return FiniteInterpretation(outside.signature, outside.universe,
-                                    funcs, preds)
 
 
 def _conjuncts(g) -> list:
@@ -614,7 +560,8 @@ def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
     fixed_funcs, each tried with every value in extent order, pruned by the
     Kleene value of g's conjuncts (see _Search).  Once no conjunct is
     undecided, every completion of the unassigned locations is a model
-    (Kleene monotonicity), and all are yielded without evaluating g again.
+    (Kleene monotonicity), and Locations.completions yields all of them
+    without evaluating g again.
     The conjuncts are evaluated as gsat evaluates them (see _Kleene): a
     choice G | not G evaluates G and is true when G is unknown (excluded
     middle), and a GIndex whose guard is unknown is unknown.
@@ -626,23 +573,14 @@ def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
     under fixed_funcs raises in both.
     """
     fixed_funcs = dict(fixed_funcs or {})
-    for s, ext in universe.items():
-        if len(ext) == 0:
-            raise DomainError(f"empty extent for sort {s!r}")
+    _require_nonempty(universe)
     table = locations or Locations(sig, universe)
     vary = [n for n in sig.user_symbols() if n not in fixed_funcs]
     outside = FiniteInterpretation(sig, universe, fixed_funcs)
     search = _Search(table, _conjuncts(g), outside, vary)
-    positions = [p for n in vary for p in table.span(n)]
-    values = table.values
-    for _ in search.nodes(values.__getitem__):
-        picked = {top[0]: top[3] for top in search.trail}
-        free = [p for p in positions if p not in picked]
-        for combo in itertools.product(*[range(len(values[p])) for p in free]):
-            picked.update(zip(free, combo))
-            yield (tuple(picked[p] for p in positions),
-                   table.interpretation(outside, vary,
-                                        lambda p: values[p][picked[p]]))
+    for _ in search.nodes(table.values.__getitem__):
+        yield from table.completions(
+            outside, vary, {top[0]: top[3] for top in search.trail})
 
 
 def smaller_witness(red, i: FiniteInterpretation, c, locations=None):

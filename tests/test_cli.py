@@ -155,6 +155,23 @@ def test_sort_without_finite_extent_exits_2(capsys, argv):
     assert "no finite extent for sort 'real'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ground"],
+    *[["stable", "--method", m] for m in ("reduct", "second-order", "both")],
+    *[["check", "--method", m] for m in ("reduct", "second-order", "both")],
+    ["complete"], ["check-tight"], ["unfold"], ["to-smt"], ["compare"],
+    ["se-check"],
+], ids=lambda argv: "-".join(a for a in argv if a != "--method"))
+def test_an_undeclared_relative_to_symbol_exits_2(tmp_path, capsys, argv):
+    if argv[0] == "check":
+        argv = argv + ["--interp", tank_interp_file(tmp_path, 5, 6, False)]
+    files = [str(TANK)] * (2 if argv[0] == "se-check" else 1)
+    code = main(argv + ["--relative-to", "amt1,nope", "--universe",
+                        "amt=0..1"] + files)
+    assert code == EXIT_ERROR
+    assert "error: unknown symbol 'nope'" in capsys.readouterr().err
+
+
 def test_check_accepts_and_rejects(tmp_path, capsys):
     good = tank_interp_file(tmp_path, 5, 6, False)
     code, out = run(capsys, "check", "--interp", good, str(TANK))

@@ -7,16 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from fsmkit import interp as interp_module
 from fsmkit.interp import (
-    FiniteInterpretation, InterpretationError, _func_assignments,
-    _pred_assignments, count_assignments, enumerate_interpretations,
-    eval_term, less_on_c, satisfies, vary_on,
+    DomainError, FiniteInterpretation, InterpretationError, Locations,
+    count_assignments, enumerate_interpretations, eval_term, less_on_c,
+    satisfies, vary_on,
 )
 from fsmkit.parser import parse_program
+from fsmkit.stable import GBOT, classical_models
 from fsmkit.syntax import (
-    TAG_USER, And, App, Atom, Equal, Exists, Forall, Implies, Lit, Not, Var,
-    as_clist,
+    TAG_USER, And, App, Atom, Equal, Exists, Forall, FsmError, Implies, Lit,
+    Not, Var, as_clist,
 )
 from conftest import definition_signature, small_signature
 
@@ -170,7 +170,8 @@ def test_from_json_validates_against_signature_and_universe():
 def materialized_enumeration(sig, universe, fixed_funcs=None,
                              fixed_preds=None, vary=None):
     """enumerate_interpretations as first written: itertools.product over
-    the full list of every varied symbol's assignments.  Reference for the
+    the full list of every varied symbol's assignments, each listed by its
+    own product over the symbol's argument tuples.  Reference for the
     order of the lazy one."""
     fixed_funcs = dict(fixed_funcs or {})
     fixed_preds = {k: frozenset(v) for k, v in (fixed_preds or {}).items()}
@@ -181,11 +182,18 @@ def materialized_enumeration(sig, universe, fixed_funcs=None,
     choice_iters = []
     for n in vary:
         if n in sig.functions:
+            argsorts, valsort = sig.functions[n]
+            domain = list(itertools.product(*[universe[s] for s in argsorts]))
             choice_iters.append(
-                [(n, "f", a) for a in _func_assignments(universe, sig, n)])
+                [(n, "f", dict(zip(domain, combo))) for combo in
+                 itertools.product(universe[valsort], repeat=len(domain))])
         else:
+            domain = list(itertools.product(
+                *[universe[s] for s in sig.predicates[n]]))
             choice_iters.append(
-                [(n, "p", a) for a in _pred_assignments(universe, sig, n)])
+                [(n, "p", frozenset(t for t, b in zip(domain, bits) if b))
+                 for bits in itertools.product([False, True],
+                                               repeat=len(domain))])
     for combo in itertools.product(*choice_iters):
         funcs = dict(fixed_funcs)
         preds = dict(fixed_preds)
@@ -219,16 +227,34 @@ def test_lazy_enumeration_keeps_the_order(sig, universe):
 
 def test_lazy_enumeration_builds_nothing_ahead(monkeypatch):
     # f : u -> u over 3 elements has 27 tables, a 3 of them, p 8 extents:
-    # the first interpretation needs one of each
+    # the first interpretation is decoded once from its locations
     made = [0]
+    decode = Locations.interpretation
 
-    def counting(universe, sig, name):
-        for a in _func_assignments(universe, sig, name):
-            made[0] += 1
-            yield a
-    monkeypatch.setattr(interp_module, "_func_assignments", counting)
+    def counting(*args):
+        made[0] += 1
+        return decode(*args)
+    monkeypatch.setattr(Locations, "interpretation", counting)
     sig = small_signature((1, 2, 3), with_unary_func=True)
     first = next(enumerate_interpretations(sig, {"u": (1, 2, 3)}))
     assert first.funcs == {"a": {(): 1}, "b": {(): 1},
                            "f": {(1,): 1, (2,): 1, (3,): 1}}
-    assert made[0] == 3
+    assert made[0] == 1
+
+
+@pytest.mark.parametrize("enumerator", [
+    lambda sig, universe: enumerate_interpretations(sig, universe),
+    lambda sig, universe: vary_on(FiniteInterpretation(
+        sig, universe, {"a": {}, "b": {}},
+        {"p": frozenset(), "q": frozenset()}), ["a"]),
+    lambda sig, universe: classical_models(GBOT, sig, universe),
+], ids=["enumerate_interpretations", "vary_on", "classical_models"])
+def test_an_empty_sort_is_refused_before_any_work(enumerator):
+    with pytest.raises(DomainError, match="empty extent for sort 'u'"):
+        next(enumerator(small_signature(), {"u": ()}))
+
+
+def test_enumerating_an_unknown_symbol_is_refused():
+    with pytest.raises(FsmError, match="unknown symbol 'nope'"):
+        next(enumerate_interpretations(small_signature(), {"u": (1, 2)},
+                                       vary=["nope"]))
