@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .syntax import (
@@ -374,7 +375,14 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): say nothing, and send what is
+        # still buffered to devnull so that shutdown does not complain
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return EXIT_ERROR

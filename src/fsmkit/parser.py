@@ -468,10 +468,6 @@ def parse_formula(text, signature: Signature, var_sorts=None, file="<input>") ->
 _PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4, "unary": 5, "atom": 6}
 
 
-def print_term(t) -> str:
-    return _pt(t, 0)
-
-
 def _pt(t, prec):
     if isinstance(t, Lit):
         if isinstance(t.value, bool):

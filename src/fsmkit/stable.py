@@ -96,27 +96,64 @@ class GImp:
         return f"({self.left!r} -> {self.right!r})"
 
 
-@dataclass(frozen=True)
 class GIndex:
     """The instances of one universally quantified guarded body (see
-    _guard), keyed by the element their guard t = X binds X to.
+    _guard), keyed by the element their guard t = X binds X to, and
+    grounded the first time their key is looked up.
 
     Under an interpretation only the instances keyed by the value of t can
     be false: in every other one each implication has a false antecedent,
     and so has a reduct that every J satisfies.  The same holds for F*
-    under a mirror extension of I, where t is evaluated as in I.  cases
-    holds (element, instance) per element of X's extent; table maps
-    elem_key of each element to its instances.
+    under a mirror extension of I, where t is evaluated as in I.  So the
+    node keeps a template, not the instances: the ground term t, the
+    variable X and the body, the bindings env in force and X's extent over
+    interp's universe.  instances(v) grounds the instances keyed by v once
+    and keeps them, so a key that many checks look up is grounded once.
+    Equality, the hash and the repr read the template and build nothing.
     """
-    term: object
-    cases: tuple
-    table: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("term", "var", "body", "env", "extent", "interp",
+                 "_hash", "_elements", "_instances")
 
-    def __post_init__(self):
-        table = {}
-        for e, g in self.cases:
-            table.setdefault(elem_key(e), []).append(g)
-        object.__setattr__(self, "table", table)
+    def __init__(self, term, var, body, env, extent, interp):
+        self.term, self.var, self.body, self.env = term, var, body, env
+        self.extent, self.interp = extent, interp
+        self._hash = None
+        self._elements = None   # elem_key -> the elements of the extent
+        self._instances = {}    # elem_key -> the instances grounded
+
+    def instances(self, v) -> tuple:
+        """The instances whose guard holds when t has the value v."""
+        key = elem_key(v)
+        got = self._instances.get(key)
+        if got is None:
+            if self._elements is None:
+                self._elements = {}
+                for e in self.extent:
+                    self._elements.setdefault(elem_key(e), []).append(e)
+            got = self._instances[key] = tuple(
+                ground(self.body, self.interp, {**self.env, self.var: e},
+                       index=True)
+                for e in self._elements.get(key, ()))
+        return got
+
+    def _template(self):
+        return (self.term, self.var, self.body,
+                tuple((x, Obj(e)) for x, e in self.env.items()))
+
+    def __eq__(self, other):
+        if not isinstance(other, GIndex):
+            return NotImplemented
+        return self._template() == other._template() and (
+            self.extent is other.extent
+            or list(map(Obj, self.extent)) == list(map(Obj, other.extent)))
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._template())
+        return self._hash
+
+    def __repr__(self):
+        return f"GIndex({self.term!r}, {Forall(self.var, self.body)!r})"
 
 
 def gand(members) -> GAnd:
@@ -144,7 +181,10 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
 
     With index, a universal quantifier over a guarded implication
     (see _guard) becomes a GIndex on the ground guard term instead of a
-    GAnd, so that gsat and the reduct visit one instance, not the extent.
+    GAnd.  It grounds an instance only when an evaluation looks up its
+    key, so gsat and the reduct build and visit the guarded instances,
+    not the extent.  The extent itself is read here, so a sort without
+    one fails here as on the plain grounding.
     """
     if env is None:
         if free_vars(f):
@@ -175,12 +215,12 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
         return GImp(ground(f.left, interp, env, index=index),
                     ground(f.right, interp, env, index=index))
     if isinstance(f, Forall):
-        cases = [(e, ground(f.body, interp, {**env, f.var: e}, index=index))
-                 for e in interp.extent(f.var.sort)]
+        extent = interp.extent(f.var.sort)
         guard = _guard(f) if index else None
         if guard is not None:
-            return GIndex(g_term(guard), tuple(cases))
-        return gand(g for _, g in cases)
+            return GIndex(g_term(guard), f.var, f.body, env, extent, interp)
+        return gand(ground(f.body, interp, {**env, f.var: e}, index=index)
+                    for e in extent)
     if isinstance(f, Exists):
         return gor([ground(f.body, interp, {**env, f.var: e}, index=index)
                     for e in interp.extent(f.var.sort)])
@@ -268,7 +308,7 @@ class _Kleene:
         v = self.term(g.term)
         if v is _UNKNOWN:
             return None
-        return () if v is UNDEF else g.table.get(elem_key(v), ())
+        return () if v is UNDEF else g.instances(v)
 
     def holds(self, g):
         """Kleene value of a ground formula: True, False or None."""
@@ -726,8 +766,9 @@ def checker(method: str):
 def star_of(f: Formula, c, sig: Signature, universe: dict):
     """(Mirrors(c, sig), F*(d) grounded with the guard index over the
     universe) for the second-order route: gsat of the grounding under each
-    mirror extension replaces satisfies of F*, and visits the guarded
-    instances only."""
+    mirror extension replaces satisfies of F*.  A guard term is evaluated
+    as in I, so every witness of one I looks up the same instances, and
+    only those are ever grounded (see GIndex)."""
     mirrors = Mirrors(c, sig)
     base = FiniteInterpretation(mirrors.signature, universe)
     return mirrors, ground(star(f, c, mirrors.names), base, index=True)
@@ -738,7 +779,9 @@ def prepare(f: Formula, c, sig: Signature, universe: dict,
     """What every check of F over the universe shares, built once, as the
     keyword arguments of checker(method): the indexed grounding of F and
     the table of locations for the reduct route, and star_of (the mirrors
-    and the indexed grounding of F*) for the second-order route."""
+    and the indexed grounding of F*) for the second-order route.  The
+    groundings keep the guarded instances they ground (see GIndex), so a
+    key that many candidates look up is grounded once per run."""
     shared = {}
     if method != METHOD_SECOND_ORDER:
         shared["grounding"] = ground(f, FiniteInterpretation(sig, universe),

@@ -228,6 +228,46 @@ def test_check_accepts_what_stable_prints(tmp_path, capsys):
         assert (code, json.loads(verdict)) == (EXIT_OK, {"stable": True})
 
 
+@pytest.mark.parametrize("amt0, amt1, flush, code", [
+    (200, 201, False, EXIT_OK),         # fill: stable
+    (203, 0, True, EXIT_OK),            # flush: stable
+    (200, 57, False, EXIT_NO),          # unsupported: a model, not stable
+    (203, 17, True, EXIT_NO),           # non-model: amt1 = 0 :- flush fails
+], ids=["fill", "flush", "unsupported", "non-model"])
+def test_check_both_methods_over_a_large_sort(tmp_path, capsys, amt0, amt1,
+                                              flush, code):
+    # the snapshots of the check benchmark, one sort of 401 elements
+    path = tmp_path / "interp.json"
+    path.write_text(json.dumps({
+        "universe": {"amt": list(range(401))},
+        "funcs": {"amt0": {"": amt0}, "amt1": {"": amt1}},
+        "preds": {"flush": [[]] if flush else []},
+    }))
+    got, out = run(capsys, "check", "--method", "both", "--interp",
+                   str(path), str(TANK))
+    assert (got, json.loads(out)) == (code, {"stable": code == EXIT_OK})
+
+
+def test_a_closed_pipe_exits_2_without_a_message():
+    # `fsmkit stable ... | head -1`: the reader is gone before the models
+    # are written; the reading end is closed first, so every write fails
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsmkit.cli", "stable", str(TANK),
+             "--universe", "amt=0..40"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr == ""
+
+
 def test_check_tight(tmp_path, capsys):
     assert main(["check-tight", str(TANK)]) == EXIT_OK
     looped = tmp_path / "loop.fsm"

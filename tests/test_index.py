@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from fsmkit import interp as interp_module
 from fsmkit import stable as stable_module
 from fsmkit.interp import (
-    EvaluationError, FiniteInterpretation, enumerate_interpretations,
-    satisfies,
+    EvaluationError, FiniteInterpretation, elem_key,
+    enumerate_interpretations, satisfies,
 )
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
@@ -39,13 +39,15 @@ DEMOS = ROOT / "demos"
 
 
 def index_nodes(g) -> int:
-    """Number of GIndex nodes in a ground formula."""
+    """Number of GIndex nodes in a ground formula, grounding every
+    instance of each through instances()."""
     n, stack = 0, [g]
     while stack:
         h = stack.pop()
         if isinstance(h, GIndex):
             n += 1
-            stack.extend(m for _, m in h.cases)
+            for v in {elem_key(e): e for e in h.extent}.values():
+                stack.extend(h.instances(v))
         elif isinstance(h, (GAnd, GOr)):
             stack.extend(h.members)
         elif isinstance(h, GImp):
@@ -599,3 +601,21 @@ def test_term_evaluations_per_witness_do_not_grow_with_the_sort(hash_seed):
     assert per_witness[2] < 1.5 * per_witness[0]
     assert max(per_witness) < 40
     assert per_witness == evaluations_per_witness("1")
+
+
+def test_a_check_grounds_the_same_instances_at_every_sort_size(monkeypatch):
+    # both routes ground F or F* with the guard index, and a stable
+    # snapshot looks up one key of each: the ground nodes built, the
+    # guarded instances among them, do not grow with the sort
+    built = []
+    for n in (10, 20, 40):
+        f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(n + 1)))
+        i = FiniteInterpretation(sig, universe,
+                                 funcs={"amt0": {(): n // 2},
+                                        "amt1": {(): n // 2 + 1}},
+                                 preds={"flush": frozenset()})
+        calls = count_calls(monkeypatch, stable_module, "ground")
+        assert check_stable_both(f, c, i)
+        built.append(calls[0])
+        monkeypatch.undo()
+    assert built[0] == built[1] == built[2], built

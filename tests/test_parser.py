@@ -1,7 +1,9 @@
 """Surface syntax: parsing, error reporting, and pretty-printing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fsmkit.interp import enumerate_interpretations, satisfies
 from fsmkit.parser import (
     ParseError, parse_formula, parse_program, print_formula, print_program,
 )
@@ -9,6 +11,7 @@ from fsmkit.syntax import (
     And, App, Atom, BOT, Equal, Forall, Implies, Lit, Not, Or, RULE_CHOICE,
     RULE_CONSTRAINT, Signature, Var,
 )
+from conftest import make_gen
 
 WATERTANK = """\
 sort amt = 0..20.
@@ -107,6 +110,22 @@ def test_print_formula_round_trip():
     for text in texts:
         f = parse_formula(text, sig, var_sorts=vs)
         assert parse_formula(print_formula(f), sig, var_sorts=vs) == f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), unary=st.booleans(),
+       arith=st.booleans())
+def test_print_parse_round_trip_on_random_formulas(seed, unary, arith):
+    # parsing may re-associate a chain of & or |, so the printed text is
+    # compared, and the meaning on every interpretation over u = {1, 2}
+    sig, gen = make_gen(seed, with_unary_func=unary, with_arith=arith)
+    f = gen.formula(depth=3)
+    text = print_formula(f)
+    var_sorts = {f"V{k}": "u" for k in range(1, gen.counter + 1)}
+    g = parse_formula(text, sig, var_sorts=var_sorts)
+    assert print_formula(g) == text
+    for i in enumerate_interpretations(sig, {"u": (1, 2)}):
+        assert satisfies(i, g) == satisfies(i, f), (text, i.to_json())
 
 
 def test_print_conjunction_chains():
