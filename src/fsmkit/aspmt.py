@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import os
 import re
-import subprocess
-import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .syntax import (
     And, App, Atom, ARITH_FUNCS, BOOL, Bottom, COMPARE_PREDS, Equal,
     Exists, Forall, Formula, FragmentError, FreshNames, FsmError, INT,
-    Implies, Lit, Not, Obj, Or, REAL, Signature, TAG_USER, TOP, Var, as_clist,
-    conj, conjuncts, free_vars, guard_term, iff_of, is_not, subst,
+    Implies, Lit, Not, Obj, Or, REAL, Record, Signature, TAG_USER, TOP, Var,
+    as_clist, conj, conjuncts, free_vars, guard_term, iff_of, is_not, subst,
 )
 from .interp import FiniteInterpretation
 from .stable import check_stable, METHOD_REDUCT
@@ -42,13 +39,15 @@ KIND_REALS = "reals"
 KIND_NONE = "none"
 
 
-@dataclass
-class BackgroundTheory:
+class BackgroundTheory(Record):
     """A fixed arithmetic background with an optional bounded slice used by
     the enumeration-based checker (maps a builtin sort to a finite tuple of
     values)."""
-    kind: str = KIND_NONE
-    slice: dict = field(default_factory=dict)
+    __slots__ = ("kind", "slice")
+
+    def __init__(self, kind: str = KIND_NONE, slice: dict | None = None):
+        self.kind = kind
+        self.slice = {} if slice is None else slice
 
     def numeric_smt_sort(self):
         if self.kind == KIND_REALS:
@@ -97,13 +96,21 @@ def t_stable_check(f: Formula, c, i: FiniteInterpretation,
 # ---------------------------------------------------------------------------
 # SMT-LIB scripts
 
-@dataclass
-class SmtScript:
-    logic: str
-    declarations: list = field(default_factory=list)   # (name, smt_sort)
-    assertions: list = field(default_factory=list)     # sexpr strings
-    footer: tuple = ("(check-sat)", "(get-model)")
-    symbol_map: dict = field(default_factory=dict)     # smt name -> origin info
+class SmtScript(Record):
+    __slots__ = ("logic", "declarations", "assertions", "footer", "symbol_map")
+
+    def __init__(self, logic: str, declarations: list | None = None,
+                 assertions: list | None = None,
+                 footer: tuple = ("(check-sat)", "(get-model)"),
+                 symbol_map: dict | None = None):
+        self.logic = logic
+        # (name, smt_sort)
+        self.declarations = [] if declarations is None else declarations
+        # sexpr strings
+        self.assertions = [] if assertions is None else assertions
+        self.footer = footer
+        # smt name -> origin info
+        self.symbol_map = {} if symbol_map is None else symbol_map
 
     def render(self) -> str:
         lines = [f"(set-logic {self.logic})"]
@@ -619,6 +626,11 @@ def run_solver(script: SmtScript, solver=None, timeout_ms=60000):
 
     status is "sat", "unsat", or "unknown"; model_text is the raw response
     after the status line (empty unless sat)."""
+    # imported here, not at the top: only a solver run needs them, and
+    # importing subprocess would add to the start-up of every command
+    import subprocess
+    import tempfile
+
     path = solver_path(solver)
     if path is None:
         raise SmtError("no solver configured (set FSMKIT_SOLVER or --solver)")

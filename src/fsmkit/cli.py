@@ -46,19 +46,32 @@ def _load_program(path):
         return parse_program(fh.read(), file=path)
 
 
-def _universe(program, overrides):
+def _universe(program, overrides, declared=None):
+    """The program's sort extents with the --universe specs applied; raises
+    FsmError on a malformed spec or on a sort that is not among declared
+    (by default the sorts of the program's signature, builtins included)."""
+    if declared is None:
+        declared = program.signature.sorts
     universe = {s: tuple(ext) for s, ext in program.universe.items()}
     for spec in overrides or []:
-        if "=" not in spec:
+        name, eq, rng = spec.partition("=")
+        if not eq:
             raise FsmError(f"bad universe spec {spec!r} (want sort=lo..hi)")
-        name, rng = spec.split("=", 1)
+        if name not in declared:
+            raise FsmError(f"universe spec {spec!r}: unknown sort {name!r}")
         if ".." in rng:
             lo, hi = rng.split("..", 1)
-            universe[name] = tuple(range(int(lo), int(hi) + 1))
+            try:
+                universe[name] = tuple(range(int(lo), int(hi) + 1))
+            except ValueError:
+                raise FsmError(f"bad universe spec {spec!r} (the bounds of "
+                               "lo..hi must be integers)") from None
         else:
+            parts = rng.split(",")
+            if "" in parts:
+                raise FsmError(f"bad universe spec {spec!r} (empty element)")
             universe[name] = tuple(
-                int(p) if p.lstrip("-").isdigit() else p
-                for p in rng.split(","))
+                int(p) if p.lstrip("-").isdigit() else p for p in parts)
     return universe
 
 
@@ -261,7 +274,9 @@ def cmd_se_check(args):
     g = fol_representation(p2)
     sig = p1.signature
     c = _relative_names(p1, args.relative_to)
-    overrides = _universe(p1, args.universe) if args.universe else None
+    declared = set(sig.sorts) | set(p2.signature.sorts)
+    overrides = (_universe(p1, args.universe, declared) if args.universe
+                 else None)
     report = check_strong_equivalence_bounded(
         sig, f, g, c=c, max_size=args.max_universe,
         universe_overrides=overrides)

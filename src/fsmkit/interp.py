@@ -10,12 +10,12 @@ term is false (so out-of-range arithmetic never raises).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .syntax import (
     ARITH_FUNCS, COMPARE_PREDS, App, Atom, And, Bottom, Equal,
-    Exists, Forall, FsmError, Implies, Lit, Obj, Or, Signature, Var, as_clist,
+    Exists, Forall, FsmError, Implies, Lit, Obj, Or, Record, Signature, Var,
+    as_clist,
 )
 
 
@@ -42,15 +42,16 @@ def elem_key(v):
     return isinstance(v, bool), v
 
 
-@dataclass
-class FiniteInterpretation:
-    signature: Signature
-    universe: dict                      # sort -> tuple of elements
-    funcs: dict = field(default_factory=dict)   # name -> {argtuple: elem}
-    preds: dict = field(default_factory=dict)   # name -> frozenset of argtuples
+class FiniteInterpretation(Record):
+    __slots__ = ("signature", "universe", "funcs", "preds")
 
-    def __post_init__(self):
-        self.preds = {k: frozenset(v) for k, v in self.preds.items()}
+    def __init__(self, signature: Signature, universe: dict, funcs=None,
+                 preds=None):
+        self.signature = signature
+        self.universe = universe                  # sort -> tuple of elements
+        self.funcs = {} if funcs is None else funcs   # name -> {argtuple: elem}
+        # name -> frozenset of argtuples
+        self.preds = {k: frozenset(v) for k, v in (preds or {}).items()}
 
     # -- structural equality on the semantic content ----------------------
     def key(self):

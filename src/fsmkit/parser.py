@@ -23,24 +23,26 @@ comparisons ``= != < <= > >=`` and arithmetic ``+ - * /``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .syntax import (
     And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, Formula,
-    FsmError, Implies, INT, Lit, Not, Obj, Or, Program, REAL, Rule,
-    RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature, SortError, TOP, Var,
-    choice_of, iff_of, is_not,
+    FrozenRecord, FsmError, Implies, INT, Lit, Not, Obj, Or, Program, REAL,
+    Record, Rule, RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature,
+    SortError, TOP, Var, _set, choice_of, iff_of, is_not,
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+class SourceSpan(FrozenRecord):
+    __slots__ = ("file", "line", "col", "end_line", "end_col")
+
+    def __init__(self, file: str, line: int, col: int, end_line: int,
+                 end_col: int):
+        _set(self, "file", file)
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "end_line", end_line)
+        _set(self, "end_col", end_col)
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.col}"
@@ -63,12 +65,14 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
-class Token:
-    kind: str     # 'num' | 'name' | 'op' | 'eof'
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind      # 'num' | 'name' | 'op' | 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
     def span(self, file="<input>"):
         return SourceSpan(file, self.line, self.col, self.line, self.col + len(self.text))

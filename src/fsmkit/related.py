@@ -11,12 +11,11 @@ two sides can be audited against each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .syntax import (
-    App, Atom, BOT, Bottom, Equal, Formula, FragmentError, FsmError, Implies,
-    Not, Rule, Signature, TOP, as_clist, conj, is_not, nodes, rename_symbols,
-    symbols, transform,
+    App, Atom, BOT, Bottom, Equal, Formula, FragmentError, FrozenRecord,
+    FsmError, Implies, Not, Rule, Signature, TOP, _set, as_clist, conj,
+    is_not, nodes, rename_symbols, symbols, transform,
 )
 from .interp import FiniteInterpretation, eval_term, satisfies
 from .stable import Mirrors
@@ -25,10 +24,12 @@ from .stable import Mirrors
 # ---------------------------------------------------------------------------
 # causal theories
 
-@dataclass(frozen=True)
-class CausalRule:
-    head: Formula
-    body: Formula
+class CausalRule(FrozenRecord):
+    __slots__ = ("head", "body")
+
+    def __init__(self, head: Formula, body: Formula):
+        _set(self, "head", head)
+        _set(self, "body", body)
 
 
 def _is_definite(rule: CausalRule, flist) -> bool:
@@ -81,10 +82,12 @@ def cm_check(rules, flist, i: FiniteInterpretation) -> bool:
 # ---------------------------------------------------------------------------
 # IF-programs
 
-@dataclass(frozen=True)
-class IfRule:
-    head: Formula
-    body: Formula = TOP
+class IfRule(FrozenRecord):
+    __slots__ = ("head", "body")
+
+    def __init__(self, head: Formula, body: Formula = TOP):
+        _set(self, "head", head)
+        _set(self, "body", body)
 
 
 def _diamond(f, mapping):
@@ -130,15 +133,18 @@ def if_check(rules, flist, i: FiniteInterpretation) -> bool:
 # ---------------------------------------------------------------------------
 # constraint answer set programs
 
-@dataclass(frozen=True)
-class CRule:
+class CRule(FrozenRecord):
     """head None encodes falsum; constraints are ground sentences over the
     object constants (possibly negated), evaluated against the constraint
     valuation."""
-    head: str | None
-    pos: tuple = ()
-    neg: tuple = ()
-    constraints: tuple = ()
+    __slots__ = ("head", "pos", "neg", "constraints")
+
+    def __init__(self, head: str | None, pos: tuple = (), neg: tuple = (),
+                 constraints: tuple = ()):
+        _set(self, "head", head)
+        _set(self, "pos", pos)
+        _set(self, "neg", neg)
+        _set(self, "constraints", constraints)
 
 
 def crules_atoms(rules):
@@ -205,12 +211,14 @@ def _clingcon_holds(rules, x, valuation):
 # ---------------------------------------------------------------------------
 # linear-constraint programs
 
-@dataclass(frozen=True)
-class LinCon:
+class LinCon(FrozenRecord):
     """sum of coeff * variable compared with a constant."""
-    coeffs: tuple            # ((coefficient, variable-name), ...)
-    op: str                  # one of <= >= = < >
-    bound: int
+    __slots__ = ("coeffs", "op", "bound")
+
+    def __init__(self, coeffs: tuple, op: str, bound: int):
+        _set(self, "coeffs", coeffs)    # ((coefficient, variable-name), ...)
+        _set(self, "op", op)            # one of <= >= = < >
+        _set(self, "bound", bound)
 
     def holds(self, assign) -> bool:
         total = sum(c * assign[v] for c, v in self.coeffs)
@@ -230,12 +238,15 @@ class LinCon:
         return [v for _, v in self.coeffs]
 
 
-@dataclass(frozen=True)
-class LRule:
-    head: str | None
-    pos: tuple = ()
-    neg: tuple = ()
-    lcs: tuple = ()          # theory atoms (LinCon)
+class LRule(FrozenRecord):
+    __slots__ = ("head", "pos", "neg", "lcs")
+
+    def __init__(self, head: str | None, pos: tuple = (), neg: tuple = (),
+                 lcs: tuple = ()):
+        _set(self, "head", head)
+        _set(self, "pos", pos)
+        _set(self, "neg", neg)
+        _set(self, "lcs", lcs)          # theory atoms (LinCon)
 
 
 class SliceRequired(FsmError):
@@ -305,11 +316,13 @@ def lrules_to_formula(rules, lc_formula) -> Formula:
 # ---------------------------------------------------------------------------
 # functional reducts over typed object constants
 
-@dataclass(frozen=True)
-class LwRule:
-    head: Formula            # Atom or Bottom
-    pos: tuple = ()          # Atom | Equal, ground
-    neg: tuple = ()          # Atom | Equal, ground
+class LwRule(FrozenRecord):
+    __slots__ = ("head", "pos", "neg")
+
+    def __init__(self, head: Formula, pos: tuple = (), neg: tuple = ()):
+        _set(self, "head", head)        # Atom or Bottom
+        _set(self, "pos", pos)          # Atom | Equal, ground
+        _set(self, "neg", neg)          # Atom | Equal, ground
 
 
 def is_p_interpretation(i: FiniteInterpretation, sig: Signature) -> bool:

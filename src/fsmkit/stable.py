@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from .syntax import (
     ARITH_FUNCS, And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula,
-    FsmError, Implies, Lit, Obj, Or, Signature, Var, as_clist, choice_of,
-    conjuncts, free_vars, guard_term, rename_symbols, transform,
+    FrozenRecord, FsmError, Implies, Lit, Obj, Or, Signature, Var, _set,
+    as_clist, choice_of, conjuncts, free_vars, guard_term, rename_symbols,
+    transform,
 )
 from .interp import (
     COMPARE_PREDS, UNDEF, FiniteInterpretation, Locations, _arith, _compare,
@@ -35,8 +35,9 @@ from .interp import (
 # ---------------------------------------------------------------------------
 # ground formulas (finite specialization of infinitary ground formulas)
 
-@dataclass(frozen=True)
-class GBot:
+class GBot(FrozenRecord):
+    __slots__ = ()
+
     def __repr__(self):
         return "false"
 
@@ -44,53 +45,68 @@ class GBot:
 GBOT = GBot()
 
 
-@dataclass(frozen=True)
-class GAtom:
-    pred: str
-    args: tuple = ()
+class GAtom(FrozenRecord):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple = ()):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
 
     def __repr__(self):
         return f"{self.pred}({', '.join(map(repr, self.args))})" if self.args else self.pred
 
 
-@dataclass(frozen=True)
-class GEqual:
-    left: object
-    right: object
+class GEqual(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self):
         return f"({self.left!r} = {self.right!r})"
 
 
-@dataclass(frozen=True)
-class _GSet:
+class _GSet(FrozenRecord):
     """The members of a set-connective.  order holds them in the order they
     were built, without repeats; the evaluator, the reduct and the repr
     iterate it, so their work and output do not depend on the hash seed.
     It is not part of equality or the hash."""
-    members: frozenset
-    order: tuple = field(compare=False)
+    __slots__ = ("members", "order")
+    _uncompared = ("order",)
+
+    def __init__(self, members: frozenset, order: tuple):
+        _set(self, "members", members)
+        _set(self, "order", order)
 
 
-@dataclass(frozen=True)
 class GAnd(_GSet):
+    __slots__ = ()
+
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.order)) + "}&"
 
 
-@dataclass(frozen=True)
 class GOr(_GSet):
-    #: a ground choice G | not G, which holds whatever G is
-    choice: bool = field(default=False, compare=False)
+    __slots__ = ("choice",)
+    _uncompared = ("order", "choice")
+
+    def __init__(self, members: frozenset, order: tuple, choice: bool = False):
+        _set(self, "members", members)
+        _set(self, "order", order)
+        #: a ground choice G | not G, which holds whatever G is
+        _set(self, "choice", choice)
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.order)) + "}|"
 
 
-@dataclass(frozen=True)
-class GImp:
-    left: object
-    right: object
+class GImp(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self):
         return f"({self.left!r} -> {self.right!r})"

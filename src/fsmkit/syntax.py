@@ -1,7 +1,7 @@
 """Many-sorted signatures, term/formula/rule ASTs, and syntactic analyses.
 
-All AST values are immutable (frozen dataclasses) and hashable, so they can be
-shared freely, deduplicated structurally, and used as dict keys.
+All AST values are immutable, hashable records (FrozenRecord), so they can
+be shared freely, deduplicated structurally, and used as dict keys.
 
 Negation is represented internally as ``Implies(F, Bottom)``; the printer
 re-sugars it.  Choice ``{F}`` is ``Or(F, Not(F))``.
@@ -10,8 +10,8 @@ re-sugars it.  Choice ``{F}`` is ``Or(F, Not(F))``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 # ---------------------------------------------------------------------------
@@ -38,6 +38,90 @@ class FragmentError(FsmError):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+def _methods(names):
+    """__eq__ and __hash__ over the fields in names: equal when of the same
+    class with equal fields, hashed as the tuple of the fields."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        key = lambda x: (get(x),)
+
+        def __hash__(self):
+            return hash((get(self),))
+    elif names:
+        key = attrgetter(*names)
+
+        def __hash__(self):
+            return hash(key(self))
+    else:
+        key = lambda x: ()
+        empty = hash(())
+
+        def __hash__(self):
+            return empty
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+    return __eq__, __hash__
+
+
+class Record:
+    """Base of fsmkit's record classes.
+
+    A subclass lists its own fields in __slots__ and sets them in its own
+    __init__, which takes them in the same order.  Two records are equal
+    when they are of the same class and their compared fields are equal:
+    every field except those named in _uncompared.  The repr is
+    Name(field=value, ...) over every field.  A Record can be changed and
+    has no hash; a FrozenRecord cannot be changed and has one.
+    """
+    __slots__ = ()
+    _fields = ()            # every field, a base class's first
+    _uncompared = ()
+    _hashable = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        # a class that defines __eq__ or __hash__ itself keeps its own
+        eq, hash_ = _methods([f for f in cls._fields
+                              if f not in cls._uncompared])
+        if "__eq__" not in cls.__dict__:
+            cls.__eq__ = eq
+        if cls._hashable and "__hash__" not in cls.__dict__:
+            cls.__hash__ = hash_
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+
+#: sets a field of a FrozenRecord in its __init__
+_set = object.__setattr__
+
+
+class FrozenRecord(Record):
+    """A Record whose fields cannot be assigned once __init__ has set them
+    (through _set).  The hash is that of the tuple of compared fields."""
+    __slots__ = ()
+    _hashable = True
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # builtin vocabulary
 
 INT = "int"
@@ -58,20 +142,24 @@ TAG_BOOL = "builtin-bool"
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: str
+class Var(FrozenRecord):
+    __slots__ = ("name", "sort")
+
+    def __init__(self, name: str, sort: str):
+        _set(self, "name", name)
+        _set(self, "sort", sort)
 
     def __repr__(self):
         return f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True)
-class App:
+class App(FrozenRecord):
     """Application of a (possibly 0-ary) function constant."""
-    fn: str
-    args: tuple = ()
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple = ()):
+        _set(self, "fn", fn)
+        _set(self, "args", args)
 
     def __repr__(self):
         if not self.args:
@@ -79,14 +167,16 @@ class App:
         return f"{self.fn}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True, eq=False)
-class Lit:
+class Lit(FrozenRecord):
     """A builtin literal: int, exact rational, or boolean.
 
     Equal as Obj is: == and the same bool-ness, so Lit(True) != Lit(1);
-    the hash is the one a plain dataclass would have.
+    the hash is hash((value,)).
     """
-    value: Union[int, Fraction, bool]
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[int, Fraction, bool]):
+        _set(self, "value", value)
 
     def __eq__(self, other):
         if not isinstance(other, Lit):
@@ -101,16 +191,18 @@ class Lit:
         return repr(self.value)
 
 
-@dataclass(frozen=True, eq=False)
-class Obj:
+class Obj(FrozenRecord):
     """Object name: a handle that denotes a universe element directly.
 
     Only produced by grounding; every interpretation maps Obj(e) to e.
     Two names are equal when an equation between their elements holds:
-    == and the same bool-ness, so Obj(True) != Obj(1).  The hash is the
-    one a plain dataclass would have, which keeps set orders as they were.
+    == and the same bool-ness, so Obj(True) != Obj(1).  The hash is
+    hash((elem,)), which keeps set orders as they were.
     """
-    elem: object
+    __slots__ = ("elem",)
+
+    def __init__(self, elem):
+        _set(self, "elem", elem)
 
     def __eq__(self, other):
         if not isinstance(other, Obj):
@@ -131,16 +223,19 @@ Term = Union[Var, App, Lit, Obj]
 # ---------------------------------------------------------------------------
 # formulas
 
-@dataclass(frozen=True)
-class Bottom:
+class Bottom(FrozenRecord):
+    __slots__ = ()
+
     def __repr__(self):
         return "false"
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple = ()
+class Atom(FrozenRecord):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple = ()):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
 
     def __repr__(self):
         if not self.args:
@@ -148,55 +243,67 @@ class Atom:
         return f"{self.pred}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
-class Equal:
-    left: Term
-    right: Term
+class Equal(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self):
         return f"({self.left!r} = {self.right!r})"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self):
         return f"({self.left!r} & {self.right!r})"
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self):
         return f"({self.left!r} | {self.right!r})"
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(FrozenRecord):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self):
         return f"({self.left!r} -> {self.right!r})"
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: Var
-    body: "Formula"
+class Forall(FrozenRecord):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: Var, body: "Formula"):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
     def __repr__(self):
         return f"forall {self.var!r} ({self.body!r})"
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: Var
-    body: "Formula"
+class Exists(FrozenRecord):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: Var, body: "Formula"):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
     def __repr__(self):
         return f"exists {self.var!r} ({self.body!r})"
@@ -304,29 +411,32 @@ def close_existentially(f: Formula, variables: Iterable[Var]) -> Formula:
 # ---------------------------------------------------------------------------
 # signatures
 
-@dataclass
-class SortDecl:
-    name: str
-    #: tuple of elements if the sort carries a declared finite extent, else None
-    elements: tuple | None = None
-    tag: str = TAG_USER
+class SortDecl(Record):
+    __slots__ = ("name", "elements", "tag")
+
+    def __init__(self, name: str, elements: tuple | None = None,
+                 tag: str = TAG_USER):
+        self.name = name
+        #: tuple of elements if the sort carries a declared finite extent
+        self.elements = elements
+        self.tag = tag
 
 
-@dataclass
-class Signature:
+class Signature(Record):
     """Sorts with a subsort partial order, typed function/predicate constants.
 
     Builtin sorts int/real/bool exist implicitly; declared integer range
     sorts are subsorts of int.
     """
+    __slots__ = ("sorts", "subsorts", "functions", "predicates", "background")
 
-    sorts: dict = field(default_factory=dict)            # name -> SortDecl
-    subsorts: set = field(default_factory=set)           # (sub, super) pairs
-    functions: dict = field(default_factory=dict)        # name -> (argsorts, valsort)
-    predicates: dict = field(default_factory=dict)       # name -> argsorts
-    background: dict = field(default_factory=dict)       # symbol -> tag
-
-    def __post_init__(self):
+    def __init__(self, sorts=None, subsorts=None, functions=None,
+                 predicates=None, background=None):
+        self.sorts = {} if sorts is None else sorts                # name -> SortDecl
+        self.subsorts = set() if subsorts is None else subsorts    # (sub, super) pairs
+        self.functions = {} if functions is None else functions    # name -> (argsorts, valsort)
+        self.predicates = {} if predicates is None else predicates  # name -> argsorts
+        self.background = {} if background is None else background  # symbol -> tag
         for s, tag in ((INT, TAG_INT), (REAL, TAG_REAL), (BOOL, TAG_BOOL)):
             if s not in self.sorts:
                 elems = (False, True) if s == BOOL else None
@@ -457,11 +567,13 @@ RULE_CONSTRAINT = "constraint"
 RULE_CHOICE = "choice-head"
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Formula           # Bottom for constraints; the bare head for choice rules
-    body: Formula
-    kind: str = RULE_PLAIN
+class Rule(FrozenRecord):
+    __slots__ = ("head", "body", "kind")
+
+    def __init__(self, head: Formula, body: Formula, kind: str = RULE_PLAIN):
+        _set(self, "head", head)    # Bottom for constraints; the bare head for choice rules
+        _set(self, "body", body)
+        _set(self, "kind", kind)
 
     def as_formula(self) -> Formula:
         head = Choice(self.head) if self.kind == RULE_CHOICE else self.head
@@ -469,13 +581,16 @@ class Rule:
         return close_universally(f, sorted(free_vars(f), key=lambda v: v.name))
 
 
-@dataclass
-class Program:
-    signature: Signature
-    rules: list
-    intensional: tuple = ()
-    #: declared per-sort finite extents (universe spec), from sort declarations
-    universe: dict = field(default_factory=dict)
+class Program(Record):
+    __slots__ = ("signature", "rules", "intensional", "universe")
+
+    def __init__(self, signature: Signature, rules: list,
+                 intensional: tuple = (), universe: dict | None = None):
+        self.signature = signature
+        self.rules = rules
+        self.intensional = intensional
+        #: declared per-sort finite extents (universe spec), from sort declarations
+        self.universe = {} if universe is None else universe
 
     def check(self):
         for name in self.intensional:
@@ -485,9 +600,11 @@ class Program:
             raise DeclarationError("duplicate intensional symbol")
 
 
-@dataclass(frozen=True)
-class IntensionalList:
-    names: tuple
+class IntensionalList(FrozenRecord):
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple):
+        _set(self, "names", names)
 
     @classmethod
     def of(cls, names):

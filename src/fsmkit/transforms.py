@@ -4,11 +4,9 @@ and a bounded strong-equivalence checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     App, Atom, BOT, ContractViolation, Equal, Exists, Forall, Formula,
-    FragmentError, FreshNames, Iff, Implies, Not, Signature, TOP, Var,
+    FragmentError, FreshNames, Iff, Implies, Not, Record, Signature, TOP, Var,
     as_clist, choice_of, close_existentially, close_universally, conj,
     conjuncts, disj, free_vars, negative_on, nodes, strictly_positive,
     strictly_positive_symbols, subst, symbols, transform,
@@ -360,14 +358,20 @@ def unfold(f: Formula, c, sig: Signature) -> Formula:
 # ---------------------------------------------------------------------------
 # bounded strong-equivalence checking
 
-@dataclass
-class SEReport:
-    equivalent: bool
-    checked: int
-    max_size: int
-    witness: FiniteInterpretation | None = None
-    mirror_witness: FiniteInterpretation | None = None
-    reason: str = ""
+class SEReport(Record):
+    __slots__ = ("equivalent", "checked", "max_size", "witness",
+                 "mirror_witness", "reason")
+
+    def __init__(self, equivalent: bool, checked: int, max_size: int,
+                 witness: FiniteInterpretation | None = None,
+                 mirror_witness: FiniteInterpretation | None = None,
+                 reason: str = ""):
+        self.equivalent = equivalent
+        self.checked = checked
+        self.max_size = max_size
+        self.witness = witness
+        self.mirror_witness = mirror_witness
+        self.reason = reason
 
     def __bool__(self):
         return self.equivalent

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""A stand-in SMT solver for the tests, so that run_solver, solve_all and
+`fsmkit to-smt --solver` run end to end without an installed solver.
+
+    python tests/stand_in_solver.py SCRIPT.smt2
+
+It reads the script's declare-const and assert commands, tries every
+assignment of the declared constants (a Bool over false/true, an Int over
+the range an assertion (and (<= lo x) (<= x hi)) of the script allows) and
+evaluates the assertions with eval_sexpr, in exact rationals.  It prints
+`sat` and the first model, as define-fun lines, or `unsat`.  A constant of
+any other sort, or an Int without such a guard, is an error (exit 1).
+"""
+
+import itertools
+import pathlib
+import sys
+from fractions import Fraction
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from fsmkit.aspmt import parse_sexprs  # noqa: E402
+
+
+def eval_sexpr(sx, env):
+    """The value of a parsed s-expression, with the constants in env; numbers
+    are exact rationals."""
+    if isinstance(sx, str):
+        if sx == "true":
+            return True
+        if sx == "false":
+            return False
+        try:
+            return Fraction(sx)
+        except ValueError:
+            return env[sx]
+    op, args = sx[0], [eval_sexpr(a, env) for a in sx[1:]]
+    if op == "+":
+        return sum(args)
+    if op == "-":
+        return -args[0] if len(args) == 1 else args[0] - args[1]
+    if op == "*":
+        out = Fraction(1)
+        for a in args:
+            out *= a
+        return out
+    if op == "/":
+        return args[0] / args[1]
+    if op == "=":
+        return args[0] == args[1]
+    if op == "<=":
+        return args[0] <= args[1]
+    if op == "<":
+        return args[0] < args[1]
+    if op == ">=":
+        return args[0] >= args[1]
+    if op == ">":
+        return args[0] > args[1]
+    if op == "and":
+        return all(args)
+    if op == "or":
+        return any(args)
+    if op == "not":
+        return not args[0]
+    if op == "=>":
+        return (not args[0]) or args[1]
+    if op == "ite":
+        return args[1] if args[0] else args[2]
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def _bounds(assertion):
+    """(x, lo, hi) when the assertion is (and (<= lo x) (<= x hi))."""
+    if len(assertion) == 3 and assertion[0] == "and" \
+            and all(isinstance(a, list) and len(a) == 3 and a[0] == "<="
+                    for a in assertion[1:]):
+        (_, lo, x), (_, y, hi) = assertion[1:]
+        if x == y and all(isinstance(b, str) and b.lstrip("-").isdigit()
+                          for b in (lo, hi)):
+            return x, int(lo), int(hi)
+    return None
+
+
+def _smt(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v) if v >= 0 else f"(- {-v})"
+
+
+def solve(text):
+    commands = parse_sexprs(text)
+    consts = [(c[1], c[2]) for c in commands if c[0] == "declare-const"]
+    assertions = [c[1] for c in commands if c[0] == "assert"]
+    ranges = {}
+    for a in assertions:
+        got = _bounds(a)
+        if got:
+            x, lo, hi = got
+            ranges[x] = range(lo, hi + 1)
+    domains = []
+    for name, sort in consts:
+        if sort == "Bool":
+            domains.append((False, True))
+        elif sort == "Int" and name in ranges:
+            domains.append(ranges[name])
+        else:
+            raise SystemExit(f"stand-in solver: no finite range for {name}")
+    names = [name for name, _ in consts]
+    for values in itertools.product(*domains):
+        env = dict(zip(names, values))
+        if all(eval_sexpr(a, env) for a in assertions):
+            sorts = dict(consts)
+            return "sat\n(\n" + "".join(
+                f"  (define-fun {n} () {sorts[n]} {_smt(v)})\n"
+                for n, v in env.items()) + ")\n"
+    return "unsat\n"
+
+
+if __name__ == "__main__":
+    sys.stdout.write(solve(pathlib.Path(sys.argv[1]).read_text()))

@@ -1,6 +1,6 @@
 """SMT-LIB emission and model decoding for theories with an arithmetic
-background, plus an exact-rational evaluator used as an independent check
-of the emitted scripts."""
+background, checked against an exact-rational evaluation of the emitted
+scripts (stand_in_solver.eval_sexpr)."""
 
 import itertools
 import pathlib
@@ -22,56 +22,14 @@ from fsmkit.syntax import (
 )
 from fsmkit.transforms import complete, to_clark_normal_form
 
+from stand_in_solver import eval_sexpr
+
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+STAND_IN = pathlib.Path(__file__).resolve().parent / "stand_in_solver.py"
 
 
 # ---------------------------------------------------------------------------
-# an exact-rational evaluator for the rendered scripts
-
-def eval_sexpr(sx, env):
-    if isinstance(sx, str):
-        if sx == "true":
-            return True
-        if sx == "false":
-            return False
-        try:
-            return Fraction(sx)
-        except ValueError:
-            return env[sx]
-    op, args = sx[0], [eval_sexpr(a, env) for a in sx[1:]]
-    if op == "+":
-        return sum(args)
-    if op == "-":
-        return -args[0] if len(args) == 1 else args[0] - args[1]
-    if op == "*":
-        out = Fraction(1)
-        for a in args:
-            out *= a
-        return out
-    if op == "/":
-        return args[0] / args[1]
-    if op == "=":
-        return args[0] == args[1]
-    if op == "<=":
-        return args[0] <= args[1]
-    if op == "<":
-        return args[0] < args[1]
-    if op == ">=":
-        return args[0] >= args[1]
-    if op == ">":
-        return args[0] > args[1]
-    if op == "and":
-        return all(args)
-    if op == "or":
-        return any(args)
-    if op == "not":
-        return not args[0]
-    if op == "=>":
-        return (not args[0]) or args[1]
-    if op == "ite":
-        return args[1] if args[0] else args[2]
-    raise ValueError(f"unknown operator {op!r}")
-
+# the rendered scripts, evaluated exactly (eval_sexpr)
 
 def script_holds(script, env):
     return all(eval_sexpr(parse_sexprs(a)[0], env) for a in script.assertions)
@@ -304,6 +262,20 @@ def test_solve_all_blocks_each_model_until_unsat(monkeypatch):
     assert [s.assertions[len(script.assertions):] for s in sent] == \
         [[], [block1], [block1, block2]]
     assert all(s.declarations == script.declarations for s in sent)
+
+
+def test_solve_all_with_a_solver_finds_the_stable_models(tmp_path):
+    # a real solver run per model, through tests/stand_in_solver.py
+    prog = parse_program(
+        (DEMOS / "watertank.fsm").read_text().replace("0..20", "0..3"))
+    f = conj(r.as_formula() for r in prog.rules)
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    bg = BackgroundTheory("integers")
+    script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
+    models = solve_all(script, prog.signature, bg, solver=str(STAND_IN))
+    stable = stable_models(f, prog.intensional, prog.signature, prog.universe)
+    assert len(models) == len(stable) == 7
+    assert set(models) == set(stable)
 
 
 def test_parse_sexprs_rejects_unbalanced_text():

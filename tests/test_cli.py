@@ -17,6 +17,7 @@ SCHEMAS = (pathlib.Path(__file__).resolve().parent.parent
            / "src" / "fsmkit" / "schemas")
 
 TANK = DEMOS / "watertank.fsm"
+STAND_IN = pathlib.Path(__file__).resolve().parent / "stand_in_solver.py"
 
 
 def run(capsys, *argv):
@@ -66,19 +67,24 @@ def test_stable_outputs_schema_valid_models(capsys):
     assert (5, 9, False) not in pairs
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # the CLI runs in one process: what --help pays for at start-up should
-    # not include the multiprocessing machinery
+def test_importing_the_cli_adds_no_heavy_modules():
+    # what --help pays for at start-up: no process pool, no subprocess
+    # (only a solver run needs it), and no dataclasses with the inspect
+    # machinery it pulls in; modules loaded before the import do not count
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys, fsmkit.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('concurrent', 'multiprocessing')))\n")
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import fsmkit.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    added = {m.split(".")[0] for m in json.loads(proc.stdout)}
+    assert "fsmkit" in added
+    assert not added & {"dataclasses", "inspect", "subprocess", "concurrent",
+                        "multiprocessing"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,6 +176,33 @@ def test_an_undeclared_relative_to_symbol_exits_2(tmp_path, capsys, argv):
                         "amt=0..1"] + files)
     assert code == EXIT_ERROR
     assert "error: unknown symbol 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("amt=0..x", "bad universe spec 'amt=0..x'"),
+    ("amt=1.5..3", "bad universe spec 'amt=1.5..3'"),
+    ("amt=", "bad universe spec 'amt='"),
+    ("amt=1,,2", "bad universe spec 'amt=1,,2'"),
+    ("nosuch=0..3", "universe spec 'nosuch=0..3': unknown sort 'nosuch'"),
+], ids=["non-integer-bound", "fraction-bound", "empty", "empty-element",
+        "undeclared-sort"])
+def test_a_bad_universe_spec_exits_2(capsys, spec, message):
+    assert main(["ground", str(TANK), "--universe", spec]) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+
+
+def test_universe_specs_accept_builtin_and_second_program_sorts(
+        tmp_path, capsys):
+    assert main(["ground", str(TANK), "--universe", "amt=0..2",
+                 "--universe", "int=0..2"]) == EXIT_OK
+    a = tmp_path / "a.fsm"
+    b = tmp_path / "b.fsm"
+    a.write_text("pred p.\nintensional p.\n{ p }.\n")
+    b.write_text("sort s = {e1}.\npred p.\nintensional p.\n{ p }.\n")
+    assert main(["se-check", str(a), str(b), "--universe", "s=e1,e2"]) \
+        == EXIT_OK
+    assert main(["se-check", str(b), str(a), "--universe", "t=e1"]) \
+        == EXIT_ERROR
 
 
 def test_check_accepts_and_rejects(tmp_path, capsys):
@@ -297,6 +330,20 @@ def test_to_smt_emits_valid_script(capsys):
     assert code == EXIT_OK
     assert out.startswith("(set-logic QF_LIA)")
     assert "(check-sat)" in out
+
+
+def test_to_smt_all_models_equal_the_stable_models(tmp_path, capsys):
+    # the solver is tests/stand_in_solver.py, which enumerates the script's
+    # guarded ranges; each model found is blocked and the solver run again
+    small = tmp_path / "tank.fsm"
+    small.write_text(TANK.read_text().replace("0..20", "0..3"))
+    code, stable = run(capsys, "stable", str(small))
+    assert code == EXIT_OK and len(json.loads(stable)) == 7
+    code, out = run(capsys, "to-smt", "--background", "integers",
+                    "--solver", str(STAND_IN), "--all-models",
+                    "--out", str(tmp_path / "tank.smt2"), str(small))
+    assert code == EXIT_OK
+    assert out == stable
 
 
 def test_compare_verdicts(capsys):

@@ -1,15 +1,24 @@
-"""Formula construction, signatures, and syntactic analysis helpers."""
+"""Formula construction, signatures, syntactic analysis helpers, and the
+equality, hash and immutability of the record classes."""
+
+import pathlib
+import pickle
 
 import pytest
 
 from fsmkit.syntax import (
     And, App, Atom, BOT, Bottom, Choice, DeclarationError, Equal, Exists,
-    Forall, Iff, Implies, IntensionalList, Lit, Not, Or, Rule,
+    Forall, Iff, Implies, IntensionalList, Lit, Not, Obj, Or, Rule,
     RULE_CONSTRAINT, Signature, SortError, TOP, Var, as_clist,
-    close_universally, conj, conjuncts, disj, disjuncts, free_vars, is_not,
-    negative_on, nodes, rename_symbols, strictly_positive_symbols, subst,
-    symbols, transform,
+    close_universally, conj, conjuncts, disj, disjuncts, fol_representation,
+    free_vars, is_not, negative_on, nodes, rename_symbols,
+    strictly_positive_symbols, subst, symbols, transform,
 )
+from fsmkit.interp import FiniteInterpretation, elem_key
+from fsmkit.parser import parse_program
+from fsmkit.stable import GAnd, GAtom, GBot, GEqual, GImp, GIndex, GOr, ground
+
+from conftest import make_gen
 
 
 def sig_pq():
@@ -161,3 +170,107 @@ def test_negative_on_and_strictly_positive():
     assert not negative_on(p1, as_clist(("p",)))
     assert strictly_positive_symbols(f, ("p", "q")) == {"q"}
     assert strictly_positive_symbols(And(p1, q), ("p", "q")) == {"p", "q"}
+
+
+# ---------------------------------------------------------------------------
+# the record classes: equality, hash and immutability
+
+#: the fields that equality and the hash read, per class
+COMPARED = {
+    Var: ("name", "sort"), App: ("fn", "args"), Lit: ("value",),
+    Obj: ("elem",), Bottom: (), Atom: ("pred", "args"),
+    Equal: ("left", "right"), And: ("left", "right"), Or: ("left", "right"),
+    Implies: ("left", "right"), Forall: ("var", "body"),
+    Exists: ("var", "body"), GBot: (), GAtom: ("pred", "args"),
+    GEqual: ("left", "right"), GImp: ("left", "right"), GAnd: ("members",),
+    GOr: ("members",),
+}
+
+
+def _fields(x):
+    return tuple(getattr(x, f) for f in COMPARED[type(x)])
+
+
+def _same_fields(x, y):
+    # a Lit or an Obj also compares the bool-ness of its value
+    if isinstance(x, (Lit, Obj)):
+        return elem_key(_fields(x)[0]) == elem_key(_fields(y)[0])
+    return _fields(x) == _fields(y)
+
+
+def _ground_nodes(g):
+    """Every node of a ground formula, with each guarded instance of a
+    GIndex grounded, and the names in its atoms and equations."""
+    stack = [g]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, GIndex):
+            stack += (h for e in g.extent for h in g.instances(e))
+            continue
+        yield g
+        if isinstance(g, (GAnd, GOr)):
+            stack += g.order
+        elif isinstance(g, (GImp, GEqual)):
+            stack += (g.left, g.right)
+        elif isinstance(g, GAtom):
+            stack += g.args
+
+
+def _record_samples():
+    """Two equal but separately built copies of each node: the formulas of
+    the conftest generator, and the ground nodes of watertank at 0..5."""
+    copies = []
+    for _ in range(2):
+        nodes_ = []
+        for seed in range(20):
+            _, gen = make_gen(seed, with_unary_func=True, with_arith=True)
+            for _ in range(10):
+                nodes_ += nodes(gen.formula(4))
+        prog = parse_program(
+            (pathlib.Path(__file__).resolve().parent.parent / "demos"
+             / "watertank.fsm").read_text())
+        base = FiniteInterpretation(prog.signature, {"amt": tuple(range(6))})
+        nodes_ += _ground_nodes(ground(fol_representation(prog), base,
+                                       index=True))
+        copies.append(nodes_)
+    return copies
+
+
+def test_records_compare_and_hash_their_fields():
+    first, second = _record_samples()
+    assert {type(x) for x in first} == set(COMPARED)
+    for x, y in zip(first, second):
+        assert hash(x) == hash(_fields(x)) == hash(y)
+        assert x == y
+    assert pickle.loads(pickle.dumps(first)) == first
+    distinct = list({id(x): x for x in first[::5]}.values())
+    for x in distinct:
+        for y in distinct:
+            assert (x == y) == (type(x) is type(y) and _same_fields(x, y))
+        if isinstance(x, (And, Or, Implies)):
+            assert all(kind(x.left, x.right) != x
+                       for kind in (And, Or, Implies) if kind is not type(x))
+
+
+def test_set_order_and_choice_stay_outside_equality():
+    first, _ = _record_samples()
+    sets = [x for x in first if isinstance(x, (GAnd, GOr))]
+    assert any(isinstance(x, GOr) and x.choice for x in sets)
+    for x in sets:
+        other = type(x)(x.members, tuple(reversed(x.order)))
+        assert other == x and hash(other) == hash(x)
+        assert GAnd(x.members, x.order) != GOr(x.members, x.order)
+        if isinstance(x, GOr):
+            flipped = GOr(x.members, x.order, not x.choice)
+            assert flipped == x and hash(flipped) == hash(x)
+
+
+def test_records_refuse_assignment():
+    first, _ = _record_samples()
+    for x in {type(x): x for x in first}.values():
+        for f in COMPARED[type(x)]:
+            with pytest.raises(AttributeError):
+                setattr(x, f, None)
+    with pytest.raises(TypeError):
+        hash(Signature())
+    assert Signature() == Signature() != sig_pq()
