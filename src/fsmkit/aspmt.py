@@ -40,9 +40,10 @@ KIND_NONE = "none"
 
 
 class BackgroundTheory(Record):
-    """A fixed arithmetic background with an optional bounded slice used by
-    the enumeration-based checker (maps a builtin sort to a finite tuple of
-    values)."""
+    """A fixed arithmetic background with an optional bounded slice: it
+    maps a sort to a finite tuple of values, which replaces the sort's
+    declared extent, if any, in the compiler and the enumeration-based
+    checker."""
     __slots__ = ("kind", "slice")
 
     def __init__(self, kind: str = KIND_NONE, slice: dict | None = None):

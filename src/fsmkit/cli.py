@@ -48,8 +48,10 @@ def _load_program(path):
 
 def _universe(program, overrides, declared=None):
     """The program's sort extents with the --universe specs applied; raises
-    FsmError on a malformed spec or on a sort that is not among declared
-    (by default the sorts of the program's signature, builtins included)."""
+    FsmError on a malformed spec, on a sort that is not among declared
+    (by default the sorts of the program's signature, builtins included),
+    or on a listed element that is not an integer where the declared
+    extent is all integers."""
     if declared is None:
         declared = program.signature.sorts
     universe = {s: tuple(ext) for s, ext in program.universe.items()}
@@ -67,12 +69,28 @@ def _universe(program, overrides, declared=None):
                 raise FsmError(f"bad universe spec {spec!r} (the bounds of "
                                "lo..hi must be integers)") from None
         else:
-            parts = rng.split(",")
+            parts = [p.strip() for p in rng.split(",")]
             if "" in parts:
                 raise FsmError(f"bad universe spec {spec!r} (empty element)")
-            universe[name] = tuple(
-                int(p) if p.lstrip("-").isdigit() else p for p in parts)
+            elements = tuple(map(_parse_element, parts))
+            ext = program.universe.get(name)
+            if ext and all(_is_int(e) for e in ext) and not all(
+                    map(_is_int, elements)):
+                raise FsmError(f"bad universe spec {spec!r} (sort {name!r} "
+                               "has integer elements)")
+            universe[name] = elements
     return universe
+
+
+def _parse_element(text):
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _is_int(e):
+    return isinstance(e, int) and not isinstance(e, bool)
 
 
 def _relative_names(program, flag):
@@ -202,11 +220,14 @@ def cmd_desort(args):
 
 def cmd_to_smt(args):
     program = _load_program(args.file)
+    universe = _universe(program, args.universe)
     c = _relative_to(program, args.relative_to)
     f = fol_representation(program)
     cnf = to_clark_normal_form(f, c, program.signature)
     kind = KIND_REALS if args.background == "reals" else KIND_INTEGERS
-    bg = BackgroundTheory(kind)
+    # the overridden extents give the range guards and the decoded models
+    bg = BackgroundTheory(kind, {s: ext for s, ext in universe.items()
+                                 if ext != program.universe.get(s)})
     script = emit_smtlib(cnf, c, program.signature, bg, logic=args.logic)
     text = script.render()
     validate_smtlib(text)
@@ -301,15 +322,16 @@ def build_parser():
                     "completion, and SMT compilation over finite domains")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, interp=False, second_file=False):
+    def common(p, interp=False, second_file=False, universe=True):
         p.add_argument("file", help="program file")
         if second_file:
             p.add_argument("file2", help="second program file")
         p.add_argument("--relative-to", default=None,
                        help="comma-separated intensional constants")
-        p.add_argument("--universe", action="append", default=[],
-                       metavar="SORT=LO..HI",
-                       help="override a sort extent")
+        if universe:
+            p.add_argument("--universe", action="append", default=[],
+                           metavar="SORT=LO..HI",
+                           help="override a sort extent (or SORT=E1,E2,...)")
         if interp:
             p.add_argument("--interp", required=True,
                            help="interpretation JSON file")
@@ -329,21 +351,22 @@ def build_parser():
     p.set_defaults(fn=cmd_stable)
 
     p = sub.add_parser("check", help="check one interpretation")
-    common(p, interp=True)
+    # the universe comes from the interpretation
+    common(p, interp=True, universe=False)
     p.add_argument("--method", default=METHOD_REDUCT,
                    choices=[METHOD_REDUCT, METHOD_SECOND_ORDER, METHOD_BOTH])
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("complete", help="definitional completion")
-    common(p)
+    common(p, universe=False)
     p.set_defaults(fn=cmd_complete)
 
     p = sub.add_parser("check-tight", help="dependency-graph acyclicity")
-    common(p)
+    common(p, universe=False)
     p.set_defaults(fn=cmd_check_tight)
 
     p = sub.add_parser("unfold", help="flatten nested intensional functions")
-    common(p)
+    common(p, universe=False)
     p.set_defaults(fn=cmd_unfold)
 
     p = sub.add_parser("eliminate", help="swap a predicate and a function")

@@ -349,28 +349,45 @@ class Locations:
         self.spans[n] = range(start, len(self.keys))
         return self.spans[n]
 
-    def interpretation(self, outside, names, value_of):
-        """outside with the symbols in names read from their locations:
-        value_of(p) is the value of position p."""
+    def positions(self, names) -> list:
+        """The positions of the symbols in names, in span order."""
+        return [p for n in names for p in self.span(n)]
+
+    def interpretation(self, outside, positions, value_of):
+        """outside with the given positions read from value_of(p), the
+        value of position p; the other entries of their symbols' tables
+        stay as outside has them."""
         funcs, preds = dict(outside.funcs), dict(outside.preds)
-        for n in names:
-            span = self.span(n)
-            if n in self.sig.functions:
-                funcs[n] = {self.keys[p][1]: value_of(p) for p in span}
+        tables = {}     # symbol -> its table, copied from outside
+        for p in positions:
+            n, args = self.keys[p]
+            table = tables.get(n)
+            if table is None:
+                table = tables[n] = (dict(funcs.get(n, ()))
+                                     if n in self.sig.functions
+                                     else set(preds.get(n, ())))
+            v = value_of(p)
+            if isinstance(table, dict):
+                table[args] = v
+            elif v:
+                table.add(args)
             else:
-                preds[n] = frozenset(self.keys[p][1] for p in span
-                                     if value_of(p))
+                table.discard(args)
+        for n, table in tables.items():
+            if isinstance(table, dict):
+                funcs[n] = table
+            else:
+                preds[n] = frozenset(table)
         return FiniteInterpretation(outside.signature, outside.universe,
                                     funcs, preds)
 
-    def completions(self, outside, names, picked):
-        """(key, I) for every completion of picked, which maps some
-        positions of the symbols in names to the index of their value: I
-        is outside with names read from the positions, and key holds the
-        index of every position's value, in span order.  The free
-        positions take their values in itertools.product order, the last
-        varying fastest, so with nothing picked the keys ascend."""
-        positions = [p for n in names for p in self.span(n)]
+    def completions(self, outside, positions, picked):
+        """(key, I) for every completion of picked, which maps some of the
+        positions to the index of their value: I is outside with the
+        positions read from them, and key holds the index of each
+        position's value, in the order of positions.  The free positions
+        take their values in itertools.product order, the last varying
+        fastest, so with nothing picked the keys ascend."""
         free = [p for p in positions if p not in picked]
         values = self.values
         picked = dict(picked)
@@ -378,7 +395,7 @@ class Locations:
                                          for p in free]):
             picked.update(zip(free, combo))
             yield (tuple([picked[p] for p in positions]),
-                   self.interpretation(outside, names,
+                   self.interpretation(outside, positions,
                                        lambda p: values[p][picked[p]]))
 
 
@@ -398,7 +415,7 @@ def enumerate_interpretations(sig: Signature, universe: dict,
         vary = [n for n in sig.user_symbols()
                 if n not in outside.funcs and n not in outside.preds]
     table = Locations(sig, universe)
-    for _, i in table.completions(outside, list(vary), {}):
+    for _, i in table.completions(outside, table.positions(vary), {}):
         yield i
 
 

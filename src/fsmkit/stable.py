@@ -5,7 +5,7 @@ The two checkers realize the same semantics by different routes:
 * ``method="reduct"``: ground the sentence over the interpretation's finite
   universe, take the reduct relative to I, and search for a smaller witness J.
   stable_models finds its candidates I with the same search (_Search), run
-  on the grounding instead of the reduct.
+  on the grounding instead of the reduct, one ground component at a time.
 * ``method="second-order"``: build the star transform F*(d) over mirror
   constants d and test the defining second-order condition directly by
   enumerating candidate witness assignments for d, evaluating the indexed
@@ -22,8 +22,8 @@ import itertools
 from .syntax import (
     ARITH_FUNCS, And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula,
     FrozenRecord, FsmError, Implies, Lit, Obj, Or, Signature, Var, _set,
-    as_clist, choice_of, conjuncts, free_vars, guard_term, rename_symbols,
-    transform,
+    as_clist, choice_of, conjuncts, free_vars, guard_term, nodes,
+    rename_symbols, transform,
 )
 from .interp import (
     COMPARE_PREDS, UNDEF, FiniteInterpretation, Locations, _arith, _compare,
@@ -607,7 +607,7 @@ class _Search(_Kleene):
 
 
 def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
-                     locations=None):
+                     locations=None, positions=None):
     """The interpretations over universe that extend fixed_funcs and
     satisfy g, a grounding of a sentence over universe, as pairs (key, I);
     sorted by key they come in enumerate_interpretations order.
@@ -627,19 +627,44 @@ def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
     filtering enumerate_interpretations with gsat does not, and the other
     way round (see tests/test_search.py).  A choice whose G divides by zero
     under fixed_funcs raises in both.
+
+    With positions, which must hold every location of a searched symbol
+    that g reads (one ground component, see _components), key holds the
+    value indices of those positions alone, in their order, and I leaves
+    every other location of a searched symbol undefined or false.
     """
-    fixed_funcs = dict(fixed_funcs or {})
     _require_nonempty(universe)
     table = locations or Locations(sig, universe)
-    vary = [n for n in sig.user_symbols() if n not in fixed_funcs]
-    outside = FiniteInterpretation(sig, universe, fixed_funcs)
+    outside, vary = _outside(sig, universe, fixed_funcs)
+    if positions is None:
+        positions = table.positions(vary)
+    allowed = set(positions)
+
+    def options(p):
+        if p not in allowed:
+            raise FsmError(f"ground component reads {table.keys[p]!r}, "
+                           "outside its locations")
+        return table.values[p]
+
     search = _Search(table, _conjuncts(g), outside, vary)
-    for _ in search.nodes(table.values.__getitem__):
+    for _ in search.nodes(options):
         yield from table.completions(
-            outside, vary, {top[0]: top[3] for top in search.trail})
+            outside, positions, {top[0]: top[3] for top in search.trail})
 
 
-def smaller_witness(red, i: FiniteInterpretation, c, locations=None):
+def _outside(sig: Signature, universe: dict, fixed_funcs):
+    """(fixed_funcs with an empty table for every other user symbol, the
+    other user symbols): the interpretation a search of those symbols
+    starts from."""
+    funcs = dict(fixed_funcs or {})
+    vary = [n for n in sig.user_symbols() if n not in funcs]
+    funcs.update((n, {}) for n in vary if n in sig.functions)
+    preds = {n: () for n in vary if n in sig.predicates}
+    return FiniteInterpretation(sig, universe, funcs, preds), vary
+
+
+def smaller_witness(red, i: FiniteInterpretation, c, locations=None,
+                    positions=None):
     """A J with J <^c I that satisfies the ground reduct red = F^I, or None.
 
     The search of _Search over the c-locations, on the conjuncts of red:
@@ -659,25 +684,29 @@ def smaller_witness(red, i: FiniteInterpretation, c, locations=None):
     location red reads I's value ends true, and a location red never reads
     refutes stability at once.  A location where I's table has no entry
     differs from I under every value.
+
+    With positions, J differs from I only on the c-locations among those
+    positions (one ground component, see _components), and red must read
+    no other c-location.
     """
     c = as_clist(c)
     sig = i.signature
     table = locations or Locations(sig, i.universe)
     search = _Search(table, _conjuncts(red), i, c.names)
     value = search.value
+    if positions is None:
+        positions = table.positions(c.names)
+    else:
+        positions = [p for p in positions if table.keys[p][0] in c.names]
     base = {}       # location position -> I's value, or _ABSENT
-    for n in c.names:
+    for p in positions:
+        n, args = table.keys[p]
         if n in sig.functions:
-            own = i.funcs.get(n, {})
-            for p in table.span(n):
-                base[p] = own.get(table.keys[p][1], _ABSENT)
+            base[p] = i.funcs.get(n, {}).get(args, _ABSENT)
+        elif args in i.preds.get(n, ()):
+            base[p] = True
         else:
-            own = i.preds.get(n, frozenset())
-            for p in table.span(n):
-                if table.keys[p][1] in own:
-                    base[p] = True
-                else:
-                    value[p] = False
+            value[p] = False
     # a predicate in c that I leaves out differs from the empty extent of J
     left_out = any(p not in i.preds for p in c.pred_part(sig))
 
@@ -708,8 +737,101 @@ def smaller_witness(red, i: FiniteInterpretation, c, locations=None):
                 continue
             value[free] = next(v for v in table.values[free]
                                if differs(free, v))
-        return table.interpretation(i, c.names, completed)
+        return table.interpretation(i, positions, completed)
     return None
+
+
+# ---------------------------------------------------------------------------
+# independent ground components (the ground case of splitting)
+
+def _element(t, env):
+    """The element t names: an Obj or a Lit, or a variable env binds; else
+    _UNKNOWN."""
+    if isinstance(t, Obj):
+        return t.elem
+    if isinstance(t, Lit):
+        return t.value
+    if isinstance(t, Var):
+        return env.get(t, _UNKNOWN)
+    return _UNKNOWN
+
+
+def _reads(g, table: Locations, symbols) -> set:
+    """The positions of the locations of symbols that evaluating the ground
+    formula g, or its reduct, may read.  A term or an atom n(args) reads
+    one location when every argument is an element, or a variable bound
+    in a GIndex's env, and every location of n otherwise.  A GIndex reads
+    its guard term and the terms of its body, whatever element the guard
+    binds."""
+    out = set()
+
+    def walk(x, env):
+        for h in nodes(x):
+            if isinstance(h, App):
+                n = h.fn
+            elif isinstance(h, Atom):
+                n = h.pred
+            else:
+                continue
+            if n not in symbols:
+                continue
+            args = tuple([_element(a, env) for a in h.args])
+            if _UNKNOWN in args:
+                out.update(table.span(n))
+            elif (n, args) in table.index:
+                out.add(table.index[n, args])
+
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        if isinstance(h, (GAnd, GOr)):
+            stack.extend(h.order)
+        elif isinstance(h, GImp):
+            stack += (h.left, h.right)
+        elif isinstance(h, GAtom):
+            walk(Atom(h.pred, h.args), {})
+        elif isinstance(h, GEqual):
+            walk(Equal(h.left, h.right), {})
+        elif isinstance(h, GIndex):
+            walk(h.term, {})
+            walk(h.body, h.env)
+    return out
+
+
+def _components(g, table: Locations, symbols) -> list:
+    """The ground components of g over the locations of symbols, as pairs
+    (the GAnd of their conjuncts, their positions).
+
+    Union-find over the locations each top-level conjunct of g may read
+    (_reads) joins two conjuncts when they share one.  The conjuncts that
+    read none form one component without positions, and a location that
+    no conjunct reads forms one without conjuncts.  Components come in the
+    order of their first conjunct, then the unread locations; positions
+    keep the order of table.positions(symbols)."""
+    positions = table.positions(symbols)
+    parent = {p: p for p in positions}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    conjuncts = _conjuncts(g)
+    symbols = set(symbols)
+    reads = [_reads(h, table, symbols) for h in conjuncts]
+    for r in reads:
+        if r:
+            root = find(next(iter(r)))
+            for p in r:
+                parent[find(p)] = root
+    groups = {}     # root (None: no locations) -> (conjuncts, positions)
+    for h, r in zip(conjuncts, reads):
+        root = find(next(iter(r))) if r else None
+        groups.setdefault(root, ([], []))[0].append(h)
+    for p in positions:
+        groups.setdefault(find(p), ([], []))[1].append(p)
+    return [(gand(hs), tuple(ps)) for hs, ps in groups.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -732,14 +854,17 @@ def witnesses(i: FiniteInterpretation, c, ordered: bool = True):
 
 def check_stable(f: Formula, c, i: FiniteInterpretation,
                  method: str = METHOD_REDUCT, *, grounding=None,
-                 locations=None, starred=None) -> bool:
+                 locations=None, starred=None, positions=None) -> bool:
     """Whether I is a stable model of F relative to c.
 
     Callers that check many candidates over one universe build what the
     route needs once and pass it in (see prepare); what is None is built
     here.  The reduct route takes grounding, ground(f, ...) over I's
     universe (indexed or not), and uses it for the classical test too,
-    and locations, the Locations table over that universe.
+    and locations, the Locations table over that universe.  With positions,
+    those of one ground component (see _components), grounding may hold
+    that component's conjuncts alone: I is checked against them, and the
+    witness J differs from I only there (see smaller_witness).
     The second-order route takes starred, the pair (Mirrors(c, sig),
     ground F*) of star_of; without it, the pair is built only once I has
     passed the classical test, which stays satisfies(i, f).
@@ -750,7 +875,8 @@ def check_stable(f: Formula, c, i: FiniteInterpretation,
             grounding = ground(f, i, index=True)
         if not gsat(i, grounding):
             return False
-        return smaller_witness(reduct(grounding, i), i, c, locations) is None
+        return smaller_witness(reduct(grounding, i), i, c, locations,
+                               positions) is None
     if method == METHOD_SECOND_ORDER:
         if not satisfies(i, f):
             return False
@@ -797,7 +923,11 @@ def prepare(f: Formula, c, sig: Signature, universe: dict,
     the table of locations for the reduct route, and star_of (the mirrors
     and the indexed grounding of F*) for the second-order route.  The
     groundings keep the guarded instances they ground (see GIndex), so a
-    key that many candidates look up is grounded once per run."""
+    key that many candidates look up is grounded once per run.  The table
+    of ground components (see _components) is not among them: only
+    stable_models searches by component, and it builds the table from this
+    grounding and locations once per run, while every check that takes
+    them (check_stable, fsmkit compare) reads the whole grounding."""
     shared = {}
     if method != METHOD_SECOND_ORDER:
         shared["grounding"] = ground(f, FiniteInterpretation(sig, universe),
@@ -816,17 +946,26 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
     The functions in fixed_funcs keep the given tables; every other user
     symbol ranges over all its assignments.  What the checks share (see
     prepare) is built once, and every candidate is checked against it.
-    On the reduct route the candidates are the classical models that
-    classical_models finds by search on the grounding, and each is still
-    checked in full, gsat first.  The search is exact by three lemmas:
-    a Kleene "true" under a partial assignment holds under every
-    completion (monotonicity), so once every conjunct is true all the
-    completions are models; a choice G | not G holds whatever G is
-    (excluded middle); and smaller_witness stops as soon as some J <^c I
-    is sure to satisfy the reduct (the <^c success rule).  Only the
-    stable candidates are kept, and they are sorted into enumeration
-    order at the end.  METHOD_SECOND_ORDER and METHOD_BOTH check every
-    interpretation, as the generate-and-test reference.
+    METHOD_SECOND_ORDER and METHOD_BOTH check every interpretation, as the
+    generate-and-test reference.
+
+    The reduct route splits the grounding into its ground components (see
+    _components): groups of top-level conjuncts that read disjoint
+    locations.  Per component, classical_models finds the candidates on
+    its conjuncts and locations alone, and each is still checked in full
+    (gsat, the reduct and smaller_witness) on that component.  The stable
+    models are the products of one stable assignment per component, sorted
+    into enumeration order at the end.  This is exact: when I |= F, the
+    reduct F^I is the conjunction of the components' reducts, and a J <^c I
+    that satisfies F^I still does when it takes I's values back outside
+    one component where it differs from I, since every other component
+    then reads only I's values, and I satisfies its reduct (the ground
+    case of the splitting theorem).  The search within a component is
+    exact by three lemmas: a Kleene "true" under a partial assignment holds
+    under every completion (monotonicity), so once every conjunct is true
+    all the completions are models; a choice G | not G holds whatever G is
+    (excluded middle); and smaller_witness stops as soon as some J <^c I is
+    sure to satisfy the reduct (the <^c success rule).
     """
     c = as_clist(c)
     check = checker(method)
@@ -835,13 +974,33 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
         return [i for i in enumerate_interpretations(sig, universe,
                                                      fixed_funcs)
                 if check(f, c, i, **shared)]
-    found = [(key, i) for key, i in classical_models(
-                 shared["grounding"], sig, universe, fixed_funcs,
-                 shared["locations"])
-             if check(f, c, i, **shared)]
+    table = shared["locations"]
+    outside, vary = _outside(sig, universe, fixed_funcs)
+    # a c-symbol in fixed_funcs is not searched for I, but J can vary it
+    fixed_c = [n for n in c.names if n not in vary]
+    parts = []      # per component: its stable assignments, position -> index
+    for g, positions in _components(shared["grounding"], table,
+                                    vary + fixed_c):
+        searched = [p for p in positions if table.keys[p][0] not in fixed_c]
+        stable = [dict(zip(searched, key)) for key, i in classical_models(
+                      g, sig, universe, fixed_funcs, table, searched)
+                  if check(f, c, i, grounding=g, locations=table,
+                           positions=positions)]
+        if not stable:
+            return []
+        parts.append(stable)
+    order = table.positions(vary)
+    values = table.values
+    found = []
+    for combo in itertools.product(*parts):
+        picked = {}
+        for part in combo:
+            picked.update(part)
+        found.append((tuple([picked[p] for p in order]), picked))
     found.sort(key=lambda pair: pair[0])
-    return [i for _, i in found]
-
+    return [table.interpretation(outside, order,
+                                 lambda p: values[p][picked[p]])
+            for _, picked in found]
 
 
 # ---------------------------------------------------------------------------

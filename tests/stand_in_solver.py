@@ -6,13 +6,15 @@
 
 It reads the script's declare-const and assert commands, tries every
 assignment of the declared constants (a Bool over false/true, an Int over
-the range an assertion (and (<= lo x) (<= x hi)) of the script allows) and
-evaluates the assertions with eval_sexpr, in exact rationals.  It prints
-`sat` and the first model, as define-fun lines, or `unsat`.  A constant of
+the range an assertion (and (<= lo x) (<= x hi)) of the script allows) in
+itertools.product order and evaluates the assertions with eval_sexpr, in
+exact rationals.  An assertion is evaluated as soon as every constant it
+mentions has a value, so a false one cuts off all the assignments that
+extend the values so far.  It prints `sat` and the first model, as
+define-fun lines, or `unsat`.  A constant of
 any other sort, or an Int without such a guard, is an error (exit 1).
 """
 
-import itertools
 import pathlib
 import sys
 from fractions import Fraction
@@ -106,14 +108,37 @@ def solve(text):
         else:
             raise SystemExit(f"stand-in solver: no finite range for {name}")
     names = [name for name, _ in consts]
-    for values in itertools.product(*domains):
-        env = dict(zip(names, values))
-        if all(eval_sexpr(a, env) for a in assertions):
-            sorts = dict(consts)
-            return "sat\n(\n" + "".join(
-                f"  (define-fun {n} () {sorts[n]} {_smt(v)})\n"
-                for n, v in env.items()) + ")\n"
-    return "unsat\n"
+    # an assertion is evaluated once every constant it mentions has a value
+    depth = {n: k + 1 for k, n in enumerate(names)}
+    due = [[] for _ in range(len(names) + 1)]
+    for a in assertions:
+        due[max(map(depth.get, _atoms(a) & depth.keys()), default=0)].append(a)
+
+    def search(k, env):
+        if not all(eval_sexpr(a, env) for a in due[k]):
+            return None
+        if k == len(names):
+            return env
+        for v in domains[k]:
+            got = search(k + 1, {**env, names[k]: v})
+            if got is not None:
+                return got
+        return None
+
+    env = search(0, {})
+    if env is None:
+        return "unsat\n"
+    sorts = dict(consts)
+    return "sat\n(\n" + "".join(
+        f"  (define-fun {n} () {sorts[n]} {_smt(v)})\n"
+        for n, v in env.items()) + ")\n"
+
+
+def _atoms(sx) -> set:
+    """The atoms (names and numerals) of a parsed s-expression."""
+    if isinstance(sx, str):
+        return {sx}
+    return set().union(*map(_atoms, sx))
 
 
 if __name__ == "__main__":

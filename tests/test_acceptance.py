@@ -47,7 +47,7 @@ from conftest import FormulaGen, make_gen, random_definition_program
 from test_related import (
     CAUSAL_ROWS, STABLE_ROWS, load_switches, switch_interp, switch_rules,
 )
-from test_aspmt import script_holds
+from test_aspmt import STAND_IN, script_holds
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
@@ -590,24 +590,23 @@ def test_criterion_12_smt_pipeline():
     broken = dict(plan, speed1=Fraction(4))
     plan_rejects = not script_holds(script, broken)
 
-    note = "solver checks skipped: no solver configured"
-    solver_ok = True
-    if solver_path() is not None:
-        note = "solver run included"
-        tank = parse_program((DEMOS / "watertank.fsm").read_text())
-        tf = conj(r.as_formula() for r in tank.rules)
-        tcnf = to_clark_normal_form(tf, tank.intensional, tank.signature)
-        tbg = BackgroundTheory("integers")
-        tscript = emit_smtlib(tcnf, tank.intensional, tank.signature, tbg)
-        tscript.assertions.append("(= amt0 5)")
-        decoded = solve_all(tscript, tank.signature, tbg)
-        got = {(m.funcs["amt1"][()], bool(m.preds["flush"])) for m in decoded}
-        expected = {(m.funcs["amt1"][()], bool(m.preds["flush"]))
-                    for m in stable_models(
-                        tf, tank.intensional, tank.signature,
-                        {"amt": tuple(range(21))},
-                        fixed_funcs={"amt0": {(): 5}})}
-        solver_ok = got == expected
+    # the configured solver, else tests/stand_in_solver.py
+    solver = solver_path() or str(STAND_IN)
+    note = f"solver: {pathlib.Path(solver).name}"
+    tank = parse_program((DEMOS / "watertank.fsm").read_text())
+    tf = conj(r.as_formula() for r in tank.rules)
+    tcnf = to_clark_normal_form(tf, tank.intensional, tank.signature)
+    tbg = BackgroundTheory("integers")
+    tscript = emit_smtlib(tcnf, tank.intensional, tank.signature, tbg)
+    tscript.assertions.append("(= amt0 5)")
+    decoded = solve_all(tscript, tank.signature, tbg, solver=solver)
+    got = {(m.funcs["amt1"][()], bool(m.preds["flush"])) for m in decoded}
+    expected = {(m.funcs["amt1"][()], bool(m.preds["flush"]))
+                for m in stable_models(
+                    tf, tank.intensional, tank.signature,
+                    {"amt": tuple(range(21))},
+                    fixed_funcs={"amt0": {(): 5}})}
+    solver_ok = len(expected) == 2 and got == expected
 
     verdict(12, deterministic and valid and plan_ok and plan_rejects
             and solver_ok, note)

@@ -20,6 +20,11 @@ TANK = DEMOS / "watertank.fsm"
 STAND_IN = pathlib.Path(__file__).resolve().parent / "stand_in_solver.py"
 
 
+#: the commands without --universe: check reads the universe from the
+#: interpretation, and the others do not ground
+NO_UNIVERSE = ("check", "complete", "check-tight", "unfold")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -172,8 +177,9 @@ def test_an_undeclared_relative_to_symbol_exits_2(tmp_path, capsys, argv):
     if argv[0] == "check":
         argv = argv + ["--interp", tank_interp_file(tmp_path, 5, 6, False)]
     files = [str(TANK)] * (2 if argv[0] == "se-check" else 1)
-    code = main(argv + ["--relative-to", "amt1,nope", "--universe",
-                        "amt=0..1"] + files)
+    if argv[0] not in NO_UNIVERSE:
+        argv = argv + ["--universe", "amt=0..1"]
+    code = main(argv + ["--relative-to", "amt1,nope"] + files)
     assert code == EXIT_ERROR
     assert "error: unknown symbol 'nope'" in capsys.readouterr().err
 
@@ -189,6 +195,55 @@ def test_an_undeclared_relative_to_symbol_exits_2(tmp_path, capsys, argv):
 def test_a_bad_universe_spec_exits_2(capsys, spec, message):
     assert main(["ground", str(TANK), "--universe", spec]) == EXIT_ERROR
     assert message in capsys.readouterr().err
+
+
+def test_universe_list_elements_are_stripped(capsys):
+    code, out = run(capsys, "ground", str(TANK), "--universe", "amt= 1, 2")
+    assert code == EXIT_OK
+    assert "(amt0 = <1>)" in out and "' 1'" not in out
+    code, out = run(capsys, "ground", str(DEMOS / "switches.fsm"),
+                    "--universe", "switch= a , b")
+    assert code == EXIT_OK and "<'a'>" in out and "' a'" not in out
+
+
+def test_a_non_integer_element_of_an_integer_sort_exits_2(capsys):
+    assert main(["ground", str(TANK), "--universe", "amt=a,b"]) \
+        == EXIT_ERROR
+    assert ("bad universe spec 'amt=a,b' (sort 'amt' has integer elements)"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", NO_UNIVERSE)
+def test_commands_that_do_not_ground_refuse_universe(tmp_path, capsys,
+                                                     command):
+    argv = [command, str(TANK), "--universe", "nosuch=0..3"]
+    if command == "check":
+        argv += ["--interp", tank_interp_file(tmp_path, 5, 6, False)]
+    assert main(argv) == EXIT_ERROR
+    assert "unrecognized arguments: --universe" in capsys.readouterr().err
+
+
+def test_to_smt_honours_the_universe(tmp_path, capsys):
+    # the range guards follow the overridden extent, and so do the models
+    # the stand-in solver enumerates: the 7 stable models at amt=0..3
+    scripts = []
+    for spec in ("amt=0..3", "amt=0..20"):
+        code, out = run(capsys, "to-smt", "--background", "integers",
+                        str(TANK), "--universe", spec)
+        assert code == EXIT_OK
+        scripts.append(out)
+    assert "(<= amt0 3)" in scripts[0] and "(<= amt0 20)" in scripts[1]
+    code, out = run(capsys, "to-smt", "--background", "integers",
+                    str(TANK))
+    assert out == scripts[1]
+    code, stable = run(capsys, "stable", str(TANK), "--universe",
+                       "amt=0..3")
+    assert code == EXIT_OK and len(json.loads(stable)) == 7
+    code, out = run(capsys, "to-smt", "--background", "integers",
+                    "--solver", str(STAND_IN), "--all-models",
+                    "--out", str(tmp_path / "tank.smt2"), str(TANK),
+                    "--universe", "amt=0..3")
+    assert code == EXIT_OK and out == stable
 
 
 def test_universe_specs_accept_builtin_and_second_program_sorts(
