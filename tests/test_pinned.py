@@ -1,7 +1,7 @@
 """Exact-output pins for the formula transformations.
 
-Each case is a CLI run (completion, unfolding, both eliminations, sort
-merging, SMT emission) on a demo or an inline program, or a library call
+Each case is a CLI run (grounding, completion, unfolding, both
+eliminations, sort merging, SMT emission) on a demo or an inline program, or a library call
 (star, relativize, rename_symbols, the IF-program diamond, unfolding and the
 eliminations) on the seeded formula generators of conftest.py.  The SHA-256
 of each printed result is recorded in pinned_outputs.json; every case must
@@ -79,6 +79,7 @@ PROGRAMS = {
 }
 
 COMMANDS = {
+    "ground": ["ground"],
     "complete": ["complete"],
     "unfold": ["unfold"],
     "desort": ["desort"],
