@@ -14,7 +14,7 @@ import os
 import sys
 
 from .syntax import (
-    Choice, FsmError, FragmentError, RULE_CHOICE, as_clist,
+    BOOL, Choice, FsmError, FragmentError, RULE_CHOICE, as_clist,
     fol_representation,
 )
 from .parser import ParseError, parse_program, print_formula, print_program
@@ -49,9 +49,10 @@ def _load_program(path):
 def _universe(program, overrides, declared=None):
     """The program's sort extents with the --universe specs applied; raises
     FsmError on a malformed spec, on a sort that is not among declared
-    (by default the sorts of the program's signature, builtins included),
-    or on a listed element that is not an integer where the declared
-    extent is all integers."""
+    (by default the sorts of the program's signature, builtins included)
+    or is bool, whose extent is fixed, on an empty range, or on a listed
+    element that is not an integer where the declared extent is all
+    integers."""
     if declared is None:
         declared = program.signature.sorts
     universe = {s: tuple(ext) for s, ext in program.universe.items()}
@@ -61,6 +62,9 @@ def _universe(program, overrides, declared=None):
             raise FsmError(f"bad universe spec {spec!r} (want sort=lo..hi)")
         if name not in declared:
             raise FsmError(f"universe spec {spec!r}: unknown sort {name!r}")
+        if name == BOOL:
+            raise FsmError(f"universe spec {spec!r}: the extent of sort "
+                           f"{BOOL!r} is fixed")
         if ".." in rng:
             lo, hi = rng.split("..", 1)
             try:
@@ -68,6 +72,8 @@ def _universe(program, overrides, declared=None):
             except ValueError:
                 raise FsmError(f"bad universe spec {spec!r} (the bounds of "
                                "lo..hi must be integers)") from None
+            if not universe[name]:
+                raise FsmError(f"bad universe spec {spec!r} (empty range)")
         else:
             parts = [p.strip() for p in rng.split(",")]
             if "" in parts:

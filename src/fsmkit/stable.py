@@ -35,38 +35,6 @@ from .interp import (
 # ---------------------------------------------------------------------------
 # ground formulas (finite specialization of infinitary ground formulas)
 
-class GBot(FrozenRecord):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "false"
-
-
-GBOT = GBot()
-
-
-class GAtom(FrozenRecord):
-    __slots__ = ("pred", "args")
-
-    def __init__(self, pred: str, args: tuple = ()):
-        _set(self, "pred", pred)
-        _set(self, "args", args)
-
-    def __repr__(self):
-        return f"{self.pred}({', '.join(map(repr, self.args))})" if self.args else self.pred
-
-
-class GEqual(FrozenRecord):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def __repr__(self):
-        return f"({self.left!r} = {self.right!r})"
-
-
 class _GSet(FrozenRecord):
     """The members of a set-connective.  order holds them in the order they
     were built, without repeats; the evaluator, the reduct and the repr
@@ -99,17 +67,6 @@ class GOr(_GSet):
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.order)) + "}|"
-
-
-class GImp(FrozenRecord):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def __repr__(self):
-        return f"({self.left!r} -> {self.right!r})"
 
 
 class GIndex:
@@ -190,7 +147,10 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
 
     Quantifiers become finite set-conjunctions/disjunctions over the
     variable's sort extent, with object names substituted for the variable.
-    Ground terms are kept intact (only variables are replaced).  Only the
+    Ground terms are kept intact (only variables are replaced).  The rest
+    stays in the formula AST: the leaves are BOT, Atom and Equal over
+    ground terms (Obj, Lit, App), implications stay Implies, and GAnd, GOr
+    and GIndex are the only nodes of ground formulas alone.  Only the
     universe of interp is read, so one grounding serves every candidate
     over that universe.  The top-level call (env is None) rejects a formula
     with free variables; nested calls bind every variable they meet.
@@ -215,11 +175,11 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
         return t
 
     if isinstance(f, Bottom):
-        return GBOT
+        return BOT
     if isinstance(f, Atom):
-        return GAtom(f.pred, tuple(g_term(a) for a in f.args))
+        return Atom(f.pred, tuple(g_term(a) for a in f.args))
     if isinstance(f, Equal):
-        return GEqual(g_term(f.left), g_term(f.right))
+        return Equal(g_term(f.left), g_term(f.right))
     if isinstance(f, And):
         return gand([ground(f.left, interp, env, index=index),
                      ground(f.right, interp, env, index=index)])
@@ -228,8 +188,8 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
                     ground(f.right, interp, env, index=index)],
                    choice_of(f) is not None)
     if isinstance(f, Implies):
-        return GImp(ground(f.left, interp, env, index=index),
-                    ground(f.right, interp, env, index=index))
+        return Implies(ground(f.left, interp, env, index=index),
+                       ground(f.right, interp, env, index=index))
     if isinstance(f, Forall):
         extent = interp.extent(f.var.sort)
         guard = _guard(f) if index else None
@@ -328,14 +288,14 @@ class _Kleene:
 
     def holds(self, g):
         """Kleene value of a ground formula: True, False or None."""
-        if isinstance(g, GImp):
+        if isinstance(g, Implies):
             left = self.holds(g.left)
             if left is False:
                 return True
             right = self.holds(g.right)
             return right if right is True or left is True else None
-        if isinstance(g, (GAtom, GEqual)):
-            if isinstance(g, GAtom):
+        if isinstance(g, (Atom, Equal)):
+            if isinstance(g, Atom):
                 vals = tuple([self.term(a) for a in g.args])
             else:
                 vals = (self.term(g.left), self.term(g.right))
@@ -343,7 +303,7 @@ class _Kleene:
                 return False
             if _UNKNOWN in vals:
                 return None
-            if isinstance(g, GEqual):
+            if isinstance(g, Equal):
                 lv, rv = vals
                 return isinstance(lv, bool) == isinstance(rv, bool) and lv == rv
             if g.pred in COMPARE_PREDS:
@@ -370,7 +330,7 @@ class _Kleene:
         if isinstance(g, GIndex):
             members = self.guarded(g)
             return None if members is None else self.all(members)
-        if isinstance(g, GBot):
+        if isinstance(g, Bottom):
             return False
         raise TypeError(f"not a ground formula: {g!r}")
 
@@ -405,16 +365,16 @@ def reduct(g, interp: FiniteInterpretation):
 def _reduct_pass(g, kleene):
     """(interp satisfies g, reduct of g relative to interp), where kleene
     evaluates under interp."""
-    if isinstance(g, (GAtom, GEqual)):
+    if isinstance(g, (Atom, Equal)):
         if kleene.holds(g):
             return True, g
-        return False, GBOT
-    if isinstance(g, GImp):
+        return False, BOT
+    if isinstance(g, Implies):
         left_sat, left = _reduct_pass(g.left, kleene)
         right_sat, right = _reduct_pass(g.right, kleene)
         if left_sat and not right_sat:
-            return False, GBOT
-        return True, GImp(left, right)
+            return False, BOT
+        return True, Implies(left, right)
     if isinstance(g, (GAnd, GOr)):
         pairs = [_reduct_pass(m, kleene) for m in g.order]
         if isinstance(g, GAnd):
@@ -423,8 +383,8 @@ def _reduct_pass(g, kleene):
     if isinstance(g, GIndex):
         pairs = [_reduct_pass(m, kleene) for m in kleene.guarded(g)]
         return all(s for s, _ in pairs), gand(r for _, r in pairs)
-    if isinstance(g, GBot):
-        return False, GBOT
+    if isinstance(g, Bottom):
+        return False, BOT
     raise TypeError(f"not a ground formula: {g!r}")
 
 
@@ -760,9 +720,9 @@ def _reads(g, table: Locations, symbols) -> set:
     """The positions of the locations of symbols that evaluating the ground
     formula g, or its reduct, may read.  A term or an atom n(args) reads
     one location when every argument is an element, or a variable bound
-    in a GIndex's env, and every location of n otherwise.  A GIndex reads
-    its guard term and the terms of its body, whatever element the guard
-    binds."""
+    in a GIndex's env, and every location of n otherwise.  A leaf of g is
+    a formula node, and nodes walks it as it is; a GIndex reads its guard
+    term and the terms of its body, whatever element the guard binds."""
     out = set()
 
     def walk(x, env):
@@ -786,15 +746,13 @@ def _reads(g, table: Locations, symbols) -> set:
         h = stack.pop()
         if isinstance(h, (GAnd, GOr)):
             stack.extend(h.order)
-        elif isinstance(h, GImp):
+        elif isinstance(h, Implies):
             stack += (h.left, h.right)
-        elif isinstance(h, GAtom):
-            walk(Atom(h.pred, h.args), {})
-        elif isinstance(h, GEqual):
-            walk(Equal(h.left, h.right), {})
         elif isinstance(h, GIndex):
             walk(h.term, {})
             walk(h.body, h.env)
+        else:
+            walk(h, {})
     return out
 
 

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from .syntax import (
     App, Atom, BOT, ContractViolation, Equal, Exists, Forall, Formula,
-    FragmentError, FreshNames, Iff, Implies, Not, Record, Signature, TOP, Var,
-    as_clist, choice_of, close_existentially, close_universally, conj,
-    conjuncts, disj, free_vars, negative_on, nodes, strictly_positive,
-    strictly_positive_symbols, subst, symbols, transform,
+    FragmentError, FreshNames, FsmError, Iff, Implies, Not, Record,
+    Signature, TOP, Var, as_clist, choice_of, close_existentially,
+    close_universally, conj, conjuncts, disj, free_vars, negative_on, nodes,
+    strictly_positive, strictly_positive_symbols, subst, symbols, transform,
 )
 from .interp import FiniteInterpretation, enumerate_interpretations, satisfies
 from .stable import Mirrors, star
@@ -382,8 +382,12 @@ def check_strong_equivalence_bounded(sig: Signature, f: Formula, g: Formula,
                                      universe_overrides=None) -> SEReport:
     """Search finite universes up to max_size for a refutation of strong
     equivalence: a classical model of exactly one of F, G, or a mirror
-    assignment separating F* from G*.
+    assignment separating F* from G*.  A max_size below 1 searches
+    nothing, so it is refused.
     """
+    if max_size < 1:
+        raise FsmError("bounded strong-equivalence search needs a universe "
+                       f"size of at least 1, not {max_size}")
     if c is None:
         syms = symbols(f) | symbols(g)
         c = [n for n in sig.user_symbols() if n in syms]

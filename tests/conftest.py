@@ -7,8 +7,8 @@ import random
 import pytest
 
 from fsmkit.syntax import (
-    And, App, Atom, BOT, Equal, Exists, Forall, Implies, Lit, Not, Or,
-    Signature, Var,
+    And, App, Atom, BOT, Choice, Equal, Exists, Forall, Implies, Lit, Not,
+    Or, Signature, Var, conj,
 )
 
 
@@ -124,27 +124,49 @@ def _random_literal(rng, elements, target, earlier, exclude=()):
     return atom if tag == "pos" else Not(atom)
 
 
+#: the intensional symbols of definition_signature, in definition order
+DEFINED = ["f", "g", "p"]
+
+
+def _random_body(rng, elements, v, idx):
+    """One or two literals (see _random_literal) for a definition of the
+    symbol DEFINED[idx], about v, joined by & or |."""
+    lits = [_random_literal(rng, elements, v, DEFINED[:idx],
+                            exclude=(DEFINED[idx],))
+            for _ in range(rng.randint(1, 2))]
+    return lits[0] if len(lits) == 1 else rng.choice([And, Or])(*lits)
+
+
+def _head(name, v):
+    return Atom("p", (v,)) if name == "p" else Equal(App(name, ()), v)
+
+
 def random_definition_program(rng, elements=(1, 2)):
     """A random tight program in definitional form: one universally closed
     definition per intensional symbol, bodies ordered to avoid cycles."""
-    sig = definition_signature(elements)
-    order = ["f", "g", "p"]
-    defs = []
-    for idx, name in enumerate(order):
-        v = Var("V", "u")
-        lits = [_random_literal(rng, elements, v, order[:idx],
-                                exclude=(name,))
-                for _ in range(rng.randint(1, 2))]
-        body = lits[0] if len(lits) == 1 else rng.choice([And, Or])(*lits)
-        if name == "p":
-            head = Atom("p", (v,))
-        else:
-            head = Equal(App(name, ()), v)
-        defs.append(Forall(v, Implies(body, head)))
-    f = defs[0]
-    for d in defs[1:]:
-        f = And(f, d)
-    return sig, f
+    v = Var("V", "u")
+    return definition_signature(elements), conj(
+        Forall(v, Implies(_random_body(rng, elements, v, idx), _head(name, v)))
+        for idx, name in enumerate(DEFINED))
+
+
+def random_choice_program(rng, elements=(1, 2)):
+    """A random tight program with choice rules and defaults, in the
+    definitional form of random_definition_program: f picks any value by
+    choice, g takes a default value unless a conditional rule gives it
+    another, and p is defined by a choice rule or a plain one.  The choices
+    give most programs several stable models."""
+    v = Var("V", "u")
+    default = Equal(App("g", ()), Lit(rng.choice(elements)))
+    g_body = _random_body(rng, elements, v, 1)
+    p_body = _random_body(rng, elements, v, 2)
+    p_head = Choice(_head("p", v)) if rng.random() < 0.5 else _head("p", v)
+    return definition_signature(elements), conj([
+        Forall(v, Choice(_head("f", v))),
+        Choice(default),
+        Forall(v, Implies(g_body, _head("g", v))),
+        Forall(v, Implies(p_body, p_head)),
+    ])
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ scripts (stand_in_solver.eval_sexpr)."""
 
 import itertools
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from fsmkit.syntax import (
 )
 from fsmkit.transforms import complete, to_clark_normal_form
 
+from conftest import random_choice_program
 from stand_in_solver import eval_sexpr
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
@@ -276,6 +278,26 @@ def test_solve_all_with_a_solver_finds_the_stable_models(tmp_path):
     stable = stable_models(f, prog.intensional, prog.signature, prog.universe)
     assert len(models) == len(stable) == 7
     assert set(models) == set(stable)
+
+
+def test_solve_all_agrees_with_stable_models_on_random_choice_programs():
+    # the SMT route end to end: completion, emission, one stand-in solver
+    # run per model found and one more for unsat, then decoding
+    rng = random.Random(20240817)
+    c = ["f", "g", "p"]
+    bg = BackgroundTheory("integers")
+    counts = []
+    for _ in range(12):
+        sig, f = random_choice_program(rng)
+        script = emit_smtlib(to_clark_normal_form(f, c, sig), c, sig, bg)
+        models = solve_all(script, sig, bg, solver=str(STAND_IN))
+        stable = stable_models(f, c, sig, {"bool": (False, True),
+                                           "u": (1, 2)})
+        assert len(models) == len(set(models)), f
+        assert set(models) == set(stable), f
+        counts.append(len(stable))
+    # the choice rules make most programs have several models
+    assert sum(n >= 2 for n in counts) >= len(counts) // 2, counts
 
 
 def test_parse_sexprs_rejects_unbalanced_text():

@@ -190,11 +190,24 @@ def test_an_undeclared_relative_to_symbol_exits_2(tmp_path, capsys, argv):
     ("amt=", "bad universe spec 'amt='"),
     ("amt=1,,2", "bad universe spec 'amt=1,,2'"),
     ("nosuch=0..3", "universe spec 'nosuch=0..3': unknown sort 'nosuch'"),
+    ("amt=5..1", "bad universe spec 'amt=5..1' (empty range)"),
+    ("bool=7..9", "universe spec 'bool=7..9': the extent of sort 'bool' is "
+                  "fixed"),
+    ("bool=true", "universe spec 'bool=true': the extent of sort 'bool' is "
+                  "fixed"),
 ], ids=["non-integer-bound", "fraction-bound", "empty", "empty-element",
-        "undeclared-sort"])
+        "undeclared-sort", "empty-range", "bool-range", "bool-list"])
 def test_a_bad_universe_spec_exits_2(capsys, spec, message):
     assert main(["ground", str(TANK), "--universe", spec]) == EXIT_ERROR
     assert message in capsys.readouterr().err
+
+
+def test_to_smt_refuses_an_empty_range(capsys):
+    assert main(["to-smt", str(TANK), "--universe", "amt=5..1"]) \
+        == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad universe spec 'amt=5..1' (empty range)" in captured.err
 
 
 def test_universe_list_elements_are_stripped(capsys):
@@ -421,6 +434,23 @@ def test_se_check_accepts_and_refutes(tmp_path, capsys):
     assert main(["se-check", str(a), str(b)]) == EXIT_OK
     code, out = run(capsys, "se-check", str(a), str(c))
     assert code == EXIT_NO
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_se_check_refuses_a_universe_size_below_1(tmp_path, capsys, size):
+    # p. and q. are not strongly equivalent, and a search of no universe
+    # must not report that it found no refutation
+    head = "pred p.\npred q.\nintensional p, q.\n"
+    a = tmp_path / "a.fsm"
+    b = tmp_path / "b.fsm"
+    a.write_text(head + "p.\n")
+    b.write_text(head + "q.\n")
+    assert main(["se-check", str(a), str(b)]) == EXIT_NO
+    capsys.readouterr()
+    code = main(["se-check", "--max-universe", size, str(a), str(b)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR and captured.out == ""
+    assert f"universe size of at least 1, not {size}" in captured.err
 
 
 def test_eliminate_predicate_roundtrip(capsys):

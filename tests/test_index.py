@@ -24,7 +24,7 @@ from fsmkit.interp import (
 )
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    METHOD_REDUCT, METHOD_SECOND_ORDER, GAnd, GImp, GIndex, GOr, Mirrors,
+    METHOD_REDUCT, METHOD_SECOND_ORDER, GAnd, GIndex, GOr, Mirrors,
     _guard, _Kleene, check_stable, check_stable_both, ground, gsat, reduct,
     star, star_of, stable_models, witnesses,
 )
@@ -50,7 +50,7 @@ def index_nodes(g) -> int:
                 stack.extend(h.instances(v))
         elif isinstance(h, (GAnd, GOr)):
             stack.extend(h.members)
-        elif isinstance(h, GImp):
+        elif isinstance(h, Implies):
             stack.extend((h.left, h.right))
     return n
 

@@ -13,10 +13,10 @@ from fsmkit.interp import (
     satisfies, vary_on,
 )
 from fsmkit.parser import parse_program
-from fsmkit.stable import GBOT, classical_models
+from fsmkit.stable import classical_models
 from fsmkit.syntax import (
-    TAG_USER, And, App, Atom, Equal, Exists, Forall, FsmError, Implies, Lit,
-    Not, Var, as_clist,
+    BOT, TAG_USER, And, App, Atom, Equal, Exists, Forall, FsmError, Implies,
+    Lit, Not, Var, as_clist,
 )
 from conftest import definition_signature, small_signature
 
@@ -247,7 +247,7 @@ def test_lazy_enumeration_builds_nothing_ahead(monkeypatch):
     lambda sig, universe: vary_on(FiniteInterpretation(
         sig, universe, {"a": {}, "b": {}},
         {"p": frozenset(), "q": frozenset()}), ["a"]),
-    lambda sig, universe: classical_models(GBOT, sig, universe),
+    lambda sig, universe: classical_models(BOT, sig, universe),
 ], ids=["enumerate_interpretations", "vary_on", "classical_models"])
 def test_an_empty_sort_is_refused_before_any_work(enumerator):
     with pytest.raises(DomainError, match="empty extent for sort 'u'"):

@@ -11,13 +11,13 @@ from fsmkit.interp import (
 )
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    GBOT, GAnd, GAtom, GBot, GEqual, GImp, GOr, METHOD_BOTH, METHOD_REDUCT,
-    METHOD_SECOND_ORDER, check_stable, check_stable_both, gand, gor, ground,
-    gsat, mvp_stable_check, reduct, stable_models, witnesses,
+    GAnd, GOr, METHOD_BOTH, METHOD_REDUCT, METHOD_SECOND_ORDER, check_stable,
+    check_stable_both, gand, gor, ground, gsat, mvp_stable_check, reduct,
+    stable_models, witnesses,
 )
 from fsmkit.syntax import (
-    And, App, Atom, BOT, Choice, Equal, Exists, Forall, FsmError, Implies,
-    Lit, Not, Or, Signature, TOP, Var, conj, fol_representation,
+    And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, FsmError,
+    Implies, Lit, Not, Or, Signature, TOP, Var, conj, fol_representation,
 )
 from conftest import make_gen, random_definition_program, small_signature
 
@@ -163,19 +163,19 @@ def test_mvp_agrees_with_interpretation_route():
 def two_pass_reduct(g, interp):
     """The reduct as first defined: test each implication with gsat, then
     reduce its sides again.  Reference for the single-pass reduct."""
-    if isinstance(g, GBot):
-        return GBOT
-    if isinstance(g, (GAtom, GEqual)):
-        return g if gsat(interp, g) else GBOT
+    if isinstance(g, Bottom):
+        return BOT
+    if isinstance(g, (Atom, Equal)):
+        return g if gsat(interp, g) else BOT
     if isinstance(g, GAnd):
         return gand(two_pass_reduct(m, interp) for m in g.members)
     if isinstance(g, GOr):
         return gor(two_pass_reduct(m, interp) for m in g.members)
-    if isinstance(g, GImp):
+    if isinstance(g, Implies):
         if not gsat(interp, g):
-            return GBOT
-        return GImp(two_pass_reduct(g.left, interp),
-                    two_pass_reduct(g.right, interp))
+            return BOT
+        return Implies(two_pass_reduct(g.left, interp),
+                       two_pass_reduct(g.right, interp))
     raise TypeError(g)
 
 

@@ -16,7 +16,7 @@ from fsmkit.syntax import (
 )
 from fsmkit.interp import FiniteInterpretation, elem_key
 from fsmkit.parser import parse_program
-from fsmkit.stable import GAnd, GAtom, GBot, GEqual, GImp, GIndex, GOr, ground
+from fsmkit.stable import GAnd, GIndex, GOr, ground
 
 from conftest import make_gen
 
@@ -181,9 +181,7 @@ COMPARED = {
     Obj: ("elem",), Bottom: (), Atom: ("pred", "args"),
     Equal: ("left", "right"), And: ("left", "right"), Or: ("left", "right"),
     Implies: ("left", "right"), Forall: ("var", "body"),
-    Exists: ("var", "body"), GBot: (), GAtom: ("pred", "args"),
-    GEqual: ("left", "right"), GImp: ("left", "right"), GAnd: ("members",),
-    GOr: ("members",),
+    Exists: ("var", "body"), GAnd: ("members",), GOr: ("members",),
 }
 
 
@@ -210,9 +208,9 @@ def _ground_nodes(g):
         yield g
         if isinstance(g, (GAnd, GOr)):
             stack += g.order
-        elif isinstance(g, (GImp, GEqual)):
+        elif isinstance(g, (Implies, Equal)):
             stack += (g.left, g.right)
-        elif isinstance(g, GAtom):
+        elif isinstance(g, Atom):
             stack += g.args
 
 
