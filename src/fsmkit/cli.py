@@ -99,13 +99,12 @@ def _is_int(e):
     return isinstance(e, int) and not isinstance(e, bool)
 
 
-def _relative_names(program, flag):
+def _relative_names(sig, flag):
     """The symbols a --relative-to flag lists, or None without the flag;
-    raises FsmError on one the program does not declare."""
+    raises FsmError on one the signature does not declare."""
     if not flag:
         return None
     names = [p.strip() for p in flag.split(",") if p.strip()]
-    sig = program.signature
     for n in names:
         if n not in sig.functions and n not in sig.predicates:
             raise FsmError(f"unknown symbol {n!r}")
@@ -113,8 +112,29 @@ def _relative_names(program, flag):
 
 
 def _relative_to(program, flag):
-    names = _relative_names(program, flag)
+    names = _relative_names(program.signature, flag)
     return as_clist(program.intensional if names is None else names)
+
+
+def _merged_signature(a, b):
+    """a with every declaration of b that a lacks; raises FsmError naming
+    a sort or symbol that a and b declare differently."""
+    merged = a.copy()
+    clash = ((set(a.functions) & set(b.predicates))
+             | (set(a.predicates) & set(b.functions)))
+    if clash:
+        raise FsmError(f"the two programs declare {min(clash)!r} "
+                       "differently")
+    for mine, theirs in ((merged.sorts, b.sorts),
+                         (merged.functions, b.functions),
+                         (merged.predicates, b.predicates),
+                         (merged.background, b.background)):
+        for name, decl in theirs.items():
+            if mine.setdefault(name, decl) != decl:
+                raise FsmError(f"the two programs declare {name!r} "
+                               "differently")
+    merged.subsorts |= b.subsorts
+    return merged
 
 
 def _canonical_models(models):
@@ -299,10 +319,12 @@ def cmd_se_check(args):
     p2 = _load_program(args.file2)
     f = fol_representation(p1)
     g = fol_representation(p2)
-    sig = p1.signature
-    c = _relative_names(p1, args.relative_to)
-    declared = set(sig.sorts) | set(p2.signature.sorts)
-    overrides = (_universe(p1, args.universe, declared) if args.universe
+    sig = _merged_signature(p1.signature, p2.signature)
+    c = _relative_names(sig, args.relative_to)
+    if c is None and set(p1.intensional) != set(p2.intensional):
+        raise FsmError("the two programs declare different intensional "
+                       "symbols; name them with --relative-to")
+    overrides = (_universe(p1, args.universe, sig.sorts) if args.universe
                  else None)
     report = check_strong_equivalence_bounded(
         sig, f, g, c=c, max_size=args.max_universe,

@@ -21,9 +21,9 @@ import itertools
 
 from .syntax import (
     ARITH_FUNCS, And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula,
-    FrozenRecord, FsmError, Implies, Lit, Obj, Or, Signature, Var, _set,
-    as_clist, choice_of, conjuncts, free_vars, guard_term, nodes,
-    rename_symbols, transform,
+    FragmentError, FrozenRecord, FsmError, Implies, Lit, Not, Obj, Or,
+    Signature, TOP, Var, _set, as_clist, choice_of, close_universally, conj,
+    conjuncts, free_vars, guard_term, nodes, rename_symbols, transform,
 )
 from .interp import (
     COMPARE_PREDS, UNDEF, FiniteInterpretation, Locations, _arith, _compare,
@@ -70,26 +70,36 @@ class GOr(_GSet):
 
 
 class GIndex:
-    """The instances of one universally quantified guarded body (see
-    _guard), keyed by the element their guard t = X binds X to, and
-    grounded the first time their key is looked up.
+    """The instances of one quantified guarded body (see _guard), keyed by
+    the element their guard t = X binds X to, and grounded the first time
+    their key is looked up.
 
     Under an interpretation only the instances keyed by the value of t can
-    be false: in every other one each implication has a false antecedent,
-    and so has a reduct that every J satisfies.  The same holds for F*
-    under a mirror extension of I, where t is evaluated as in I.  So the
-    node keeps a template, not the instances: the ground term t, the
-    variable X and the body, the bindings env in force and X's extent over
-    interp's universe.  instances(v) grounds the instances keyed by v once
-    and keeps them, so a key that many checks look up is grounded once.
-    Equality, the hash and the repr read the template and build nothing.
+    differ from the rest.  Under a universal quantifier every other
+    instance has implications with a false antecedent only, so it holds,
+    and so does its reduct under every J; under an existential one every
+    other instance is a conjunction with the false conjunct t = X, so it
+    fails, and its reduct is false under every J.  So the node is the
+    conjunction (exists false) or the disjunction (exists true) of the
+    instances its guard selects.  The same holds for F* under a mirror
+    extension of I, where t is evaluated as in I.  So the node keeps a
+    template, not the instances: the ground term t, the variable X and the
+    body, the bindings env in force and X's extent over interp's universe.
+    instances(v) grounds the instances keyed by v once and keeps them, so
+    a key that many checks look up is grounded once.  A GIndex inside an
+    instance of another (outer) keeps the instances of its last key only:
+    each of its keys comes with one key of the outer node, and keeping
+    every pair would grow as the product of their sorts.  Equality, the
+    hash and the repr read the template and build nothing.
     """
-    __slots__ = ("term", "var", "body", "env", "extent", "interp",
-                 "_hash", "_elements", "_instances")
+    __slots__ = ("term", "var", "body", "exists", "env", "extent", "interp",
+                 "outer", "_hash", "_elements", "_instances")
 
-    def __init__(self, term, var, body, env, extent, interp):
+    def __init__(self, term, var, body, exists, env, extent, interp, outer):
         self.term, self.var, self.body, self.env = term, var, body, env
+        self.exists = exists
         self.extent, self.interp = extent, interp
+        self.outer = outer
         self._hash = None
         self._elements = None   # elem_key -> the elements of the extent
         self._instances = {}    # elem_key -> the instances grounded
@@ -99,18 +109,29 @@ class GIndex:
         key = elem_key(v)
         got = self._instances.get(key)
         if got is None:
-            if self._elements is None:
+            if self.outer is not None:
+                self._instances.clear()
+            got = self._instances[key] = tuple(
+                _ground(self.body, self.interp, {**self.env, self.var: e},
+                        self)
+                for e in self.elements().get(key, ()))
+        return got
+
+    def elements(self) -> dict:
+        """elem_key -> the elements of the extent with that key; shared
+        with the outer node over the same extent."""
+        if self._elements is None:
+            outer = self.outer
+            if outer is not None and outer.extent is self.extent:
+                self._elements = outer.elements()
+            else:
                 self._elements = {}
                 for e in self.extent:
                     self._elements.setdefault(elem_key(e), []).append(e)
-            got = self._instances[key] = tuple(
-                ground(self.body, self.interp, {**self.env, self.var: e},
-                       index=True)
-                for e in self._elements.get(key, ()))
-        return got
+        return self._elements
 
     def _template(self):
-        return (self.term, self.var, self.body,
+        return (self.term, self.var, self.body, self.exists,
                 tuple((x, Obj(e)) for x, e in self.env.items()))
 
     def __eq__(self, other):
@@ -126,7 +147,8 @@ class GIndex:
         return self._hash
 
     def __repr__(self):
-        return f"GIndex({self.term!r}, {Forall(self.var, self.body)!r})"
+        quantifier = Exists if self.exists else Forall
+        return f"GIndex({self.term!r}, {quantifier(self.var, self.body)!r})"
 
 
 def gand(members) -> GAnd:
@@ -155,63 +177,84 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
     over that universe.  The top-level call (env is None) rejects a formula
     with free variables; nested calls bind every variable they meet.
 
-    With index, a universal quantifier over a guarded implication
-    (see _guard) becomes a GIndex on the ground guard term instead of a
-    GAnd.  It grounds an instance only when an evaluation looks up its
-    key, so gsat and the reduct build and visit the guarded instances,
-    not the extent.  The extent itself is read here, so a sort without
-    one fails here as on the plain grounding.
+    With index, a guarded quantifier (see _guard) becomes a GIndex on the
+    ground guard term instead of a GAnd or a GOr.  It grounds an instance
+    only when an evaluation looks up its key, so gsat and the reduct build
+    and visit the guarded instances, not the extent.  The extent itself is
+    read here, so a sort without one fails here as on the plain grounding.
     """
     if env is None:
         if free_vars(f):
             raise FsmError(f"ground: free variables in {f!r}")
         env = {}
+    return _ground(f, interp, env, index)
 
-    def g_term(t):
-        if isinstance(t, Var):
-            return Obj(env[t])
-        if isinstance(t, App):
-            return App(t.fn, tuple(g_term(a) for a in t.args))
-        return t
 
+def _ground(f, interp, env, index):
+    # index is False, True, or the GIndex whose instance f is part of;
+    # the most frequent node types come first
+    if isinstance(f, Equal):
+        return Equal(_ground_term(f.left, env), _ground_term(f.right, env))
+    if isinstance(f, Implies):
+        return Implies(_ground(f.left, interp, env, index),
+                       _ground(f.right, interp, env, index))
+    if isinstance(f, And):
+        return gand([_ground(f.left, interp, env, index),
+                     _ground(f.right, interp, env, index)])
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple([_ground_term(a, env) for a in f.args]))
     if isinstance(f, Bottom):
         return BOT
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(g_term(a) for a in f.args))
-    if isinstance(f, Equal):
-        return Equal(g_term(f.left), g_term(f.right))
-    if isinstance(f, And):
-        return gand([ground(f.left, interp, env, index=index),
-                     ground(f.right, interp, env, index=index)])
     if isinstance(f, Or):
-        return gor([ground(f.left, interp, env, index=index),
-                    ground(f.right, interp, env, index=index)],
+        return gor([_ground(f.left, interp, env, index),
+                    _ground(f.right, interp, env, index)],
                    choice_of(f) is not None)
-    if isinstance(f, Implies):
-        return Implies(ground(f.left, interp, env, index=index),
-                       ground(f.right, interp, env, index=index))
-    if isinstance(f, Forall):
+    if isinstance(f, (Forall, Exists)):
         extent = interp.extent(f.var.sort)
         guard = _guard(f) if index else None
+        exists = isinstance(f, Exists)
         if guard is not None:
-            return GIndex(g_term(guard), f.var, f.body, env, extent, interp)
-        return gand(ground(f.body, interp, {**env, f.var: e}, index=index)
-                    for e in extent)
-    if isinstance(f, Exists):
-        return gor([ground(f.body, interp, {**env, f.var: e}, index=index)
-                    for e in interp.extent(f.var.sort)])
+            return GIndex(_ground_term(guard, env), f.var, f.body, exists,
+                          env, extent, interp,
+                          index if isinstance(index, GIndex) else None)
+        instances = [_ground(f.body, interp, {**env, f.var: e}, index)
+                     for e in extent]
+        return gor(instances) if exists else gand(instances)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _guard(f: Forall):
-    """t when f is forall X ((... & t = X & ...) -> H), with the equation
-    in either orientation and X not free in t; else None.
+def _ground_term(t, env):
+    if isinstance(t, Var):
+        return Obj(env[t])
+    if isinstance(t, App) and t.args:
+        return App(t.fn, tuple([_ground_term(a, env) for a in t.args]))
+    return t
 
-    The body may also be a conjunction of such implications, as star makes
-    of one: (A* -> H*) & (A -> H).  Then t is the first guard of the first
+
+def _guard(f):
+    """The guard term t of a quantified formula f, or None.
+
+    For forall X ((... & t = X & ...) -> H), t, with the equation in
+    either orientation and X not free in t.  The body may also be a
+    conjunction of such implications, as star makes of one:
+    (A* -> H*) & (A -> H).  Then t is the first guard of the first
     conjunct that every other conjunct's antecedent also holds.  When t
     mentions a symbol in c, A* holds both t^ = X and t = X, and only t is
-    shared."""
+    shared.
+
+    For exists X (... & t = X & ...), or a block exists X exists Y ... M
+    whose matrix M is such a conjunction, the first such t in M in which
+    neither X nor a variable the block binds is free.  Each inner
+    quantifier of the block is then indexed on its own when an instance
+    is grounded."""
+    if isinstance(f, Exists):
+        inner, matrix = {f.var}, f.body
+        while isinstance(matrix, Exists):
+            inner.add(matrix.var)
+            matrix = matrix.body
+        return next((t for a in conjuncts(matrix)
+                     if (t := guard_term(a, f.var)) is not None
+                     and not free_vars(t) & inner), None)
     guards = [[t for a in conjuncts(g.left)
                if (t := guard_term(a, f.var)) is not None]
               if isinstance(g, Implies) else []
@@ -280,7 +323,8 @@ class _Kleene:
 
     def guarded(self, g: GIndex):
         """The instances of g whose guard holds, or None while its term is
-        unknown.  An undefined term guards none."""
+        unknown.  An undefined term guards none, so g is true if it is
+        universal and false if it is existential."""
         v = self.term(g.term)
         if v is _UNKNOWN:
             return None
@@ -318,18 +362,14 @@ class _Kleene:
         if isinstance(g, GAnd):
             return self.all(g.order)
         if isinstance(g, GOr):
-            value = False
-            for m in g.order:
-                v = self.holds(m)
-                if v is True:
-                    return True
-                if v is None:
-                    value = None
+            value = self.any(g.order)
             # a choice G | not G is true while G is unknown (excluded middle)
             return g.choice or value
         if isinstance(g, GIndex):
             members = self.guarded(g)
-            return None if members is None else self.all(members)
+            if members is None:
+                return None
+            return self.any(members) if g.exists else self.all(members)
         if isinstance(g, Bottom):
             return False
         raise TypeError(f"not a ground formula: {g!r}")
@@ -340,6 +380,16 @@ class _Kleene:
             v = self.holds(m)
             if v is False:
                 return False
+            if v is None:
+                value = None
+        return value
+
+    def any(self, members):
+        value = False
+        for m in members:
+            v = self.holds(m)
+            if v is True:
+                return True
             if v is None:
                 value = None
         return value
@@ -356,8 +406,9 @@ def reduct(g, interp: FiniteInterpretation):
 
     One bottom-up pass: each atom is evaluated once, and whether a node
     holds in interp is derived from its members instead of re-evaluated.
-    A GIndex reduces to the conjunction of its guarded instances: the
-    others have a false antecedent, so every J satisfies their reduct.
+    A GIndex reduces to the conjunction (the disjunction, for an
+    existential) of the reducts of its guarded instances: every other
+    instance has a reduct that every J satisfies (that no J satisfies).
     """
     return _reduct_pass(g, _Kleene(interp))[1]
 
@@ -382,6 +433,8 @@ def _reduct_pass(g, kleene):
         return any(s for s, _ in pairs), gor(r for _, r in pairs)
     if isinstance(g, GIndex):
         pairs = [_reduct_pass(m, kleene) for m in kleene.guarded(g)]
+        if g.exists:
+            return any(s for s, _ in pairs), gor(r for _, r in pairs)
         return all(s for s, _ in pairs), gand(r for _, r in pairs)
     if isinstance(g, Bottom):
         return False, BOT
@@ -721,8 +774,9 @@ def _reads(g, table: Locations, symbols) -> set:
     formula g, or its reduct, may read.  A term or an atom n(args) reads
     one location when every argument is an element, or a variable bound
     in a GIndex's env, and every location of n otherwise.  A leaf of g is
-    a formula node, and nodes walks it as it is; a GIndex reads its guard
-    term and the terms of its body, whatever element the guard binds."""
+    a formula node, and nodes walks it as it is; a GIndex, universal or
+    existential, reads its guard term and the terms of its body, whatever
+    element the guard binds."""
     out = set()
 
     def walk(x, env):
@@ -896,6 +950,81 @@ def prepare(f: Formula, c, sig: Signature, universe: dict,
     return shared
 
 
+def support(f: Formula, c, sig: Signature, universe: dict,
+            fixed_funcs=None):
+    """The support half of the completion of F, grounded with the index
+    over the universe, when the completion theorem decides stability on
+    the reduct route; else None.
+
+    Let F' be the Clark normal form of F (to_clark_normal_form), with one
+    definition forall x (G -> p(x)) or forall x y (G -> f(x) = y) per
+    member of c.  Its support is the conjunction of forall x (p(x) -> G)
+    and forall x y (f(x) = y -> G).  F' is equivalent to F, so a model of
+    F that satisfies the support satisfies the completion of F'.  When F
+    is c-plain, F and F' have the same stable models relative to c (p(a)
+    with a in c is not c-plain, and its normal form forall X (X = a ->
+    p(X)) has other stable models).  When F' is tight on c and every value
+    sort of a function in c has at least two elements, those are exactly
+    the models of the completion of F' (Fages; Erdem and Lifschitz; the
+    completion theorem for intensional functions).  The theorem is about
+    total interpretations, so every table in fixed_funcs must be total;
+    and no member of c may be fixed, since stable_models checks one
+    ground component at a time, and the support of a location outside the
+    component holds only where the candidate leaves it undefined or false.
+    A choice rule's case of G holds not not H, which is true wherever the
+    support reads G, so it is left out (see _assuming).
+    """
+    # transforms imports this module
+    from .transforms import (
+        _definitions, is_c_plain, is_tight, to_clark_normal_form,
+    )
+    c = as_clist(c)
+    if not is_c_plain(f, c, sig):
+        return None
+    fixed_funcs = fixed_funcs or {}
+    base = FiniteInterpretation(sig, universe)
+    for n in c.func_part(sig):
+        if n in fixed_funcs:
+            return None
+        if len({elem_key(e) for e in base.extent(sig.functions[n][1])}) < 2:
+            return None
+    for n in sig.functions:
+        if n in fixed_funcs and not all(
+                args in fixed_funcs[n] for args in itertools.product(
+                    *[base.extent(s) for s in sig.functions[n][0]])):
+            return None
+    try:
+        cnf = to_clark_normal_form(f, c, sig)
+    except FragmentError:
+        return None
+    if not is_tight(cnf, c):
+        return None
+    defs, _ = _definitions(cnf, c, sig)
+    return ground(conj(close_universally(
+        Implies(head, _assuming(body, Not(Not(head)))), variables)
+        for variables, body, head in map(defs.get, c)), base, index=True)
+
+
+def _assuming(f: Formula, fact: Formula) -> Formula:
+    """f with fact read as true: each occurrence becomes TOP, and a
+    conjunction, disjunction or existential that TOP decides is
+    simplified (an extent is never empty)."""
+    def step(g, new):
+        if g == fact:
+            return TOP
+        if isinstance(new, And):
+            if new.left == TOP:
+                return new.right
+            if new.right == TOP:
+                return new.left
+        if isinstance(new, Or) and TOP in (new.left, new.right):
+            return TOP
+        if isinstance(new, Exists) and new.body == TOP:
+            return TOP
+        return new
+    return transform(f, step)
+
+
 def stable_models(f: Formula, c, sig: Signature, universe: dict,
                   fixed_funcs=None, method: str = METHOD_REDUCT):
     """All stable models of F relative to c over the given finite universe,
@@ -924,6 +1053,13 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
     all the completions are models; a choice G | not G holds whatever G is
     (excluded middle); and smaller_witness stops as soon as some J <^c I is
     sure to satisfy the reduct (the <^c success rule).
+
+    When the completion theorem applies (see support), a candidate is
+    checked with two gsat calls instead: on the component's conjuncts, as
+    check_stable starts, so that an arithmetic error is raised there as
+    before, and on the grounded support, which holds for every location
+    outside the component, since the candidate leaves it undefined or
+    false.  No reduct is built and no witness is searched.
     """
     c = as_clist(c)
     check = checker(method)
@@ -936,14 +1072,20 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
     outside, vary = _outside(sig, universe, fixed_funcs)
     # a c-symbol in fixed_funcs is not searched for I, but J can vary it
     fixed_c = [n for n in c.names if n not in vary]
+    supported = support(f, c, sig, universe, fixed_funcs)
     parts = []      # per component: its stable assignments, position -> index
     for g, positions in _components(shared["grounding"], table,
                                     vary + fixed_c):
         searched = [p for p in positions if table.keys[p][0] not in fixed_c]
-        stable = [dict(zip(searched, key)) for key, i in classical_models(
-                      g, sig, universe, fixed_funcs, table, searched)
-                  if check(f, c, i, grounding=g, locations=table,
-                           positions=positions)]
+        candidates = classical_models(g, sig, universe, fixed_funcs, table,
+                                      searched)
+        if supported is None:
+            stable = [dict(zip(searched, key)) for key, i in candidates
+                      if check(f, c, i, grounding=g, locations=table,
+                               positions=positions)]
+        else:
+            stable = [dict(zip(searched, key)) for key, i in candidates
+                      if gsat(i, g) and gsat(i, supported)]
         if not stable:
             return []
         parts.append(stable)

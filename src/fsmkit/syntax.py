@@ -601,10 +601,21 @@ class Program(Record):
 
 
 class IntensionalList(FrozenRecord):
-    __slots__ = ("names",)
+    """The intensional symbols c, in their order.  members holds them as a
+    frozenset for membership tests; it is not part of equality, the hash
+    or the repr."""
+    __slots__ = ("names", "members")
+    _uncompared = ("members",)
 
     def __init__(self, names: tuple):
         _set(self, "names", names)
+        _set(self, "members", frozenset(names))
+
+    def __repr__(self):
+        return f"IntensionalList(names={self.names!r})"
+
+    def __reduce__(self):
+        return IntensionalList, (self.names,)
 
     @classmethod
     def of(cls, names):
@@ -620,7 +631,7 @@ class IntensionalList(FrozenRecord):
         return tuple(n for n in self.names if n in sig.functions)
 
     def __contains__(self, name):
-        return name in self.names
+        return name in self.members
 
     def __iter__(self):
         return iter(self.names)
@@ -828,14 +839,15 @@ def strictly_positive(f: Formula) -> Iterator[Formula]:
 
 
 def strictly_positive_symbols(f: Formula, names) -> set:
-    """The given constant names that occur strictly positively in f."""
-    names = set(names)
+    """The given constant names that occur strictly positively in f.  Pass
+    a set (such as IntensionalList.members): each atom's symbols are
+    intersected with names as given."""
     return {n for g in strictly_positive(f) if isinstance(g, (Atom, Equal))
-            for n in symbols(g) & names}
+            for n in symbols(g).intersection(names)}
 
 
 def negative_on(f: Formula, c) -> bool:
     """True iff F has no strictly positive occurrence of any member of c."""
-    names = set(as_clist(c).names)
+    names = as_clist(c).members
     return not any(symbols(g) & names for g in strictly_positive(f)
                    if isinstance(g, (Atom, Equal)))

@@ -199,8 +199,8 @@ def dependency_graph(f: Formula, c) -> dict:
     edges = {n: set() for n in c}
     for g in strictly_positive(f):
         if isinstance(g, Implies):
-            bodies = strictly_positive_symbols(g.left, c.names)
-            for h in strictly_positive_symbols(g.right, c.names):
+            bodies = strictly_positive_symbols(g.left, c.members)
+            for h in strictly_positive_symbols(g.right, c.members):
                 edges[h] |= bodies
     return {n: sorted(ms) for n, ms in edges.items()}
 

@@ -436,6 +436,52 @@ def test_se_check_accepts_and_refutes(tmp_path, capsys):
     assert code == EXIT_NO
 
 
+def test_se_check_merges_the_two_signatures(tmp_path, capsys):
+    # each program declares a symbol the other does not
+    a = tmp_path / "a.fsm"
+    b = tmp_path / "b.fsm"
+    a.write_text("pred p.\nintensional p.\np.\n")
+    b.write_text("pred q.\nintensional q.\nq.\n")
+    code, out = run(capsys, "se-check", str(a), str(b), "--relative-to", "p,q")
+    assert code == EXIT_NO
+    assert out.splitlines()[0] == "refuted: classical models differ"
+    code = main(["se-check", str(a), str(b), "--relative-to", "p,r"])
+    assert code == EXIT_ERROR
+    assert "unknown symbol 'r'" in capsys.readouterr().err
+
+
+def test_se_check_refuses_differing_intensional_lists(tmp_path, capsys):
+    a = tmp_path / "a.fsm"
+    b = tmp_path / "b.fsm"
+    a.write_text("pred p.\nintensional p.\np.\n")
+    b.write_text("pred q.\nintensional q.\nq.\n")
+    code = main(["se-check", str(a), str(b)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR and captured.out == ""
+    assert "different intensional symbols" in captured.err
+    assert "--relative-to" in captured.err
+
+
+@pytest.mark.parametrize("first, second, name", [
+    ("pred p.\nintensional p.\np.\n",
+     "func p : -> bool.\nintensional p.\np = true.\n", "p"),
+    ("sort s = {x, y}.\npred p : s.\nintensional p.\np(x).\n",
+     "sort s = {x}.\npred p : s.\nintensional p.\np(x).\n", "s"),
+    ("sort s = {x}.\npred p : s.\nintensional p.\np(x).\n",
+     "sort s = {x}.\npred p.\nintensional p.\np.\n", "p"),
+], ids=["function-or-predicate", "sort", "arity"])
+def test_se_check_refuses_conflicting_declarations(tmp_path, capsys, first,
+                                                   second, name):
+    a = tmp_path / "a.fsm"
+    b = tmp_path / "b.fsm"
+    a.write_text(first)
+    b.write_text(second)
+    code = main(["se-check", str(a), str(b)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR and captured.out == ""
+    assert f"declare {name!r} differently" in captured.err
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_se_check_refuses_a_universe_size_below_1(tmp_path, capsys, size):
     # p. and q. are not strongly equivalent, and a search of no universe

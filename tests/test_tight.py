@@ -1,0 +1,292 @@
+"""The tight path of the reduct route and the guard index for an
+existential: stable_models against generate-and-test (check_stable over
+every interpretation), the conditions under which the path is not taken,
+the existential index against the plain grounding, and the work the path
+saves."""
+
+import random
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from fsmkit import stable
+from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
+from fsmkit.parser import parse_program
+from fsmkit.stable import (
+    GIndex, GOr, _guard, check_stable, ground, prepare, stable_models,
+    support,
+)
+from fsmkit.syntax import (
+    And, App, Atom, Equal, Exists, Implies, Lit, Not, Or, Var,
+    fol_representation,
+)
+from conftest import make_gen, random_choice_program
+from test_index import (
+    A, EQUAL_ELEMENTS, INTS, X, assert_index_agrees,
+    assert_star_index_agrees, edge_interps, edge_signature,
+)
+from test_search import SWITCHES_2, demo, filtered_models, program, \
+    searched_models
+from test_split import disjoint_copies
+
+
+def generate_and_test(f, c, sig, universe, fixed_funcs=None):
+    """The stable models by the reduct route's check of every
+    interpretation, in enumeration order."""
+    shared = prepare(f, c, sig, universe)
+    return [i for i in enumerate_interpretations(sig, universe, fixed_funcs)
+            if check_stable(f, c, i, **shared)]
+
+
+def assert_tight_path(f, c, sig, universe, fixed_funcs=None, taken=True):
+    """stable_models equals generate-and-test, as a list, and the tight
+    path is taken (or not) as expected.  Returns the models."""
+    assert (support(f, c, sig, universe, fixed_funcs) is not None) == taken
+    models = stable_models(f, c, sig, universe, fixed_funcs)
+    assert models == generate_and_test(f, c, sig, universe, fixed_funcs), \
+        (f, c, fixed_funcs)
+    return models
+
+
+# ---------------------------------------------------------------------------
+# the tight path against generate-and-test
+
+#: the intensional symbols of each copy: all of them, or a subset as with
+#: --relative-to
+COPY_CS = [("f", "g", "p"), ("f",), ("g", "p"), ("f", "p")]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(seed=st.integers(0, 2 ** 32),
+       cs=st.lists(st.sampled_from(COPY_CS), min_size=2, max_size=2),
+       unread=st.sampled_from([("pred", True), ("pred", False),
+                               ("func", False)]))
+def test_tight_path_on_copies_of_choice_programs(seed, cs, unread):
+    # choice rules and defaults, two disjoint copies (two or more ground
+    # components), and r, which no rule reads
+    rng = random.Random(seed)
+    sig = random_choice_program(rng)[0]
+    formulas = [random_choice_program(rng)[1] for _ in cs]
+    f, c, sig = disjoint_copies(sig, formulas, cs, unread)
+    universe = {"u": sig.sorts["u"].elements}
+    table = stable.Locations(sig, universe)
+    g = ground(f, FiniteInterpretation(sig, universe), index=True)
+    assert len(stable._components(g, table, sig.user_symbols())) >= 2
+    assert_tight_path(f, c, sig, universe)
+
+
+def test_tight_path_finds_stable_models_of_choice_programs():
+    # most choice programs have several stable models, so the lists
+    # compared above are not all empty
+    found = 0
+    for seed in range(12):
+        sig, f = random_choice_program(random.Random(seed))
+        for c in COPY_CS:
+            found += len(assert_tight_path(f, c, sig, {"u": (1, 2)}))
+    assert found >= 60
+
+
+def test_tight_path_on_the_watertank():
+    f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(8)))
+    assert len(assert_tight_path(f, c, sig, universe)) == 2 * 7 + 1
+    fixed = {"amt0": {(): 3}}
+    assert len(assert_tight_path(f, c, sig, universe, fixed)) == 2
+
+
+# ---------------------------------------------------------------------------
+# where the path is not taken
+
+ONE_VALUE = """\
+sort one = {z}.
+sort u = 1..2.
+func h : -> one.
+func k : -> u.
+intensional h, k.
+{ k = 1 }.
+"""
+
+
+def test_a_c_function_over_a_one_element_sort_falls_back():
+    # no rule defines h, so its completion leaves h without a value, yet
+    # every I is stable on h: no J can give it another value
+    f, c, sig, universe = program(ONE_VALUE)
+    models = assert_tight_path(f, c, sig, universe, taken=False)
+    assert [m.funcs["h"] for m in models] == [{(): "z"}]
+
+
+def test_a_partial_fixed_table_falls_back():
+    for seed in range(6):
+        sig, f = random_choice_program(random.Random(seed))
+        for fixed in ({"g": {}}, {"g": {(): 2}}):
+            assert_tight_path(f, ("f", "p"), sig, {"u": (1, 2)}, fixed,
+                              taken=bool(fixed["g"]))
+
+
+def test_a_fixed_c_function_falls_back():
+    # a fixed c-function is defined in every component's candidate, where
+    # its support would read the other components' undefined locations
+    sig, f = random_choice_program(random.Random(3))
+    f, c, sig = disjoint_copies(sig, [f, f], [("f", "g", "p")] * 2,
+                                ("pred", False))
+    assert_tight_path(f, c, sig, {"u": (1, 2)}, {"g0": {(): 1}},
+                      taken=False)
+
+
+def test_a_non_plain_program_falls_back():
+    # p(a) with a in c is not c-plain: its Clark normal form
+    # forall X (X = a -> p(X)) has no stable model, p(a) has one per a
+    sig, _ = make_gen(0)
+    f = Atom("p", (A,))
+    models = assert_tight_path(f, ("a", "p"), sig, {"u": (1, 2)},
+                               taken=False)
+    assert len(models) == 8
+
+
+def test_a_program_that_is_not_tight_falls_back():
+    f, c, sig, universe = program(SWITCHES_2)
+    assert support(f, c, sig, universe) is None
+
+
+# ---------------------------------------------------------------------------
+# the guard index of an existential
+
+E = Var("E", "u")
+W = Var("W", "u")
+
+
+def guarded_exists(gen, n):
+    """exists E (B & t = E), or with E = t, for random B and closed t; when
+    n % 3 == 2, a block exists E exists W (B & W = s & t = E), where s may
+    be E itself or mention it."""
+    t = gen.term(())
+    guard = Equal(t, E) if n % 2 else Equal(E, t)
+    if n % 3 != 2:
+        return Exists(E, And(gen.formula(2, [E]), guard))
+    inner = Equal(W, gen.term([E]))
+    return Exists(E, Exists(W, And(And(gen.formula(2, [E, W]), inner),
+                                   guard)))
+
+
+def in_context(gen, n):
+    """A guarded existential alone, under a negation, as an antecedent, or
+    beside a random formula."""
+    e = guarded_exists(gen, n)
+    return (e, Not(e), Implies(e, gen.formula(2)),
+            Or(gen.formula(2), e))[n % 4]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), unary=st.booleans(),
+       arith=st.booleans(), n=st.integers(0, 11),
+       c=st.sampled_from([("a", "p"), ("p",), ("a", "b"), ("f",)]))
+def test_exists_index_agrees_with_the_plain_grounding(seed, unary, arith, n,
+                                                      c):
+    sig, gen = make_gen(seed, with_unary_func=unary, with_arith=arith)
+    if "f" in c and not unary:
+        c = ("a", "p")
+    universe = {"u": (1, 2)}
+    base = FiniteInterpretation(sig, universe)
+    f = in_context(gen, n)
+    interps = list(enumerate_interpretations(sig, universe))
+    # gsat on both groundings equals satisfies, and so do the reducts
+    # under every J that differs from I on c
+    assert assert_index_agrees(f, c, interps, base) >= 1
+    assert_star_index_agrees(f, c, interps, universe)
+    g = ground(f, base, index=True)
+    assert (searched_models(g, sig, universe)
+            == filtered_models(g, sig, universe)), f
+    assert (stable_models(f, c, sig, universe)
+            == stable_models(f, c, sig, universe, method="second-order"))
+
+
+def exists_guarded_by(guard):
+    return Exists(X, And(guard, Atom("p", (X,))))
+
+
+@pytest.mark.parametrize("guard", [
+    Equal(A, X), Equal(X, A),
+    Equal(App("h", (A,)), X),               # h is partial: false if undefined
+    Equal(App("t", ()), X),                 # a bool over int elements
+    Equal(App("+", (A, Lit(1))), X),        # outside the extent: false
+], ids=["t=X", "X=t", "undef", "bool", "outside"])
+@pytest.mark.parametrize("elements", [INTS, EQUAL_ELEMENTS],
+                         ids=["ints", "equal-elements"])
+def test_exists_guard_edge_cases(guard, elements):
+    f = exists_guarded_by(guard)
+    sig = edge_signature(elements)
+    base = FiniteInterpretation(sig, {"u": elements})
+    assert isinstance(ground(f, base, index=True), GIndex)
+    assert assert_index_agrees(f, ("a", "p"), edge_interps(sig, elements),
+                               base) == 1
+
+
+def test_exists_guard_shapes():
+    s = App("h", (E,))
+    # a guard in a block may not mention a variable the block binds
+    assert _guard(Exists(E, Exists(W, And(Equal(W, A), Equal(s, E))))) \
+        is None
+    assert _guard(Exists(E, Exists(W, And(Equal(W, s), Equal(A, E))))) == A
+    assert _guard(Exists(E, Exists(W, And(Equal(W, E), Equal(E, W))))) \
+        is None
+    # no equation on E: a plain disjunction over the extent
+    f = Exists(E, Atom("p", (E,)))
+    assert _guard(f) is None
+    base = FiniteInterpretation(edge_signature((0, 1)), {"u": (0, 1)})
+    assert isinstance(ground(f, base, index=True), GOr)
+
+
+# ---------------------------------------------------------------------------
+# work
+
+def count_checks(monkeypatch, f, c, sig, universe):
+    """(stable models, calls of stable.reduct, calls of
+    stable.smaller_witness) of one stable_models run."""
+    count = {"reduct": 0, "smaller_witness": 0}
+    for name in count:
+        def counting(*args, _name=name, _inner=getattr(stable, name),
+                     **kwargs):
+            count[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(stable, name, counting)
+    models = stable_models(f, c, sig, universe)
+    monkeypatch.undo()
+    return len(models), count["reduct"], count["smaller_witness"]
+
+
+def test_the_tight_path_builds_no_reduct(monkeypatch):
+    # watertank at amt=0..40: 1,722 classical models, 81 stable; each was
+    # checked with a reduct and a witness search before the tight path
+    f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(41)))
+    assert count_checks(monkeypatch, f, c, sig, universe) == (81, 0, 0)
+
+
+def test_a_program_that_is_not_tight_checks_as_before(monkeypatch):
+    # 2 components x 5 classical models, each checked in full
+    f, c, sig, universe = program(SWITCHES_2)
+    assert count_checks(monkeypatch, f, c, sig, universe) == (16, 10, 10)
+
+
+def test_the_support_keeps_no_pair_of_nested_keys():
+    # the existential inside each instance of the support's index on amt1
+    # keeps the instances of its last key (amt0) only, and reads the keys
+    # of the extent from the outer node
+    f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(21)))
+    s = support(f, c, sig, universe)
+    for v in range(21):
+        inner = s.instances(v)[0].right.order[0]
+        assert isinstance(inner, GIndex) and inner.exists
+        assert inner.outer is s and inner.elements() is s.elements()
+        for u in range(21):
+            inner.instances(u)
+        assert len(inner._instances) == 1
+    assert len(s._instances) == 21
+
+
+def test_the_support_reads_a_choice_without_its_double_negation():
+    prog = parse_program("sort u = 0..2.\nvar X : u.\nfunc a : -> u.\n"
+                         "func b : -> u.\nintensional b.\n"
+                         "{ b = X } :- a = X.\n")
+    f = fol_representation(prog)
+    s = support(f, prog.intensional, prog.signature, prog.universe)
+    assert "->" not in repr(s.body.right)

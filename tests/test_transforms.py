@@ -1,14 +1,17 @@
 """Normal forms, completion, tightness, unfolding, strong equivalence."""
 
+import pickle
 import random
 
 import pytest
 
 from fsmkit.interp import FiniteInterpretation, enumerate_interpretations, satisfies
+from fsmkit.parser import parse_program
 from fsmkit.stable import check_stable_both, stable_models
 from fsmkit.syntax import (
     And, App, Atom, BOT, Choice, ContractViolation, Equal, Exists, Forall,
-    FragmentError, Implies, Lit, Not, Or, Signature, TOP, Var, conj,
+    FragmentError, Implies, IntensionalList, Lit, Not, Or, Signature, TOP,
+    Var, as_clist, conj, fol_representation,
 )
 from fsmkit.transforms import (
     check_strong_equivalence_bounded, complete, dependency_graph, find_cycle,
@@ -166,3 +169,49 @@ def test_strong_equivalence_negated_head_vs_constraint():
     eq1 = Equal(App("c", ()), Lit(1))
     assert check_strong_equivalence_bounded(sig, Not(eq1), Implies(eq1, BOT),
                                             c=("c",))
+
+
+# ---------------------------------------------------------------------------
+# membership in c
+
+class CountingNames(tuple):
+    """A tuple of names that counts how often it is scanned."""
+    scans = 0
+
+    def __iter__(self):
+        CountingNames.scans += 1
+        return super().__iter__()
+
+    def __contains__(self, name):
+        CountingNames.scans += 1
+        return super().__contains__(name)
+
+
+def chain_scans(n):
+    """Scans of c's names while dependency_graph and to_clark_normal_form
+    run on the chain p0. p(k+1) :- p(k). of n intensional predicates."""
+    names = [f"p{k}" for k in range(n)]
+    text = "".join(f"pred {p}.\n" for p in names) + "p0.\n" + "".join(
+        f"p{k + 1} :- p{k}.\n" for k in range(n - 1))
+    prog = parse_program(text)
+    f = fol_representation(prog)
+    c = IntensionalList(CountingNames(names))
+    CountingNames.scans = 0
+    assert dependency_graph(f, c)["p1"] == ["p0"]
+    to_clark_normal_form(f, c, prog.signature)
+    return CountingNames.scans
+
+
+def test_membership_in_c_does_not_scan_its_names():
+    # a membership test per atom that scanned c, or built a set of it,
+    # made both walks O(rules * |c|)
+    assert chain_scans(40) == chain_scans(10)
+
+
+def test_intensional_list_keeps_equality_hash_and_repr():
+    c = as_clist(("b", "a"))
+    assert c == IntensionalList(("b", "a")) != as_clist(("a", "b"))
+    assert hash(c) == hash((("b", "a"),))
+    assert repr(c) == "IntensionalList(names=('b', 'a'))"
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert "a" in c and "z" not in c and list(c) == ["b", "a"]
