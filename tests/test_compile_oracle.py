@@ -1,0 +1,62 @@
+"""The benchmark's compile oracle, run in-process.
+
+perfbench/golden.json holds the SHA-256 of the output of parse,
+check-tight, complete and to-smt on the car unrolling that
+perfbench/gen.py writes.  This test runs the same four commands through
+fsmkit.cli.main on rule order 0 and compares the digests, so that a byte
+change in the compile path fails here and not first in the benchmark.  It
+only reads the two files.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import pathlib
+import sys
+
+from fsmkit.cli import main
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+# the argument lists of perfbench/workloads.py's COMPILE_COMMANDS
+COMMANDS = {
+    "parse": ["parse"],
+    "check-tight": ["check-tight"],
+    "complete": ["complete"],
+    "to-smt": ["to-smt", "--background", "reals"],
+}
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  BENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    # leave no __pycache__ behind in the benchmark's directory
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_compile_outputs_match_the_benchmark_digests(tmp_path):
+    gen = _load_gen()
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+    text = gen.car(0, golden["steps"])
+    row = golden["variants"]["0"]
+    assert _sha256(text) == row["input"]
+    path = tmp_path / "car.fsm"
+    path.write_text(text, encoding="utf-8")
+    for label, argv in COMMANDS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + [str(path)])
+        assert code == 0, label
+        assert _sha256(out.getvalue()) == row[label], label

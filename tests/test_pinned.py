@@ -1,7 +1,9 @@
-"""Exact-output pins for the formula transformations.
+"""Exact-output pins for the parser and the formula transformations.
 
-Each case is a CLI run (grounding, completion, unfolding, both
-eliminations, sort merging, SMT emission) on a demo or an inline program, or a library call
+Each case is a CLI run (parsing, the tightness check, grounding,
+completion, unfolding, both eliminations, sort merging, SMT emission) on a
+demo or an inline program, the error a malformed input raises (message,
+file:line:col and span), or a library call
 (star, relativize, rename_symbols, the IF-program diamond, unfolding and the
 eliminations) on the seeded formula generators of conftest.py.  The SHA-256
 of each printed result is recorded in pinned_outputs.json; every case must
@@ -21,6 +23,7 @@ import tempfile
 
 from fsmkit.cli import main
 from fsmkit.eliminations import eliminate_function, eliminate_predicate
+from fsmkit.parser import ParseError, parse_formula, parse_program
 from fsmkit.related import _check_if_fragment, _diamond
 from fsmkit.sortsred import relativize
 from fsmkit.stable import Mirrors, star
@@ -79,6 +82,8 @@ PROGRAMS = {
 }
 
 COMMANDS = {
+    "parse": ["parse"],
+    "check-tight": ["check-tight"],
     "ground": ["ground"],
     "complete": ["complete"],
     "unfold": ["unfold"],
@@ -98,6 +103,68 @@ ELIMINATIONS = {
               ["--pred", "done", "--to-func", "donef"],
               ["--func", "paint", "--to-pred", "paintg"]],
 }
+
+
+# malformed programs: each raises a ParseError whose text and span are pinned
+BAD_PROGRAMS = {
+    "unexpected-char": "% header\n\n\t% indented comment\npred p.\n\t\tp :- p $ p.\n",
+    "unexpected-char-first": "$",
+    "unexpected-char-after-comment": "pred p. % c\np @.\n",
+    "crlf": "pred p.\r\npred q.\r\n  p :- q ? q.\r\n",
+    "unknown-sort": "pred p : nosuch.\n",
+    "unknown-sort-func": "sort s = {a}.\nfunc f : s * t -> s.\n",
+    "undeclared-symbol": "pred p.\np :- q.\n",
+    "arity-pred": "pred p : int.\np(1, 2).\n",
+    "arity-func": "func f : int -> int.\n:- f(1, 2) = 3.\n",
+    "missing-dot": "pred p.\npred q.\np :- q\nq.\n",
+    "missing-dot-eof": "pred p.\np\n  % trailing comment\n\n",
+    "expected-term-eof": "pred p.\n:- \n",
+    "non-numeric-lt": "sort s = {a, b}.\nobject o : s.\n:- o < 1.\n",
+    "non-numeric-ge": "sort s = {a, b}.\nobject o : s.\n:- 2 >= o.\n",
+    "no-common-supersort": "sort s = {a}.\nsort t = {b}.\nobject o : s.\n"
+                           "object u : t.\n:- o = u.\n",
+    "argument-sort": "sort s = {a}.\npred p : int.\nobject o : s.\n:- p(o).\n",
+    "keyword-as-term": "pred p : int.\n:- p(forall).\n",
+    "unsorted-variable": "pred p : int.\n:- forall X (p(X)).\n",
+    "variable-applied": "var X : int.\npred p : int.\n:- p(X(1)).\n",
+    "not-an-atom": "object o : int.\n:- o.\n",
+    "range-bounds": "sort s = 1.5..3.\n",
+    "range-bounds-fraction": "sort s = 1.5 .. 3.\n",
+    "open-paren": "pred p.\npred q.\n:- (p & q.\n",
+    "open-brace": "pred p.\n{ p :- p.\n",
+    "expected-name": "pred 3.\n",
+    "expected-number": "sort s = 1..x.\n",
+}
+
+# malformed formulas, parsed over this signature
+BAD_FORMULAS = {
+    "trailing-input": "p q",
+    "trailing-paren": "p & q)",
+    "empty": "  % only a comment",
+}
+
+
+def _formula_signature():
+    return parse_program("pred p.\npred q.\n").signature
+
+
+def _parse_error(parse, *args):
+    try:
+        parse(*args)
+    except ParseError as e:
+        return f"{e}\n{e.span!r}"
+    return "no error"
+
+
+def parse_error_outputs():
+    outputs = {}
+    for label, text in BAD_PROGRAMS.items():
+        outputs[f"parse-error/{label}"] = _parse_error(
+            parse_program, text, "bad.fsm")
+    for label, text in BAD_FORMULAS.items():
+        outputs[f"parse-error/formula/{label}"] = _parse_error(
+            parse_formula, text, _formula_signature())
+    return outputs
 
 
 def _cli(argv):
@@ -174,7 +241,8 @@ def generator_outputs():
 
 
 def all_outputs(work):
-    return {**cli_outputs(work), **generator_outputs()}
+    return {**cli_outputs(work), **parse_error_outputs(),
+            **generator_outputs()}
 
 
 def _digest(text):
