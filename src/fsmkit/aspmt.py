@@ -124,17 +124,30 @@ class SmtScript(Record):
 
 
 def _simplify_not_not(f):
+    """f with every double negation removed; a subformula that has none is
+    returned itself."""
     inner = is_not(f)
     if inner is not None:
         inner2 = is_not(inner)
         if inner2 is not None:
             return _simplify_not_not(inner2)
-        return Not(_simplify_not_not(inner))
+        new = _simplify_not_not(inner)
+        return f if new is inner else Not(new)
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(_simplify_not_not(f.left), _simplify_not_not(f.right))
+        return _rebuilt(f, _simplify_not_not(f.left),
+                        _simplify_not_not(f.right))
     if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _simplify_not_not(f.body))
+        body = _simplify_not_not(f.body)
+        return f if body is f.body else type(f)(f.var, body)
     return f
+
+
+def _rebuilt(f, left, right):
+    """The binary connective f over left and right: f itself when both are
+    its own children."""
+    if left is f.left and right is f.right:
+        return f
+    return type(f)(left, right)
 
 
 def _finite_extent(sig: Signature, sort, bg: BackgroundTheory):
@@ -166,10 +179,11 @@ def _expand_finite_quantifiers(f, sig, bg):
             for p in parts[1:]:
                 out = Or(out, p)
             return out
-        return type(f)(f.var, _expand_finite_quantifiers(f.body, sig, bg))
+        body = _expand_finite_quantifiers(f.body, sig, bg)
+        return f if body is f.body else type(f)(f.var, body)
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(_expand_finite_quantifiers(f.left, sig, bg),
-                       _expand_finite_quantifiers(f.right, sig, bg))
+        return _rebuilt(f, _expand_finite_quantifiers(f.left, sig, bg),
+                        _expand_finite_quantifiers(f.right, sig, bg))
     return f
 
 
@@ -190,7 +204,7 @@ def eliminate_background_quantifiers(f, fresh=None):
                 rest = cs[:idx] + cs[idx + 1:]
                 replaced = subst(conj(rest), {f.var: t}) if rest else TOP
                 return eliminate_background_quantifiers(replaced, fresh)
-        return Exists(f.var, body)
+        return f if body is f.body else Exists(f.var, body)
     if isinstance(f, Forall):
         y = f.var
         body = f.body
@@ -233,10 +247,10 @@ def eliminate_background_quantifiers(f, fresh=None):
         if body2 != body:
             # the simplified body may expose a guard for y, so retry
             return eliminate_background_quantifiers(Forall(y, body2), fresh)
-        return Forall(y, body2)
+        return f
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(eliminate_background_quantifiers(f.left, fresh),
-                       eliminate_background_quantifiers(f.right, fresh))
+        return _rebuilt(f, eliminate_background_quantifiers(f.left, fresh),
+                        eliminate_background_quantifiers(f.right, fresh))
     return f
 
 
@@ -477,14 +491,12 @@ class DecodeError(FsmError):
     pass
 
 
-def _sexpr_tokens(text):
-    for m in re.finditer(r"\(|\)|[^\s()]+", text):
-        yield m.group()
+_SEXPR_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 
 def parse_sexprs(text):
     stack = [[]]
-    for tok in _sexpr_tokens(text):
+    for tok in _SEXPR_TOKEN_RE.findall(text):
         if tok == "(":
             stack.append([])
         elif tok == ")":
@@ -582,6 +594,10 @@ def decode_model(text: str, script: SmtScript, sig: Signature,
 # grammar validation
 
 _SYMBOL = r"[A-Za-z~!@$%^&*+=<>.?/_-][A-Za-z0-9~!@$%^&*+=<>.?/_-]*"
+#: a lexically valid atom: a numeral or decimal, a symbol, a keyword, a
+#: quoted symbol or a string literal
+_ATOM_RE = re.compile(r'-?\d+(?:\.\d+)?|' + _SYMBOL
+                      + r'|:[A-Za-z-]+|\|[^|]*\||"[^"]*"')
 _COMMANDS = {"set-logic", "set-option", "set-info", "declare-const",
              "declare-fun", "declare-sort", "define-fun", "assert",
              "check-sat", "get-model", "exit", "push", "pop"}
@@ -589,29 +605,25 @@ _COMMANDS = {"set-logic", "set-option", "set-info", "declare-const",
 
 def validate_smtlib(text: str) -> bool:
     """A structural check of SMT-LIB v2 script text: balanced forms, known
-    commands at top level, and lexically valid atoms."""
+    commands at top level, and lexically valid atoms.  Forms are checked in
+    order, each one's atoms left to right, and the first fault is
+    raised."""
     forms = parse_sexprs(text)
     if not forms:
         raise SmtError("empty script")
-
-    def check_atoms(sx):
-        if isinstance(sx, list):
-            for child in sx:
-                check_atoms(child)
-            return
-        if re.fullmatch(r"-?\d+(\.\d+)?", sx):
-            return
-        if re.fullmatch(_SYMBOL, sx) or re.fullmatch(r":[A-Za-z-]+", sx) \
-                or re.fullmatch(r"\|[^|]*\|", sx) or re.fullmatch(r'"[^"]*"', sx):
-            return
-        raise SmtError(f"lexically invalid token {sx!r}")
-
+    valid = _ATOM_RE.fullmatch
     for form in forms:
         if not isinstance(form, list) or not form:
             raise SmtError(f"top-level atom {form!r} is not a command")
-        if form[0] not in _COMMANDS:
+        if isinstance(form[0], list) or form[0] not in _COMMANDS:
             raise SmtError(f"unknown command {form[0]!r}")
-        check_atoms(form)
+        stack = [form]
+        while stack:
+            sx = stack.pop()
+            if isinstance(sx, list):
+                stack.extend(reversed(sx))
+            elif not valid(sx):
+                raise SmtError(f"lexically invalid token {sx!r}")
     return True
 
 

@@ -455,6 +455,12 @@ def main(argv=None):
     except (FsmError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        # the parser, the printer and the syntactic walks take any depth;
+        # the semantic passes recurse once per level of a formula
+        print(f"error: {args.command}: a formula is nested too deeply",
+              file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Text front end: tokenizer, recursive-descent parser, pretty-printer.
+"""Text front end: tokenizer, parser, pretty-printer.
 
 Surface syntax (``%`` starts a line comment):
 
@@ -18,18 +18,27 @@ Surface syntax (``%`` starts a line comment):
 
 Formulas use ``not & | -> <->``, ``forall X (...)``, ``exists X (...)``,
 comparisons ``= != < <= > >=`` and arithmetic ``+ - * /``.
+
+The tokenizer makes one regular-expression pass and keeps the tokens in
+flat lists of kinds, texts and offsets; a line and column are worked out
+only for an error.  The parser descends recursively through parentheses,
+braces, quantifier bodies and argument lists, at most MAX_NESTING levels
+deep; deeper input is a ParseError.  Connectives and arithmetic operators
+are parsed by precedence climbing over an explicit stack, and chains of
+``not`` and unary minus in a loop, so a long chain costs no recursion.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 from .syntax import (
     And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, Formula,
-    FrozenRecord, FsmError, Implies, INT, Lit, Not, Obj, Or, Program, REAL,
-    Record, Rule, RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature,
-    SortError, TOP, Var, _set, choice_of, iff_of, is_not,
+    FrozenRecord, FsmError, Implies, Lit, Not, Obj, Or, Program, REAL, Rule,
+    RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature, TOP, Var, _set,
+    choice_of, iff_of, is_not,
 )
 
 
@@ -57,98 +66,134 @@ class ParseError(FsmError):
 KEYWORDS = {"sort", "object", "func", "pred", "intensional", "var",
             "forall", "exists", "not", "true", "false"}
 
+#: parentheses, braces, quantifier bodies and argument lists nest at most
+#: this deep; each level costs the parser two or three stack frames
+MAX_NESTING = 300
+
+# one match per token: the whitespace and comments before it, which are
+# never given back, then the token, the end of the text or a bad character
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|%[^\n]*)
-  | (?P<num>\d+\.\d+(?!\.)|\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op><->|->|:-|\.\.|!=|<=|>=|[{}().,:*+\-/=<>&|])
+    (?:\s+|%[^\n]*)*+
+    (?: (?P<num>\d+\.\d+(?!\.)|\d+)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<op><->|->|:-|\.\.|!=|<=|>=|[{}().,:*+\-/=<>&|])
+      | (?P<eof>\Z)
+      | (?P<bad>.) )
 """, re.VERBOSE)
 
-
-class Token(Record):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind      # 'num' | 'name' | 'op' | 'eof'
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def span(self, file="<input>"):
-        return SourceSpan(file, self.line, self.col, self.line, self.col + len(self.text))
+_DECLARATIONS = ("sort", "object", "func", "pred", "intensional", "var")
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+_TERM_FOLLOWS = _COMPARISONS + ("+", "-", "*", "/")
+#: binding strength of the binary connectives; -> is the one that groups
+#: to the right
+_CONNECTIVES = {"<->": 1, "->": 2, "|": 3, "&": 4}
+_ARITHMETIC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_ZERO = Lit(0)
 
 
-def tokenize(text, file="<input>"):
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             SourceSpan(file, line, col, line, col + 1))
+def _connect(op, left, right):
+    if op == "&":
+        return And(left, right)
+    if op == "|":
+        return Or(left, right)
+    if op == "->":
+        return Implies(left, right)
+    return And(Implies(left, right), Implies(right, left))
+
+
+def tokenize(text):
+    """The tokens of text as three lists: kinds ('num', 'name', 'op', and
+    'eof' for the last), texts and offsets into text.  Raises
+    _BadCharacter at a character that starts no token."""
+    kinds, texts, offsets = [], [], []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        tok = m.group(kind)
+        start = m.end() - len(tok)
+        if kind == "bad":
+            raise _BadCharacter(start)
+        kinds.append(kind)
+        texts.append(tok)
+        offsets.append(start)
+        if kind == "eof":
+            break
+    return kinds, texts, offsets
+
+
+class _BadCharacter(Exception):
+    def __init__(self, offset):
+        super().__init__(offset)
+        self.offset = offset
 
 
 class Parser:
     def __init__(self, text, file="<input>", signature=None, var_sorts=None):
+        self.text = text
         self.file = file
-        self.toks = tokenize(text, file)
+        self._newlines = None        # offsets of the newlines, on demand
+        try:
+            self.kinds, self.texts, self.offsets = tokenize(text)
+        except _BadCharacter as e:
+            raise ParseError(f"unexpected character {text[e.offset]!r}",
+                             self.span_at(e.offset, 1)) from None
         self.i = 0
+        self.depth = 0
         self.sig = signature if signature is not None else Signature()
         self.var_sorts = dict(var_sorts or {})   # var name -> sort
 
-    # -- token plumbing ----------------------------------------------------
-    def peek(self, ahead=0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    # -- positions ---------------------------------------------------------
+    def span_at(self, offset, length):
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
+        before = bisect_left(self._newlines, offset)
+        col = offset - (self._newlines[before - 1] if before else -1)
+        return SourceSpan(self.file, before + 1, col, before + 1, col + length)
 
+    def span(self, index):
+        return self.span_at(self.offsets[index], len(self.texts[index]))
+
+    def err(self, msg, index=None):
+        raise ParseError(msg, self.span(self.i if index is None else index))
+
+    # -- token plumbing ----------------------------------------------------
     def next(self):
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+        i = self.i
+        if self.kinds[i] != "eof":
+            self.i = i + 1
+        return self.texts[i]
 
     def accept(self, text):
-        if self.peek().text == text:
-            return self.next()
-        return None
+        if self.texts[self.i] == text:
+            self.i += 1
+            return True
+        return False
 
     def expect(self, text):
-        t = self.peek()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.span(self.file))
-        return self.next()
+        found = self.texts[self.i]
+        if found != text:
+            self.err(f"expected {text!r}, found {found or 'end of input'!r}")
+        self.i += 1
 
     def expect_name(self):
-        t = self.peek()
-        if t.kind != "name" or t.text in KEYWORDS:
-            raise ParseError(f"expected a name, found {t.text or 'end of input'!r}",
-                             t.span(self.file))
-        return self.next()
+        i = self.i
+        found = self.texts[i]
+        if self.kinds[i] != "name" or found in KEYWORDS:
+            self.err(f"expected a name, found {found or 'end of input'!r}")
+        self.i = i + 1
+        return found
 
-    def err(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.span(self.file))
+    def _enter(self):
+        """Count one more level of nesting at the current token."""
+        if self.depth >= MAX_NESTING:
+            self.err(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
 
     # -- programs ----------------------------------------------------------
     def parse_program(self) -> Program:
         rules, intensional = [], []
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind == "name" and t.text in ("sort", "object", "func", "pred",
-                                               "intensional", "var"):
+        kinds, texts = self.kinds, self.texts
+        while kinds[self.i] != "eof":
+            if texts[self.i] in _DECLARATIONS:
                 self._declaration(intensional)
             else:
                 rules.append(self._rule())
@@ -159,15 +204,15 @@ class Parser:
         return prog
 
     def _declaration(self, intensional):
-        kw = self.next().text
+        kw = self.next()
         if kw == "sort":
-            name = self.expect_name().text
+            name = self.expect_name()
             if self.accept("<"):
-                sup = self.expect_name().text
+                sup = self.expect_name()
                 self.sig.declare_subsort(name, sup)
             else:
                 self.expect("=")
-                if self.peek().kind == "num":
+                if self.kinds[self.i] == "num":
                     lo = self._number()
                     self.expect("..")
                     hi = self._number()
@@ -182,12 +227,12 @@ class Parser:
                     self.expect("}")
                     self.sig.declare_sort(name, elems)
         elif kw == "object":
-            name = self.expect_name().text
+            name = self.expect_name()
             self.expect(":")
             sort = self._sort_name()
             self.sig.declare_object(name, sort)
         elif kw == "func":
-            name = self.expect_name().text
+            name = self.expect_name()
             self.expect(":")
             argsorts = []
             if not self.accept("->"):
@@ -198,7 +243,7 @@ class Parser:
             val = self._sort_name()
             self.sig.declare_func(name, argsorts, val)
         elif kw == "pred":
-            name = self.expect_name().text
+            name = self.expect_name()
             argsorts = []
             if self.accept(":"):
                 argsorts.append(self._sort_name())
@@ -206,34 +251,35 @@ class Parser:
                     argsorts.append(self._sort_name())
             self.sig.declare_pred(name, argsorts)
         elif kw == "intensional":
-            intensional.append(self.expect_name().text)
+            intensional.append(self.expect_name())
             while self.accept(","):
-                intensional.append(self.expect_name().text)
+                intensional.append(self.expect_name())
         elif kw == "var":
-            name = self.expect_name().text
+            name = self.expect_name()
             self.expect(":")
             self.var_sorts[name] = self._sort_name()
         self.expect(".")
 
     def _sort_element(self):
-        t = self.peek()
-        if t.kind == "num":
+        if self.kinds[self.i] == "num":
             return self._number()
-        return self.expect_name().text
+        return self.expect_name()
 
     def _sort_name(self):
-        t = self.expect_name()
-        if t.text not in self.sig.sorts:
-            self.err(f"unknown sort {t.text!r}", t)
-        return t.text
+        i = self.i
+        name = self.expect_name()
+        if name not in self.sig.sorts:
+            self.err(f"unknown sort {name!r}", i)
+        return name
 
     def _number(self):
-        t = self.next()
-        if t.kind != "num":
-            self.err("expected a number", t)
-        if "." in t.text:
-            return Fraction(t.text)
-        return int(t.text)
+        i = self.i
+        text = self.next()
+        if self.kinds[i] != "num":
+            self.err("expected a number", i)
+        if "." in text:
+            return Fraction(text)
+        return int(text)
 
     # -- rules -------------------------------------------------------------
     def _rule(self) -> Rule:
@@ -256,130 +302,134 @@ class Parser:
 
     # -- formulas ----------------------------------------------------------
     def parse_formula(self) -> Formula:
-        f = self._implication()
-        while self.accept("<->"):
-            g = self._implication()
-            f = And(Implies(f, g), Implies(g, f))
-        return f
-
-    def _implication(self):
-        f = self._disjunction()
-        if self.accept("->"):
-            return Implies(f, self._implication())
-        return f
-
-    def _disjunction(self):
-        f = self._conjunction()
-        while self.accept("|"):
-            f = Or(f, self._conjunction())
-        return f
-
-    def _conjunction(self):
+        """Unary formulas joined by connectives, by precedence climbing:
+        an operator waits on the stack until one that binds no tighter
+        follows it (or, for ->, one that binds more loosely)."""
         f = self._unary()
-        while self.accept("&"):
-            f = And(f, self._unary())
-        return f
+        texts = self.texts
+        prec = _CONNECTIVES.get(texts[self.i])
+        if prec is None:
+            return f
+        operands, ops = [f], []
+        while prec is not None:
+            op = texts[self.i]
+            self.i += 1
+            while ops and (ops[-1][0] > prec
+                           or ops[-1][0] == prec and op != "->"):
+                right = operands.pop()
+                operands[-1] = _connect(ops.pop()[1], operands[-1], right)
+            ops.append((prec, op))
+            operands.append(self._unary())
+            prec = _CONNECTIVES.get(texts[self.i])
+        while ops:
+            right = operands.pop()
+            operands[-1] = _connect(ops.pop()[1], operands[-1], right)
+        return operands[0]
 
     def _unary(self):
-        t = self.peek()
-        if t.kind == "name" and t.text == "not":
-            self.next()
-            return Not(self._unary())
-        if t.kind == "name" and t.text in ("forall", "exists"):
-            self.next()
+        """A unary formula: negations, then a quantifier, true, false, a
+        choice, a parenthesis or a comparison.  Each level of nesting costs
+        two frames, this and parse_formula."""
+        texts = self.texts
+        negations = 0
+        while texts[self.i] == "not":
+            negations += 1
+            self.i += 1
+        i = self.i
+        t = texts[i]
+        if t == "forall" or t == "exists":
+            self.i = i + 1
             names = [self.expect_name()]
             # multiple bound variables: forall X Y (...)
-            while self.peek().kind == "name" and self.peek().text not in KEYWORDS:
+            while self.kinds[self.i] == "name" and texts[self.i] not in KEYWORDS:
                 names.append(self.expect_name())
-            variables = [self._variable(n) for n in names]
+            variables = []
+            for k, name in enumerate(names):
+                if name not in self.var_sorts:
+                    self.err(f"variable {name!r} has no declared sort", i + 1 + k)
+                variables.append(Var(name, self.var_sorts[name]))
+            self._enter()
             self.expect("(")
-            body = self.parse_formula()
-            self.expect(")")
-            ctor = Forall if t.text == "forall" else Exists
-            for v in reversed(variables):
-                body = ctor(v, body)
-            return body
-        return self._primary()
-
-    def _variable(self, tok: Token) -> Var:
-        if tok.text not in self.var_sorts:
-            raise ParseError(f"variable {tok.text!r} has no declared sort",
-                             tok.span(self.file))
-        return Var(tok.text, self.var_sorts[tok.text])
-
-    def _primary(self):
-        t = self.peek()
-        term_follows = ("=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/")
-        if t.kind == "name" and t.text == "false" and self.peek(1).text not in term_follows:
-            self.next()
-            return BOT
-        if t.kind == "name" and t.text == "true" and self.peek(1).text not in term_follows:
-            self.next()
-            return TOP
-        if t.text == "{":
-            self.next()
-            inner = self.parse_formula()
-            self.expect("}")
-            return Choice(inner)
-        if t.text == "(":
-            # backtracking: a parenthesis may open a formula or an arithmetic term
-            saved = self.i
-            try:
-                return self._comparison()
-            except ParseError:
-                self.i = saved
-            self.next()
             f = self.parse_formula()
             self.expect(")")
-            return f
-        return self._comparison()
+            self.depth -= 1
+            ctor = Forall if t == "forall" else Exists
+            for v in reversed(variables):
+                f = ctor(v, f)
+        elif t == "false" and texts[i + 1] not in _TERM_FOLLOWS:
+            self.i = i + 1
+            f = BOT
+        elif t == "true" and texts[i + 1] not in _TERM_FOLLOWS:
+            self.i = i + 1
+            f = TOP
+        elif t == "{":
+            self._enter()
+            self.i = i + 1
+            f = Choice(self.parse_formula())
+            self.expect("}")
+            self.depth -= 1
+        elif t == "(":
+            # backtracking: a parenthesis may open a formula or an arithmetic term
+            depth = self.depth
+            try:
+                f = self._comparison()
+            except ParseError:
+                self.i, self.depth = i, depth
+                self._enter()
+                self.i = i + 1
+                f = self.parse_formula()
+                self.expect(")")
+                self.depth -= 1
+        else:
+            f = self._comparison()
+        for _ in range(negations):
+            f = Not(f)
+        return f
 
     def _comparison(self):
-        t0 = self.peek()
+        t0 = self.i
         left = self._term()
-        op_tok = self.peek()
-        if op_tok.text in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
+        op_i = self.i
+        op = self.texts[op_i]
+        if op in _COMPARISONS:
+            self.i += 1
             right = self._term()
-            self._check_comparable(left, right, op_tok)
-            if op_tok.text == "=":
+            self._check_comparable(left, right, op_i)
+            if op == "=":
                 return Equal(left, right)
-            if op_tok.text == "!=":
+            if op == "!=":
                 return Not(Equal(left, right))
-            return Atom(op_tok.text, (left, right))
+            return Atom(op, (left, right))
         # bare predicate atom
         if isinstance(left, App) and left.fn in self.sig.predicates:
             self._check_atom_sorts(left.fn, left.args, t0)
             return Atom(left.fn, left.args)
         self.err("expected a comparison operator or predicate atom", t0)
 
-    def _check_comparable(self, left, right, tok):
-        s1 = self._term_sort(left, tok)
-        s2 = self._term_sort(right, tok)
-        if tok.text in ("<", "<=", ">", ">="):
+    def _check_comparable(self, left, right, index):
+        s1 = self._term_sort(left)
+        s2 = self._term_sort(right)
+        op = self.texts[index]
+        if op in ("<", "<=", ">", ">="):
             for s in (s1, s2):
                 if s is not None and not self.sig.is_subsort(s, REAL):
-                    raise ParseError(f"non-numeric operand of {tok.text!r} (sort {s!r})",
-                                     tok.span(self.file))
+                    self.err(f"non-numeric operand of {op!r} (sort {s!r})", index)
             return
         if s1 is not None and s2 is not None and \
                 self.sig.common_supersort(s1, s2) is None:
-            raise ParseError(f"sorts {s1!r} and {s2!r} share no common supersort",
-                             tok.span(self.file))
+            self.err(f"sorts {s1!r} and {s2!r} share no common supersort", index)
 
-    def _check_atom_sorts(self, pred, args, tok):
+    def _check_atom_sorts(self, pred, args, index):
         declared = self.sig.predicates[pred]
         if len(args) != len(declared):
-            raise ParseError(f"predicate {pred!r} expects {len(declared)} arguments",
-                             tok.span(self.file))
+            self.err(f"predicate {pred!r} expects {len(declared)} arguments", index)
         for a, d in zip(args, declared):
-            s = self._term_sort(a, tok)
+            s = self._term_sort(a)
             if s is not None and not self.sig.is_subsort(s, d) \
                     and self.sig.common_supersort(s, d) is None:
-                raise ParseError(f"argument sort {s!r} incompatible with {d!r}",
-                                 tok.span(self.file))
+                self.err(f"argument sort {s!r} incompatible with {d!r}", index)
 
-    def _term_sort(self, t, tok):
+    def _term_sort(self, t):
         try:
             return self.sig.sort_of_term(t, strict=False)
         except FsmError:
@@ -387,71 +437,98 @@ class Parser:
 
     # -- terms -------------------------------------------------------------
     def _term(self):
-        return self._additive()
-
-    def _additive(self):
-        t = self._multiplicative()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            t = App(op, (t, self._multiplicative()))
-        return t
-
-    def _multiplicative(self):
+        """Term atoms joined by + - * /, all grouping to the left, by
+        precedence climbing as in parse_formula."""
         t = self._term_atom()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            t = App(op, (t, self._term_atom()))
-        return t
+        texts = self.texts
+        prec = _ARITHMETIC.get(texts[self.i])
+        if prec is None:
+            return t
+        operands, ops = [t], []
+        while prec is not None:
+            op = texts[self.i]
+            self.i += 1
+            while ops and ops[-1][0] >= prec:
+                right = operands.pop()
+                operands[-1] = App(ops.pop()[1], (operands[-1], right))
+            ops.append((prec, op))
+            operands.append(self._term_atom())
+            prec = _ARITHMETIC.get(texts[self.i])
+        while ops:
+            right = operands.pop()
+            operands[-1] = App(ops.pop()[1], (operands[-1], right))
+        return operands[0]
 
     def _term_atom(self):
-        t = self.peek()
-        if t.text == "-":
-            self.next()
-            return App("-", (Lit(0), self._term_atom()))
-        if t.kind == "num":
-            return Lit(self._number())
-        if t.text == "(":
-            self.next()
-            inner = self._additive()
+        """A number, a parenthesized term, true, false, a variable, an
+        application or an object name, after any number of unary minus
+        signs.  Each level of nesting costs two frames, this and _term."""
+        texts = self.texts
+        minus = 0
+        while texts[self.i] == "-":
+            minus += 1
+            self.i += 1
+        i = self.i
+        t = texts[i]
+        kind = self.kinds[i]
+        if kind == "num":
+            term = Lit(self._number())
+        elif t == "(":
+            self._enter()
+            self.i = i + 1
+            term = self._term()
             self.expect(")")
-            return inner
-        if t.kind == "name":
-            if t.text == "true":
-                self.next()
-                return Lit(True)
-            if t.text == "false":
-                self.next()
-                return Lit(False)
-            if t.text in KEYWORDS:
-                self.err(f"unexpected keyword {t.text!r}", t)
-            name = self.next().text
-            args = ()
-            if self.accept("("):
-                lst = [self._term()]
-                while self.accept(","):
-                    lst.append(self._term())
-                self.expect(")")
-                args = tuple(lst)
-            if name in self.var_sorts:
-                if args:
-                    self.err(f"variable {name!r} applied to arguments", t)
-                return Var(name, self.var_sorts[name])
-            if name in self.sig.functions:
-                declared = self.sig.functions[name][0]
-                if len(args) != len(declared):
-                    self.err(f"function {name!r} expects {len(declared)} arguments", t)
-                return App(name, args)
-            if name in self.sig.predicates:
-                declared = self.sig.predicates[name]
-                if len(args) != len(declared):
-                    self.err(f"predicate {name!r} expects {len(declared)} arguments", t)
-                return App(name, args)   # converted to Atom by _comparison
-            if not args and any(
-                    decl.elements is not None and name in decl.elements
-                    for decl in self.sig.sorts.values()):
-                return Obj(name)
-            self.err(f"undeclared symbol {name!r}", t)
-        self.err(f"expected a term, found {t.text or 'end of input'!r}", t)
+            self.depth -= 1
+        elif kind == "name":
+            self.i = i + 1
+            if t == "true":
+                term = Lit(True)
+            elif t == "false":
+                term = Lit(False)
+            elif t in KEYWORDS:
+                self.err(f"unexpected keyword {t!r}", i)
+            else:
+                args = ()
+                if texts[i + 1] == "(":
+                    self._enter()
+                    self.i = i + 2
+                    lst = [self._term()]
+                    while self.accept(","):
+                        lst.append(self._term())
+                    self.expect(")")
+                    self.depth -= 1
+                    args = tuple(lst)
+                term = self._named(t, args, i)
+        else:
+            self.err(f"expected a term, found {t or 'end of input'!r}", i)
+        for _ in range(minus):
+            term = App("-", (_ZERO, term))
+        return term
+
+    def _named(self, t, args, i):
+        """The term t(args) for the name at token i: a variable, an
+        application or an object name."""
+        sort = self.var_sorts.get(t)
+        if sort is not None:
+            if args:
+                self.err(f"variable {t!r} applied to arguments", i)
+            return Var(t, sort)
+        sig = self.sig
+        if t in sig.functions:
+            declared = sig.functions[t][0]
+            if len(args) != len(declared):
+                self.err(f"function {t!r} expects {len(declared)} arguments", i)
+            return App(t, args)
+        if t in sig.predicates:
+            declared = sig.predicates[t]
+            if len(args) != len(declared):
+                self.err(f"predicate {t!r} expects {len(declared)} arguments", i)
+            return App(t, args)   # converted to Atom by _comparison
+        if not args and any(
+                decl.elements is not None and t in decl.elements
+                for decl in sig.sorts.values()):
+            return Obj(t)
+        self.err(f"undeclared symbol {t!r}", i)
 
 
 def parse_program(text, file="<input>") -> Program:
@@ -461,7 +538,7 @@ def parse_program(text, file="<input>") -> Program:
 def parse_formula(text, signature: Signature, var_sorts=None, file="<input>") -> Formula:
     p = Parser(text, file, signature, var_sorts)
     f = p.parse_formula()
-    if p.peek().kind != "eof":
+    if p.kinds[p.i] != "eof":
         p.err("trailing input after formula")
     return f
 
@@ -469,89 +546,113 @@ def parse_formula(text, signature: Signature, var_sorts=None, file="<input>") ->
 # ---------------------------------------------------------------------------
 # pretty printer
 
-_PREC = {"iff": 1, "implies": 2, "or": 3, "and": 4, "unary": 5, "atom": 6}
-
-
-def _pt(t, prec):
-    if isinstance(t, Lit):
-        if isinstance(t.value, bool):
-            return "true" if t.value else "false"
-        if isinstance(t.value, Fraction) and t.value.denominator != 1:
-            s = f"{t.value.numerator}/{t.value.denominator}"
-            return f"({s})" if prec >= 2 else s
-        return str(t.value)
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Obj):
-        return str(t.elem)
-    if isinstance(t, App):
-        if t.fn in ("+", "-") and len(t.args) == 2:
-            s = f"{_pt(t.args[0], 1)} {t.fn} {_pt(t.args[1], 2)}"
-            return f"({s})" if prec >= 2 else s
-        if t.fn in ("*", "/") and len(t.args) == 2:
-            s = f"{_pt(t.args[0], 2)} {t.fn} {_pt(t.args[1], 3)}"
-            return f"({s})" if prec >= 3 else s
-        if not t.args:
-            return t.fn
-        return f"{t.fn}({', '.join(_pt(a, 0) for a in t.args)})"
-    raise TypeError(f"not a term: {t!r}")
+# binding strengths of the printed operators
+_IFF, _IMPLIES, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5, 6
 
 
 def print_formula(f) -> str:
-    return _pf(f, 0)
+    return _render(f, 0)
 
 
-def _pf(f, prec):
-    if f == TOP:
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    neg = is_not(f)
-    if neg is not None:
-        inner = is_not(neg)
-        if isinstance(neg, Equal) and inner is None:
-            s = f"{_pt(neg.left, 1)} != {_pt(neg.right, 1)}"
-            return f"({s})" if prec > _PREC["atom"] else s
-        s = f"not {_pf(neg, _PREC['unary'])}"
-        return f"({s})" if prec > _PREC["unary"] else s
-    ch = choice_of(f)
-    if ch is not None:
-        return "{ " + _pf(ch, 0) + " }"
-    iff = iff_of(f)
-    if iff is not None:
-        s = f"{_pf(iff[0], _PREC['iff'] + 1)} <-> {_pf(iff[1], _PREC['iff'] + 1)}"
-        return f"({s})" if prec > _PREC["iff"] else s
-    if isinstance(f, Atom):
-        if f.pred in ("<", "<=", ">", ">=") and len(f.args) == 2:
-            s = f"{_pt(f.args[0], 1)} {f.pred} {_pt(f.args[1], 1)}"
-            return f"({s})" if prec > _PREC["atom"] else s
-        if not f.args:
-            return f.pred
-        return f"{f.pred}({', '.join(_pt(a, 0) for a in f.args)})"
-    if isinstance(f, Equal):
-        s = f"{_pt(f.left, 1)} = {_pt(f.right, 1)}"
-        return f"({s})" if prec > _PREC["atom"] else s
-    if isinstance(f, And):
+def _render(x, prec):
+    """x, a formula or a term, printed where an operator of binding
+    strength prec encloses it.  _pieces splits a node into text and
+    (child, prec) pairs, last first; they are expanded with an explicit
+    stack, so a long chain of not, ->, & or arithmetic is not limited by
+    the recursion limit."""
+    out = []
+    stack = [(x, prec)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+        else:
+            stack += _pieces(*item)
+    return "".join(out)
+
+
+def _wrap(paren, *pieces):
+    """The pieces, last first, in parentheses if paren."""
+    return (")", *pieces, "(") if paren else pieces
+
+
+def _pieces(x, prec):
+    """The text and (child, prec) pairs that print x, last first."""
+    cls = x.__class__
+    if cls is Var:
+        return (x.name,)
+    if cls is App:
+        fn, args = x.fn, x.args
+        if len(args) == 2:
+            if fn == "+" or fn == "-":
+                return _wrap(prec >= 2, (args[1], 2), f" {fn} ", (args[0], 1))
+            if fn == "*" or fn == "/":
+                return _wrap(prec >= 3, (args[1], 3), f" {fn} ", (args[0], 2))
+        if not args:
+            return (fn,)
+        return (")", *_arguments(args), f"{fn}(")
+    if cls is Equal:
+        return _wrap(prec > _ATOM, (x.right, 1), " = ", (x.left, 1))
+    if cls is Implies:
+        if x.right.__class__ is Bottom:
+            neg = x.left
+            if neg.__class__ is Bottom:
+                return ("true",)
+            if neg.__class__ is Equal:
+                return _wrap(prec > _ATOM, (neg.right, 1), " != ", (neg.left, 1))
+            return _wrap(prec > _UNARY, (neg, _UNARY), "not ")
+        return _wrap(prec > _IMPLIES, (x.right, _IMPLIES), " -> ",
+                     (x.left, _IMPLIES + 1))
+    if cls is And:
+        iff = iff_of(x)
+        if iff is not None:
+            return _wrap(prec > _IFF, (iff[1], _IFF + 1), " <-> ",
+                         (iff[0], _IFF + 1))
         # a program nests one conjunction per rule down the left spine:
         # walk it in a loop, up to a conjunct that prints as an iff
-        parts = [f.right]
-        f = f.left
-        while isinstance(f, And) and iff_of(f) is None:
-            parts.append(f.right)
-            f = f.left
-        parts.append(f)
-        s = " & ".join(_pf(g, _PREC["and"]) for g in reversed(parts))
-        return f"({s})" if prec > _PREC["and"] else s
-    if isinstance(f, Or):
-        s = f"{_pf(f.left, _PREC['or'])} | {_pf(f.right, _PREC['or'])}"
-        return f"({s})" if prec > _PREC["or"] else s
-    if isinstance(f, Implies):
-        s = f"{_pf(f.left, _PREC['implies'] + 1)} -> {_pf(f.right, _PREC['implies'])}"
-        return f"({s})" if prec > _PREC["implies"] else s
-    if isinstance(f, (Forall, Exists)):
-        q = "forall" if isinstance(f, Forall) else "exists"
-        return f"{q} {f.var.name} ({_pf(f.body, 0)})"
-    raise TypeError(f"not a formula: {f!r}")
+        pieces = [(x.right, _AND)]
+        x = x.left
+        while x.__class__ is And and iff_of(x) is None:
+            pieces += (" & ", (x.right, _AND))
+            x = x.left
+        pieces += (" & ", (x, _AND))
+        return _wrap(prec > _AND, *pieces)
+    if cls is Atom:
+        args = x.args
+        if x.pred in ("<", "<=", ">", ">=") and len(args) == 2:
+            return _wrap(prec > _ATOM, (args[1], 1), f" {x.pred} ", (args[0], 1))
+        if not args:
+            return (x.pred,)
+        return (")", *_arguments(args), f"{x.pred}(")
+    if cls is Lit:
+        v = x.value
+        if isinstance(v, bool):
+            return ("true" if v else "false",)
+        if isinstance(v, Fraction) and v.denominator != 1:
+            s = f"{v.numerator}/{v.denominator}"
+            return (f"({s})" if prec >= 2 else s,)
+        return (str(v),)
+    if cls is Obj:
+        return (str(x.elem),)
+    if cls is Or:
+        ch = choice_of(x)
+        if ch is not None:
+            return (" }", (ch, 0), "{ ")
+        return _wrap(prec > _OR, (x.right, _OR), " | ", (x.left, _OR))
+    if cls is Bottom:
+        return ("false",)
+    if cls is Forall or cls is Exists:
+        q = "forall" if cls is Forall else "exists"
+        return (")", (x.body, 0), f"{q} {x.var.name} (")
+    raise TypeError(f"not a formula or term: {x!r}")
+
+
+def _arguments(args):
+    """The pieces of a comma-separated argument list, last first."""
+    pieces = [(args[-1], 0)]
+    for a in args[-2::-1]:
+        pieces += (", ", (a, 0))
+    return pieces
 
 
 def print_rule(r: Rule) -> str:

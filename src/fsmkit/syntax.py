@@ -537,6 +537,25 @@ class Signature(Record):
                          dict(self.background))
 
     def sort_of_term(self, t: Term, strict=True):
+        """The sort of a term: real for arithmetic with a division or a real
+        operand, int for other arithmetic, None for an object name (and,
+        unless strict, for an unknown function).  Arithmetic is walked with
+        a stack, operands left to right, so a long sum or chain of unary
+        minus is not limited by the recursion limit."""
+        if not (isinstance(t, App) and t.fn in ARITH_FUNCS):
+            return self._operand_sort(t, strict)
+        real = False
+        stack = [t]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, App) and g.fn in ARITH_FUNCS:
+                real = real or g.fn == "/"
+                stack.extend(reversed(g.args))
+            elif self._operand_sort(g, strict) == REAL:
+                real = True
+        return REAL if real else INT
+
+    def _operand_sort(self, t, strict):
         if isinstance(t, Var):
             return t.sort
         if isinstance(t, Lit):
@@ -547,11 +566,6 @@ class Signature(Record):
             return REAL
         if isinstance(t, Obj):
             return None
-        if t.fn in ARITH_FUNCS:
-            sorts = [self.sort_of_term(a, strict) for a in t.args]
-            if t.fn == "/" or REAL in sorts:
-                return REAL
-            return INT
         if t.fn in self.functions:
             return self.functions[t.fn][1]
         if strict:
@@ -712,27 +726,41 @@ def transform(x, fn):
 # free variables, substitution
 
 def free_vars(f) -> set:
-    if isinstance(f, (Var,)):
-        return {f}
-    if isinstance(f, (Lit, Obj, Bottom)):
-        return set()
-    if isinstance(f, App):
-        out = set()
-        for a in f.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(f, Atom):
-        out = set()
-        for a in f.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(f, Equal):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula/term: {f!r}")
+    """The variables with a free occurrence in a formula or term.
+
+    The walk keeps its own stack, as nodes does, so a rule body of
+    thousands of conjuncts is not limited by the recursion limit.  A
+    quantifier's body is followed on the stack by _RELEASE, which ends the
+    binding of its variable."""
+    out = set()
+    bound = []                     # the variables of the enclosing binders
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        cls = g.__class__
+        if cls is Var:
+            if g not in bound:
+                out.add(g)
+        elif cls is App or cls is Atom:
+            stack.extend(g.args)
+        elif cls in _PAIRS:
+            push(g.left)
+            push(g.right)
+        elif cls is Forall or cls is Exists:
+            bound.append(g.var)
+            push(_RELEASE)
+            push(g.body)
+        elif g is _RELEASE:
+            bound.pop()
+        elif cls not in _LEAVES:
+            raise TypeError(f"not a formula/term: {g!r}")
+    return out
+
+
+_PAIRS = (And, Or, Implies, Equal)
+_LEAVES = (Lit, Obj, Bottom)
+_RELEASE = object()
 
 
 def guard_term(f, var: Var):
@@ -747,27 +775,51 @@ def guard_term(f, var: Var):
 
 
 def subst_term(t: Term, mapping: dict) -> Term:
-    """Substitute terms for variables (mapping Var -> Term)."""
-    if isinstance(t, Var):
-        return mapping.get(t, t)
-    if isinstance(t, App):
-        return App(t.fn, tuple(subst_term(a, mapping) for a in t.args))
-    return t
+    """Substitute terms for variables (mapping Var -> Term).  A subterm in
+    which no mapped variable occurs is returned itself, not a copy."""
+    if not mapping:
+        return t
+    return _subst(t, mapping)
 
 
 def subst(f: Formula, mapping: dict) -> Formula:
-    if isinstance(f, Bottom):
+    """subst_term over a formula; a quantifier's own variable is not
+    replaced in its body.  The records are immutable, so the result shares
+    every subformula in which no mapped variable occurs."""
+    if not mapping:
         return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(subst_term(a, mapping) for a in f.args))
-    if isinstance(f, Equal):
-        return Equal(subst_term(f.left, mapping), subst_term(f.right, mapping))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(subst(f.left, mapping), subst(f.right, mapping))
-    if isinstance(f, (Forall, Exists)):
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        return type(f)(f.var, subst(f.body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+    return _subst(f, mapping)
+
+
+def _subst(f, mapping):
+    cls = f.__class__
+    if cls is Var:
+        return mapping.get(f, f)
+    if cls is App or cls is Atom:
+        args = f.args
+        if not args:
+            return f
+        new = tuple([_subst(a, mapping) for a in args])
+        for a, b in zip(args, new):
+            if a is not b:
+                return cls(f.fn if cls is App else f.pred, new)
+        return f
+    if cls is And or cls is Or or cls is Implies or cls is Equal:
+        left = _subst(f.left, mapping)
+        right = _subst(f.right, mapping)
+        if left is f.left and right is f.right:
+            return f
+        return cls(left, right)
+    if cls is Forall or cls is Exists:
+        if f.var in mapping:
+            mapping = {k: v for k, v in mapping.items() if k != f.var}
+            if not mapping:
+                return f
+        body = _subst(f.body, mapping)
+        return f if body is f.body else cls(f.var, body)
+    if cls is Lit or cls is Obj or cls is Bottom:
+        return f
+    raise TypeError(f"not a formula/term: {f!r}")
 
 
 def rename_symbols(f: Formula, mapping: dict) -> Formula:

@@ -314,6 +314,29 @@ def test_validate_smtlib_rejects_junk():
         validate_smtlib("(frobnicate x)")
 
 
+def test_validate_smtlib_reports_the_first_fault_in_order():
+    script = ("(set-logic QF_LIA)\n(declare-const a Int)\n"
+              "(assert (and (= a 1) (< a 2#)))\n(assert (= a{ 3))\n"
+              "(frob)\n(check-sat)\n")
+    with pytest.raises(SmtError, match=r"lexically invalid token '2#'"):
+        validate_smtlib(script)
+    # a bad command in a later form is not reached before a bad token
+    with pytest.raises(SmtError, match=r"lexically invalid token 'a\{'"):
+        validate_smtlib(script.replace("2#", "2"))
+    with pytest.raises(SmtError, match="unknown command 'frob'"):
+        validate_smtlib(script.replace("2#", "2").replace("a{", "a"))
+    # the command is checked before the atoms of its own form
+    with pytest.raises(SmtError, match="unknown command 'frob'"):
+        validate_smtlib("(frob 1#)")
+    with pytest.raises(SmtError, match="top-level atom 'x'"):
+        validate_smtlib("(check-sat) x (frob)")
+    with pytest.raises(SmtError, match=r"unknown command \['assert'\]"):
+        validate_smtlib("((assert) true)")
+    # every atom shape the grammar allows
+    assert validate_smtlib('(set-info :status |odd| "string" -12 3.50'
+                           ' x.y!z)')
+
+
 def test_solver_path_honours_environment(monkeypatch):
     monkeypatch.delenv("FSMKIT_SOLVER", raising=False)
     assert solver_path() is None

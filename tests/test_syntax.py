@@ -12,7 +12,7 @@ from fsmkit.syntax import (
     RULE_CONSTRAINT, Signature, SortError, TOP, Var, as_clist,
     close_universally, conj, conjuncts, disj, disjuncts, fol_representation,
     free_vars, is_not, negative_on, nodes, rename_symbols,
-    strictly_positive_symbols, subst, symbols, transform,
+    strictly_positive_symbols, subst, subst_term, symbols, transform,
 )
 from fsmkit.interp import FiniteInterpretation, elem_key
 from fsmkit.parser import parse_program
@@ -68,6 +68,22 @@ def test_subst_avoids_bound_occurrences():
     f = And(Atom("p", (x,)), inner)
     g = subst(f, {x: Lit(1)})
     assert g == And(Atom("p", (Lit(1),)), inner)
+
+
+def test_subst_shares_the_subtrees_it_leaves_alone():
+    x, y = Var("X", "s"), Var("Y", "s")
+    untouched = And(Atom("q", (y, App("c"))), Exists(x, Equal(App("f", (x,)), y)))
+    bound = Forall(x, Atom("p", (x,)))
+    f = Implies(And(Atom("p", (x,)), untouched), bound)
+    g = subst(f, {x: Lit(1)})
+    assert g == Implies(And(Atom("p", (Lit(1),)), untouched), bound)
+    assert g.left.right is untouched and g.right is bound
+    assert subst(f, {}) is f
+    assert subst(f, {Var("Z", "s"): Lit(1)}) is f
+    t = App("g", (y, App("c")))
+    assert subst_term(t, {x: Lit(1)}) is t
+    assert subst_term(t, {y: x}) == App("g", (x, App("c")))
+    assert subst_term(t, {y: x}).args[1] is t.args[1]
 
 
 def test_rename_symbols():
