@@ -67,7 +67,7 @@ KEYWORDS = {"sort", "object", "func", "pred", "intensional", "var",
             "forall", "exists", "not", "true", "false"}
 
 #: parentheses, braces, quantifier bodies and argument lists nest at most
-#: this deep; each level costs the parser two or three stack frames
+#: this deep; each level costs the parser two stack frames
 MAX_NESTING = 300
 
 # one match per token: the whitespace and comments before it, which are
@@ -102,28 +102,19 @@ def _connect(op, left, right):
 
 
 def tokenize(text):
-    """The tokens of text as three lists: kinds ('num', 'name', 'op', and
-    'eof' for the last), texts and offsets into text.  Raises
-    _BadCharacter at a character that starts no token."""
+    """The tokens of text as three lists: kinds, texts and offsets into
+    text.  A kind is 'num', 'name' or 'op'; the last token is 'eof', or
+    'bad' at a character that starts no token."""
     kinds, texts, offsets = [], [], []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         tok = m.group(kind)
-        start = m.end() - len(tok)
-        if kind == "bad":
-            raise _BadCharacter(start)
         kinds.append(kind)
         texts.append(tok)
-        offsets.append(start)
-        if kind == "eof":
+        offsets.append(m.end() - len(tok))
+        if kind == "eof" or kind == "bad":
             break
     return kinds, texts, offsets
-
-
-class _BadCharacter(Exception):
-    def __init__(self, offset):
-        super().__init__(offset)
-        self.offset = offset
 
 
 class Parser:
@@ -131,26 +122,26 @@ class Parser:
         self.text = text
         self.file = file
         self._newlines = None        # offsets of the newlines, on demand
-        try:
-            self.kinds, self.texts, self.offsets = tokenize(text)
-        except _BadCharacter as e:
-            raise ParseError(f"unexpected character {text[e.offset]!r}",
-                             self.span_at(e.offset, 1)) from None
+        self.kinds, self.texts, self.offsets = tokenize(text)
+        if self.kinds[-1] == "bad":
+            self.err(f"unexpected character {self.texts[-1]!r}",
+                     len(self.texts) - 1)
         self.i = 0
         self.depth = 0
         self.sig = signature if signature is not None else Signature()
         self.var_sorts = dict(var_sorts or {})   # var name -> sort
 
     # -- positions ---------------------------------------------------------
-    def span_at(self, offset, length):
+    def span(self, index):
+        """The span of token index, its line found by bisecting the offsets
+        of the newlines."""
         if self._newlines is None:
             self._newlines = [m.start() for m in re.finditer("\n", self.text)]
-        before = bisect_left(self._newlines, offset)
-        col = offset - (self._newlines[before - 1] if before else -1)
-        return SourceSpan(self.file, before + 1, col, before + 1, col + length)
-
-    def span(self, index):
-        return self.span_at(self.offsets[index], len(self.texts[index]))
+        offset = self.offsets[index]
+        line = bisect_left(self._newlines, offset)
+        col = offset - (self._newlines[line - 1] if line else -1)
+        return SourceSpan(self.file, line + 1, col, line + 1,
+                          col + len(self.texts[index]))
 
     def err(self, msg, index=None):
         raise ParseError(msg, self.span(self.i if index is None else index))
