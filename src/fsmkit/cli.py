@@ -456,8 +456,8 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
-        # the parser, the printer and the syntactic walks take any depth;
-        # the semantic passes recurse once per level of a formula
+        # grounding, the checks and SMT emission recurse once per level
+        # of a formula, so a formula the parser takes can be too deep
         print(f"error: {args.command}: a formula is nested too deeply",
               file=sys.stderr)
         return EXIT_ERROR

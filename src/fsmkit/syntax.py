@@ -774,21 +774,17 @@ def guard_term(f, var: Var):
     return None
 
 
-def subst_term(t: Term, mapping: dict) -> Term:
-    """Substitute terms for variables (mapping Var -> Term).  A subterm in
-    which no mapped variable occurs is returned itself, not a copy."""
-    if not mapping:
-        return t
-    return _subst(t, mapping)
+def subst(f, mapping: dict):
+    """Substitute terms for variables (mapping Var -> Term) in a formula or
+    a term; a quantifier's own variable is not replaced in its body.  The
+    records are immutable, so the result shares every subformula and
+    subterm in which no mapped variable occurs, and is f itself when there
+    is none."""
+    return _subst(f, mapping) if mapping else f
 
 
-def subst(f: Formula, mapping: dict) -> Formula:
-    """subst_term over a formula; a quantifier's own variable is not
-    replaced in its body.  The records are immutable, so the result shares
-    every subformula in which no mapped variable occurs."""
-    if not mapping:
-        return f
-    return _subst(f, mapping)
+#: terms and formulas take the same walk
+subst_term = subst
 
 
 def _subst(f, mapping):
@@ -804,12 +800,20 @@ def _subst(f, mapping):
             if a is not b:
                 return cls(f.fn if cls is App else f.pred, new)
         return f
-    if cls is And or cls is Or or cls is Implies or cls is Equal:
-        left = _subst(f.left, mapping)
-        right = _subst(f.right, mapping)
-        if left is f.left and right is f.right:
-            return f
-        return cls(left, right)
+    if cls in _PAIRS:
+        # a rule body nests its conjuncts down the left spine: walk it in a
+        # loop, so that its length is not limited by the recursion limit
+        spine = []
+        while f.__class__ in _PAIRS:
+            spine.append(f)
+            f = f.left
+        new = _subst(f, mapping)
+        for g in reversed(spine):
+            right = _subst(g.right, mapping)
+            if new is not g.left or right is not g.right:
+                g = g.__class__(new, right)
+            new = g
+        return new
     if cls is Forall or cls is Exists:
         if f.var in mapping:
             mapping = {k: v for k, v in mapping.items() if k != f.var}

@@ -46,6 +46,19 @@ def test_a_rule_body_of_5000_conjuncts(tmp_path):
     assert (code, out, err) == (1, "not tight: p -> p\n", "")
 
 
+def test_a_rule_body_of_5000_conjuncts_under_a_head_variable(tmp_path):
+    # Clark normal form renames X in the body: subst walks the long body
+    body = " & ".join(["q(X)"] * 5000)
+    text = "sort s = {a, b}.\npred p : s.\npred q : s.\nvar X : s.\n" \
+        f"intensional p.\np(X) :- {body}.\n"
+    path = _file(tmp_path, text)
+    assert _cli(["check-tight", path]) == (0, "tight\n", "")
+    code, out, err = _cli(["complete", path])
+    assert (code, err) == (0, "")
+    assert out == "forall X1 (" + " & ".join(["q(X1)"] * 5000) \
+        + " <-> p(X1))\n"
+
+
 def test_free_vars_of_a_long_conjunction_and_of_shadowing_binders():
     x, y = Var("X", "s"), Var("Y", "s")
     f = Atom("p", (x,))
