@@ -36,9 +36,9 @@ from fractions import Fraction
 
 from .syntax import (
     And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, Formula,
-    FrozenRecord, FsmError, Implies, Lit, Not, Obj, Or, Program, REAL, Rule,
-    RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature, TOP, Var, _set,
-    choice_of, iff_of, is_not,
+    FrozenRecord, FsmError, Iff, Implies, Lit, Not, Obj, Or, Program, REAL,
+    Rule, RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature, TOP, Var,
+    _set, choice_of, iff_of,
 )
 
 
@@ -84,21 +84,12 @@ _TOKEN_RE = re.compile(r"""
 _DECLARATIONS = ("sort", "object", "func", "pred", "intensional", "var")
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 _TERM_FOLLOWS = _COMPARISONS + ("+", "-", "*", "/")
-#: binding strength of the binary connectives; -> is the one that groups
-#: to the right
-_CONNECTIVES = {"<->": 1, "->": 2, "|": 3, "&": 4}
+#: binding strength and constructor of each binary connective; -> is the
+#: one that groups to the right
+_CONNECTIVES = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or),
+                "&": (4, And)}
 _ARITHMETIC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _ZERO = Lit(0)
-
-
-def _connect(op, left, right):
-    if op == "&":
-        return And(left, right)
-    if op == "|":
-        return Or(left, right)
-    if op == "->":
-        return Implies(left, right)
-    return And(Implies(left, right), Implies(right, left))
 
 
 def tokenize(text):
@@ -298,23 +289,24 @@ class Parser:
         follows it (or, for ->, one that binds more loosely)."""
         f = self._unary()
         texts = self.texts
-        prec = _CONNECTIVES.get(texts[self.i])
-        if prec is None:
+        entry = _CONNECTIVES.get(texts[self.i])
+        if entry is None:
             return f
         operands, ops = [f], []
-        while prec is not None:
-            op = texts[self.i]
+        while entry is not None:
+            prec = entry[0]
+            right_grouping = texts[self.i] == "->"
             self.i += 1
             while ops and (ops[-1][0] > prec
-                           or ops[-1][0] == prec and op != "->"):
+                           or ops[-1][0] == prec and not right_grouping):
                 right = operands.pop()
-                operands[-1] = _connect(ops.pop()[1], operands[-1], right)
-            ops.append((prec, op))
+                operands[-1] = ops.pop()[1](operands[-1], right)
+            ops.append(entry)
             operands.append(self._unary())
-            prec = _CONNECTIVES.get(texts[self.i])
+            entry = _CONNECTIVES.get(texts[self.i])
         while ops:
             right = operands.pop()
-            operands[-1] = _connect(ops.pop()[1], operands[-1], right)
+            operands[-1] = ops.pop()[1](operands[-1], right)
         return operands[0]
 
     def _unary(self):
