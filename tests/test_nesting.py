@@ -89,15 +89,14 @@ def test_parentheses_nest_up_to_the_limit(tmp_path):
     assert err == f"{path}:3:{col}: nesting deeper than {MAX_NESTING} levels\n"
 
 
-@pytest.mark.parametrize("opening, closing", [
-    ("g(", ")"),                    # argument lists
-    ("{ ", " }"),                   # choice braces
-    ("exists X (", ")"),            # quantifier bodies
+@pytest.mark.parametrize("body", [
+    "p(" + "g(" * 400 + "a" + ")" * 401,          # argument lists
+    "{ " * 400 + "p(a)" + " }" * 400,             # choice braces
+    "exists X (" * 400 + "p(X)" + ")" * 400,      # quantifier bodies
 ])
-def test_other_nesting_past_the_limit_is_a_parse_error(opening, closing):
-    inner = "p(g(a))" if opening != "g(" else "p(a)"
+def test_other_nesting_past_the_limit_is_a_parse_error(body):
     text = "sort s = {a}.\nfunc g : s -> s.\npred p : s.\nvar X : s.\n" \
-        + "intensional p.\n:- " + opening * 400 + inner + closing * 400 + ".\n"
+        f"intensional p.\n:- {body}.\n"
     with pytest.raises(ParseError) as exc:
         parse_program(text)
     assert f"nesting deeper than {MAX_NESTING} levels" in str(exc.value)
