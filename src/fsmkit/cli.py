@@ -455,10 +455,19 @@ def main(argv=None):
     except (FsmError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except RecursionError:
+    except RecursionError as e:
         # grounding, the checks and SMT emission recurse once per level
-        # of a formula, so a formula the parser takes can be too deep
-        print(f"error: {args.command}: a formula is nested too deeply",
+        # of a formula, so a formula the parser takes can be too deep.  A
+        # recursion bug in fsmkit lands here as well, so the message names
+        # the function where the limit struck and does not blame the input.
+        tb = e.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = (f"{code.co_name} "
+                 f"({os.path.basename(code.co_filename)}:{tb.tb_lineno})")
+        print(f"error: {args.command}: recursion limit reached in {where}: "
+              f"a formula is nested too deeply, or this is an internal error",
               file=sys.stderr)
         return EXIT_ERROR
 

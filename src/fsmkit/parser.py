@@ -70,10 +70,12 @@ KEYWORDS = {"sort", "object", "func", "pred", "intensional", "var",
 #: this deep; each level costs the parser two stack frames
 MAX_NESTING = 300
 
-# one match per token: the whitespace and comments before it, which are
-# never given back, then the token, the end of the text or a bad character
+# one match per token: the whitespace and comments before it, then the
+# token, the end of the text or a bad character.  The prefix takes every
+# newline and comment, so the next character is the start of a token, a
+# bad character or the end, and the alternation never makes it back off.
 _TOKEN_RE = re.compile(r"""
-    (?:\s+|%[^\n]*)*+
+    \s*(?:%[^\n]*\s*)*
     (?: (?P<num>\d+\.\d+(?!\.)|\d+)
       | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<op><->|->|:-|\.\.|!=|<=|>=|[{}().,:*+\-/=<>&|])

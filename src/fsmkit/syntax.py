@@ -783,10 +783,6 @@ def subst(f, mapping: dict):
     return _subst(f, mapping) if mapping else f
 
 
-#: terms and formulas take the same walk
-subst_term = subst
-
-
 def _subst(f, mapping):
     cls = f.__class__
     if cls is Var:

@@ -12,7 +12,7 @@ from fsmkit.syntax import (
     RULE_CONSTRAINT, Signature, SortError, TOP, Var, as_clist,
     close_universally, conj, conjuncts, disj, disjuncts, fol_representation,
     free_vars, is_not, negative_on, nodes, rename_symbols,
-    strictly_positive_symbols, subst, subst_term, symbols, transform,
+    strictly_positive_symbols, subst, symbols, transform,
 )
 from fsmkit.interp import FiniteInterpretation, elem_key
 from fsmkit.parser import parse_program
@@ -81,9 +81,9 @@ def test_subst_shares_the_subtrees_it_leaves_alone():
     assert subst(f, {}) is f
     assert subst(f, {Var("Z", "s"): Lit(1)}) is f
     t = App("g", (y, App("c")))
-    assert subst_term(t, {x: Lit(1)}) is t
-    assert subst_term(t, {y: x}) == App("g", (x, App("c")))
-    assert subst_term(t, {y: x}).args[1] is t.args[1]
+    assert subst(t, {x: Lit(1)}) is t
+    assert subst(t, {y: x}) == App("g", (x, App("c")))
+    assert subst(t, {y: x}).args[1] is t.args[1]
 
 
 def test_rename_symbols():
