@@ -5,20 +5,12 @@ stable-model checkers), syntactic transforms (definitional normal form,
 completion, unfolding, sort merging, predicate/function eliminations),
 reference oracles for neighbouring formalisms, and an SMT-LIB compiler for
 completed tight theories, plus a command-line front end.
-"""
 
-from .syntax import (
-    And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, Formula,
-    FsmError, Iff, Implies, IntensionalList, Lit, Not, Obj, Or, Program,
-    Rule, Signature, TOP, Var, fol_representation,
-)
-from .interp import FiniteInterpretation, enumerate_interpretations, satisfies
-from .stable import check_stable, check_stable_both, stable_models
-from .transforms import (
-    check_strong_equivalence_bounded, complete, is_tight, to_clark_normal_form,
-    unfold,
-)
-from .parser import parse_formula, parse_program, print_formula, print_program
+`import fsmkit` loads no layer.  A public name, or a submodule read as an
+attribute, is imported the first time it is read (PEP 562), so the
+command-line front end and a script that needs one layer load only that
+layer and the ones it imports.
+"""
 
 __version__ = "0.1.0"
 
@@ -32,3 +24,43 @@ __all__ = [
     "to_clark_normal_form", "unfold", "fol_representation",
     "parse_formula", "parse_program", "print_formula", "print_program",
 ]
+
+#: the submodule that defines each public name
+_HOME = {
+    "And": "syntax", "App": "syntax", "Atom": "syntax", "BOT": "syntax",
+    "Bottom": "syntax", "Choice": "syntax", "Equal": "syntax",
+    "Exists": "syntax", "Forall": "syntax", "Formula": "syntax",
+    "FsmError": "syntax", "Iff": "syntax", "Implies": "syntax",
+    "IntensionalList": "syntax", "Lit": "syntax", "Not": "syntax",
+    "Obj": "syntax", "Or": "syntax", "Program": "syntax", "Rule": "syntax",
+    "Signature": "syntax", "TOP": "syntax", "Var": "syntax",
+    "fol_representation": "syntax",
+    "FiniteInterpretation": "interp", "enumerate_interpretations": "interp",
+    "satisfies": "interp",
+    "check_stable": "stable", "check_stable_both": "stable",
+    "stable_models": "stable",
+    "check_strong_equivalence_bounded": "transforms", "complete": "transforms",
+    "is_tight": "transforms", "to_clark_normal_form": "transforms",
+    "unfold": "transforms",
+    "parse_formula": "parser", "parse_program": "parser",
+    "print_formula": "parser", "print_program": "parser",
+}
+
+_SUBMODULES = ("aspmt", "cli", "eliminations", "interp", "parser", "related",
+               "sortsred", "stable", "syntax", "transforms")
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

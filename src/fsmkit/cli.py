@@ -4,36 +4,19 @@ Subcommands cover the whole pipeline: parse, ground, stable, check,
 complete, check-tight, unfold, eliminate, desort, to-smt, compare,
 se-check.  Exit codes: 0 success, 1 negative semantic answer (not stable,
 no models, not tight, refuted), 2 usage or fragment errors.
+
+Start-up is kept cheap, since each answer is one process: the module
+imports only argparse, os and sys, and each command (and helper) imports
+the layers it calls at the top of its body, so `--help` loads no layer and
+`stable` loads no compiler.  `run` is the process entry: it calls `main`,
+freezes the heap so that the garbage collection at shutdown skips every
+object still alive, and exits.  `main` neither freezes nor exits, so tests
+and tools call it in-process.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import os
 import sys
-
-from .syntax import (
-    BOOL, Choice, FsmError, FragmentError, RULE_CHOICE, as_clist,
-    fol_representation,
-)
-from .parser import ParseError, parse_program, print_formula, print_program
-from .interp import FiniteInterpretation, enumerate_interpretations
-from .stable import (
-    METHOD_BOTH, METHOD_REDUCT, METHOD_SECOND_ORDER, check_stable, checker,
-    ground, prepare, stable_models,
-)
-from .transforms import (
-    check_strong_equivalence_bounded, complete, dependency_graph, find_cycle,
-    to_clark_normal_form, unfold,
-)
-from .eliminations import eliminate_function, eliminate_predicate
-from .sortsred import to_unsorted
-from .aspmt import (
-    BackgroundTheory, KIND_INTEGERS, KIND_REALS, emit_smtlib, run_solver,
-    solve_all, solver_path, validate_smtlib,
-)
-from .related import CausalRule, IfRule, cm_check, if_check
 
 
 EXIT_OK = 0
@@ -41,7 +24,14 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
+#: the checkers of `stable --method` and `check --method`, by the names
+#: that fsmkit.stable gives them (METHOD_*), spelled out so that building
+#: the argument parser does not load the stable layer
+METHODS = ("reduct", "second-order", "both")
+
+
 def _load_program(path):
+    from .parser import parse_program
     with open(path, encoding="utf-8") as fh:
         return parse_program(fh.read(), file=path)
 
@@ -53,6 +43,7 @@ def _universe(program, overrides, declared=None):
     or is bool, whose extent is fixed, on an empty range, or on a listed
     element that is not an integer where the declared extent is all
     integers."""
+    from .syntax import BOOL, FsmError
     if declared is None:
         declared = program.signature.sorts
     universe = {s: tuple(ext) for s, ext in program.universe.items()}
@@ -102,6 +93,7 @@ def _is_int(e):
 def _relative_names(sig, flag):
     """The symbols a --relative-to flag lists, or None without the flag;
     raises FsmError on one the signature does not declare."""
+    from .syntax import FsmError
     if not flag:
         return None
     names = [p.strip() for p in flag.split(",") if p.strip()]
@@ -112,6 +104,7 @@ def _relative_names(sig, flag):
 
 
 def _relative_to(program, flag):
+    from .syntax import as_clist
     names = _relative_names(program.signature, flag)
     return as_clist(program.intensional if names is None else names)
 
@@ -119,6 +112,7 @@ def _relative_to(program, flag):
 def _merged_signature(a, b):
     """a with every declaration of b that a lacks; raises FsmError naming
     a sort or symbol that a and b declare differently."""
+    from .syntax import FsmError
     merged = a.copy()
     clash = ((set(a.functions) & set(b.predicates))
              | (set(a.predicates) & set(b.functions)))
@@ -138,6 +132,7 @@ def _merged_signature(a, b):
 
 
 def _canonical_models(models):
+    import json
     out = [m.to_json() for m in models]
     out.sort(key=lambda m: json.dumps(m, sort_keys=True))
     return out
@@ -147,12 +142,16 @@ def _canonical_models(models):
 # subcommand bodies
 
 def cmd_parse(args):
+    from .parser import print_program
     program = _load_program(args.file)
     sys.stdout.write(print_program(program))
     return EXIT_OK
 
 
 def cmd_ground(args):
+    from .interp import FiniteInterpretation
+    from .stable import ground
+    from .syntax import fol_representation
     program = _load_program(args.file)
     universe = _universe(program, args.universe)
     _relative_to(program, args.relative_to)    # unused, but still checked
@@ -163,6 +162,9 @@ def cmd_ground(args):
 
 
 def cmd_stable(args):
+    import json
+    from .stable import stable_models
+    from .syntax import fol_representation
     program = _load_program(args.file)
     universe = _universe(program, args.universe)
     c = _relative_to(program, args.relative_to)
@@ -175,6 +177,10 @@ def cmd_stable(args):
 
 
 def cmd_check(args):
+    import json
+    from .interp import FiniteInterpretation
+    from .stable import checker
+    from .syntax import fol_representation
     program = _load_program(args.file)
     c = _relative_to(program, args.relative_to)
     f = fol_representation(program)
@@ -188,6 +194,9 @@ def cmd_check(args):
 
 
 def cmd_complete(args):
+    from .parser import print_formula
+    from .syntax import fol_representation
+    from .transforms import complete, to_clark_normal_form
     program = _load_program(args.file)
     c = _relative_to(program, args.relative_to)
     f = fol_representation(program)
@@ -197,6 +206,8 @@ def cmd_complete(args):
 
 
 def cmd_check_tight(args):
+    from .syntax import fol_representation
+    from .transforms import dependency_graph, find_cycle, to_clark_normal_form
     program = _load_program(args.file)
     c = _relative_to(program, args.relative_to)
     f = fol_representation(program)
@@ -210,6 +221,9 @@ def cmd_check_tight(args):
 
 
 def cmd_unfold(args):
+    from .parser import print_formula
+    from .syntax import fol_representation
+    from .transforms import unfold
     program = _load_program(args.file)
     c = _relative_to(program, args.relative_to)
     f = fol_representation(program)
@@ -218,6 +232,9 @@ def cmd_unfold(args):
 
 
 def cmd_eliminate(args):
+    from .eliminations import eliminate_function, eliminate_predicate
+    from .parser import print_formula
+    from .syntax import FsmError, fol_representation
     program = _load_program(args.file)
     f = fol_representation(program)
     if args.pred and args.to_func:
@@ -235,6 +252,9 @@ def cmd_eliminate(args):
 
 
 def cmd_desort(args):
+    from .parser import print_formula
+    from .sortsred import to_unsorted
+    from .syntax import fol_representation
     program = _load_program(args.file)
     f = fol_representation(program)
     new_f, axioms, _ = to_unsorted(f, program.signature)
@@ -245,6 +265,13 @@ def cmd_desort(args):
 
 
 def cmd_to_smt(args):
+    import json
+    from .aspmt import (
+        BackgroundTheory, KIND_INTEGERS, KIND_REALS, emit_smtlib, run_solver,
+        solve_all, solver_path, validate_smtlib,
+    )
+    from .syntax import fol_representation
+    from .transforms import to_clark_normal_form
     program = _load_program(args.file)
     universe = _universe(program, args.universe)
     c = _relative_to(program, args.relative_to)
@@ -277,6 +304,11 @@ def cmd_to_smt(args):
 
 
 def cmd_compare(args):
+    import json
+    from .interp import enumerate_interpretations
+    from .related import CausalRule, IfRule, cm_check, if_check
+    from .stable import check_stable, prepare
+    from .syntax import FragmentError, fol_representation
     program = _load_program(args.file)
     universe = _universe(program, args.universe)
     c = _relative_to(program, args.relative_to)
@@ -309,12 +341,16 @@ def cmd_compare(args):
 
 
 def _choice_free(rule):
+    from .syntax import RULE_CHOICE, Choice
     if rule.kind == RULE_CHOICE:
         return Choice(rule.head)
     return rule.head
 
 
 def cmd_se_check(args):
+    import json
+    from .syntax import FsmError, fol_representation
+    from .transforms import check_strong_equivalence_bounded
     p1 = _load_program(args.file)
     p2 = _load_program(args.file2)
     f = fol_representation(p1)
@@ -374,15 +410,13 @@ def build_parser():
 
     p = sub.add_parser("stable", help="enumerate stable models")
     common(p)
-    p.add_argument("--method", default=METHOD_REDUCT,
-                   choices=[METHOD_REDUCT, METHOD_SECOND_ORDER, METHOD_BOTH])
+    p.add_argument("--method", default=METHODS[0], choices=METHODS)
     p.set_defaults(fn=cmd_stable)
 
     p = sub.add_parser("check", help="check one interpretation")
     # the universe comes from the interpretation
     common(p, interp=True, universe=False)
-    p.add_argument("--method", default=METHOD_REDUCT,
-                   choices=[METHOD_REDUCT, METHOD_SECOND_ORDER, METHOD_BOTH])
+    p.add_argument("--method", default=METHODS[0], choices=METHODS)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("complete", help="definitional completion")
@@ -434,20 +468,28 @@ def build_parser():
     return top
 
 
+def _discard_stdout():
+    """The reader went away (`| head`): say nothing, and send what is still
+    buffered to devnull so that shutdown does not complain."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None):
     top = build_parser()
     try:
         args = top.parse_args(argv)
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
+    # the except clauses below need these bound before the command runs
+    import json
+    from .parser import ParseError
+    from .syntax import FsmError
     try:
         code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader went away (`| head`): say nothing, and send what is
-        # still buffered to devnull so that shutdown does not complain
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()
         return EXIT_ERROR
     except ParseError as e:
         print(str(e), file=sys.stderr)
@@ -472,5 +514,23 @@ def main(argv=None):
         return EXIT_ERROR
 
 
+def run():
+    """The process entry (`python -m fsmkit.cli`, the `fsmkit` script):
+    main, then exit.  Cyclic garbage collection stays on while the command
+    runs; gc.freeze() at the end moves every live object into the
+    permanent generation, so that the collection the interpreter makes at
+    shutdown no longer walks them all.  atexit handlers, module teardown
+    and the flush of the standard streams still run."""
+    code = main()
+    try:
+        sys.stdout.flush()       # what main leaves, such as --help
+    except BrokenPipeError:
+        _discard_stdout()
+        code = EXIT_ERROR
+    import gc
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

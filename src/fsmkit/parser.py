@@ -121,6 +121,7 @@ class Parser:
                      len(self.texts) - 1)
         self.i = 0
         self.depth = 0
+        self._closing = None         # '(' index -> its ')' index, on demand
         self.sig = signature if signature is not None else Signature()
         self.var_sorts = dict(var_sorts or {})   # var name -> sort
 
@@ -135,6 +136,18 @@ class Parser:
         col = offset - (self._newlines[line - 1] if line else -1)
         return SourceSpan(self.file, line + 1, col, line + 1,
                           col + len(self.texts[index]))
+
+    def closing(self, index):
+        """The index of the ')' that matches the '(' at token index, or
+        None; every pair is found in one pass over the tokens."""
+        if self._closing is None:
+            self._closing, opened = {}, []
+            for k, t in enumerate(self.texts):
+                if t == "(":
+                    opened.append(k)
+                elif t == ")" and opened:
+                    self._closing[opened.pop()] = k
+        return self._closing.get(index)
 
     def err(self, msg, index=None):
         raise ParseError(msg, self.span(self.i if index is None else index))
@@ -354,12 +367,21 @@ class Parser:
             self.expect("}")
             self.depth -= 1
         elif t == "(":
-            # backtracking: a parenthesis may open a formula or an arithmetic term
-            depth = self.depth
-            try:
-                f = self._comparison()
-            except ParseError:
-                self.i, self.depth = i, depth
+            # a parenthesis may open a formula or an arithmetic term.  The
+            # term is tried first, backtracking to the formula on a
+            # ParseError, only when an operator or a comparison follows
+            # the matching ')' (or none matches).  Any other term group is
+            # a predicate atom, which the formula reads alike, so such a
+            # group is read once.
+            j = self.closing(i)
+            f = None
+            if j is None or texts[j + 1] in _TERM_FOLLOWS:
+                depth = self.depth
+                try:
+                    f = self._comparison()
+                except ParseError:
+                    self.i, self.depth = i, depth
+            if f is None:
                 self._enter()
                 self.i = i + 1
                 f = self.parse_formula()

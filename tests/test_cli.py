@@ -1,8 +1,10 @@
 """Command-line interface: exit codes and machine-readable output."""
 
+import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -72,24 +74,98 @@ def test_stable_outputs_schema_valid_models(capsys):
     assert (5, 9, False) not in pairs
 
 
-def test_importing_the_cli_adds_no_heavy_modules():
-    # what --help pays for at start-up: no process pool, no subprocess
-    # (only a solver run needs it), and no dataclasses with the inspect
-    # machinery it pulls in; modules loaded before the import do not count
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import json, sys\n"
-            "before = set(sys.modules)\n"
-            "import fsmkit.cli\n"
-            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    return env
+
+
+def _modules_added(code):
+    """The modules that running code adds to sys.modules, in a fresh
+    interpreter; modules loaded before it (json, sys) do not count."""
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             f"{code}\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    added = {m.split(".")[0] for m in json.loads(proc.stdout)}
-    assert "fsmkit" in added
-    assert not added & {"dataclasses", "inspect", "subprocess", "concurrent",
-                        "multiprocessing"}
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+LAYERS = ("aspmt", "eliminations", "interp", "parser", "related", "sortsred",
+          "stable", "syntax", "transforms")
+
+
+def test_importing_the_cli_adds_no_heavy_modules():
+    # what --help pays for at start-up: no process pool, no subprocess
+    # (only a solver run needs it), no dataclasses with the inspect
+    # machinery it pulls in, no layer of fsmkit and no fractions
+    added = _modules_added("import fsmkit.cli")
+    assert {m for m in added if m.startswith("fsmkit")} == {"fsmkit",
+                                                            "fsmkit.cli"}
+    top = {m.split(".")[0] for m in added}
+    assert not top & {"dataclasses", "inspect", "subprocess", "concurrent",
+                      "multiprocessing", "fractions"}
+
+
+def test_importing_the_package_loads_a_layer_only_when_a_name_is_read():
+    assert {m for m in _modules_added("import fsmkit")
+            if m.startswith("fsmkit")} == {"fsmkit"}
+    added = _modules_added("import fsmkit\nfsmkit.parse_program")
+    assert {"fsmkit.parser", "fsmkit.syntax"} <= added
+    assert not {f"fsmkit.{m}" for m in ("stable", "transforms", "aspmt")} \
+        & added
+
+
+def test_a_stable_run_loads_no_compiler_and_no_oracle():
+    added = _modules_added(
+        "import contextlib, io\n"
+        "from fsmkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['stable', {str(DEMOS / 'switches.fsm')!r}]) == 0")
+    assert "fsmkit.stable" in added
+    assert not {f"fsmkit.{m}" for m in ("aspmt", "related", "eliminations",
+                                        "sortsred")} & added
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    import fsmkit
+    names = dir(fsmkit)
+    for name in fsmkit.__all__:
+        home = importlib.import_module(f"fsmkit.{fsmkit._HOME[name]}")
+        assert getattr(fsmkit, name) is getattr(home, name), name
+        assert name in names, name
+    assert sorted(fsmkit._HOME) == sorted(fsmkit.__all__)
+    for layer in LAYERS:
+        assert getattr(fsmkit, layer) is importlib.import_module(
+            f"fsmkit.{layer}")
+    namespace = {}
+    exec("from fsmkit import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(
+        fsmkit.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fsmkit.no_such_name
+
+
+def test_the_method_choices_are_the_checkers_of_the_stable_layer():
+    from fsmkit import cli, stable
+    assert cli.METHODS == (stable.METHOD_REDUCT, stable.METHOD_SECOND_ORDER,
+                           stable.METHOD_BOTH)
+    for method in cli.METHODS:
+        assert callable(stable.checker(method))
+
+
+def test_the_installed_script_names_the_process_entry():
+    # read as text: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^fsmkit\s*=\s*"([\w.]+):(\w+)"', scripts, re.M)
+    assert target is not None, scripts
+    module = importlib.import_module(target.group(1))
+    assert target.group(2) == "run"
+    assert callable(getattr(module, target.group(2)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -99,9 +175,7 @@ def test_importing_the_cli_adds_no_heavy_modules():
 def test_ground_prints_the_same_under_every_hash_seed(argv):
     # a ground conjunction or disjunction prints its members in the order
     # they were built, not in the hash order of its set
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = _env()
     outputs = set()
     for seed in ("1", "2", "3"):
         proc = subprocess.run(
@@ -123,9 +197,7 @@ def test_programs_past_a_thousand_rules(tmp_path):
     lines += [f"c{i} = 1 :- q{j}." for i in range(n) for j in range(n)]
     src = tmp_path / "long.fsm"
     src.write_text("\n".join(lines) + "\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = _env()
     for command in ("check-tight", "complete", "to-smt"):
         proc = subprocess.run(
             [sys.executable, "-m", "fsmkit.cli", command, str(src)],
@@ -147,9 +219,7 @@ def test_a_chain_of_1201_intensional_predicates(tmp_path, reverse):
     lines += [f"p{k + 1} :- p{k}." for k in range(n - 1)]
     src = tmp_path / "chain.fsm"
     src.write_text("\n".join(lines) + "\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = _env()
     for command in (["unfold"], ["desort"], ["check-tight"], ["complete"],
                     ["to-smt"], ["eliminate", "--pred", "p0", "--to-func", "f0"]):
         proc = subprocess.run(
@@ -352,9 +422,7 @@ def test_check_both_methods_over_a_large_sort(tmp_path, capsys, amt0, amt1,
 def test_a_closed_pipe_exits_2_without_a_message():
     # `fsmkit stable ... | head -1`: the reader is gone before the models
     # are written; the reading end is closed first, so every write fails
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = _env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -367,6 +435,52 @@ def test_a_closed_pipe_exits_2_without_a_message():
         os.close(write_end)
     assert proc.returncode == EXIT_ERROR
     assert proc.stderr == ""
+
+
+# the process entry, `python -m fsmkit.cli`: cli.run, which freezes the
+# heap before the interpreter shuts down
+
+def _process(argv, **kw):
+    return subprocess.run([sys.executable, "-m", "fsmkit.cli", *argv],
+                          capture_output=True, env=_env(), timeout=120, **kw)
+
+
+@pytest.mark.parametrize("demo", ["watertank", "switches"])
+def test_piped_stable_output_equals_the_in_process_output(capsys, demo):
+    argv = ["stable", str(DEMOS / f"{demo}.fsm")]
+    code, out = run(capsys, *argv)
+    proc = _process(argv)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == out.encode("utf-8")
+
+
+def test_to_smt_out_writes_the_whole_script(tmp_path, capsys):
+    argv = ["to-smt", "--background", "reals", str(DEMOS / "car.fsm")]
+    code, script = run(capsys, *argv)
+    assert code == EXIT_OK
+    out = tmp_path / "car.smt2"
+    proc = _process(argv + ["--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, b"", b"")
+    assert out.read_text(encoding="utf-8") == script
+
+
+def test_a_reader_that_leaves_after_one_byte_gets_exit_2():
+    # `fsmkit stable ... | head -c 1`: the models (about 290 kB) do not fit
+    # in the pipe, so the writer is still writing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fsmkit.cli", "stable", str(TANK),
+         "--universe", "amt=0..100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    try:
+        assert proc.stdout.read(1) == b"["
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_ERROR
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_check_tight(tmp_path, capsys):

@@ -90,6 +90,41 @@ def test_parentheses_nest_up_to_the_limit(tmp_path):
     assert err == f"{path}:3:{col}: nesting deeper than {MAX_NESTING} levels\n"
 
 
+def test_nested_parentheses_around_a_formula_are_read_once(monkeypatch):
+    # a group is tried as a term only when an operator or a comparison
+    # follows it; reading each group as a term first, and then again as a
+    # formula, took a number of calls quadratic in the depth
+    from fsmkit.parser import Parser
+    calls = []
+    for name in ("_comparison", "_term"):
+        method = getattr(Parser, name)
+        monkeypatch.setattr(Parser, name, lambda self, m=method:
+                            calls.append(1) or m(self))
+
+    def count(depth):
+        del calls[:]
+        text = "pred p.\npred q.\np :- " + "(" * depth + "p & q" \
+            + ")" * depth + ".\n"
+        body = parse_program(text).rules[0].body
+        assert body == And(Atom("p"), Atom("q"))
+        return len(calls)
+
+    assert count(200) <= 2 * count(100) + 10
+
+
+@pytest.mark.parametrize("text, want", [
+    ("((1 + 2)) = 3", Equal(App("+", (Lit(1), Lit(2))), Lit(3))),
+    ("((o)) * 2 = 4", Equal(App("*", (App("o", ()), Lit(2))), Lit(4))),
+    ("((r(1)))", Atom("r", (Lit(1),))),
+    ("(((p)) & (r(o)))", And(Atom("p"), Atom("r", (App("o", ()),)))),
+    ("(((o)) = 1 | p)", Or(Equal(App("o", ()), Lit(1)), Atom("p"))),
+])
+def test_a_parenthesized_term_or_formula_parses_as_before(text, want):
+    sig = parse_program("pred p.\npred r : int.\nfunc o : -> int.\n"
+                        ).signature
+    assert parse_formula(text, sig) == want
+
+
 @pytest.mark.parametrize("body", [
     "p(" + "g(" * 400 + "a" + ")" * 401,          # argument lists
     "{ " * 400 + "p(a)" + " }" * 400,             # choice braces

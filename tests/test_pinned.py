@@ -2,8 +2,10 @@
 
 Each case is a CLI run (parsing, the tightness check, grounding,
 completion, unfolding, both eliminations, sort merging, SMT emission) on a
-demo or an inline program, the error a malformed input raises (message,
-file:line:col and span), or a library call
+demo or an inline program, the command-line surface (`--help` of the
+program and of each subcommand, and the usage errors, at COLUMNS=80), the
+error a malformed input raises (message, file:line:col and span), or a
+library call
 (star, relativize, rename_symbols, the IF-program diamond, unfolding and the
 eliminations) on the seeded formula generators of conftest.py.  The SHA-256
 of each printed result is recorded in pinned_outputs.json; every case must
@@ -17,9 +19,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import random
+import sys
 import tempfile
+from unittest import mock
 
 from fsmkit.cli import main
 from fsmkit.eliminations import eliminate_function, eliminate_predicate
@@ -167,6 +172,29 @@ def parse_error_outputs():
     return outputs
 
 
+# the command-line surface: help texts and usage errors
+SURFACE = {
+    "help": ["--help"],
+    **{f"{cmd} --help": [cmd, "--help"] for cmd in (
+        "parse", "ground", "stable", "check", "complete", "check-tight",
+        "unfold", "eliminate", "desort", "to-smt", "compare", "se-check")},
+    "unknown-command": ["bogus", "x.fsm"],
+    "missing-file": ["stable"],
+    "no-such-file": ["stable", os.path.join("no", "such", "file.fsm")],
+    "method-bogus": ["stable", "--method", "bogus", "x.fsm"],
+}
+
+#: argparse words and wraps its help differently from one Python version
+#: to the next; the surface digests were recorded on this one
+SURFACE_PYTHON = (3, 11)
+
+
+def surface_outputs():
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        return {f"cli/surface/{label}": _cli(argv)
+                for label, argv in SURFACE.items()}
+
+
 def _cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -241,8 +269,8 @@ def generator_outputs():
 
 
 def all_outputs(work):
-    return {**cli_outputs(work), **parse_error_outputs(),
-            **generator_outputs()}
+    return {**cli_outputs(work), **surface_outputs(),
+            **parse_error_outputs(), **generator_outputs()}
 
 
 def _digest(text):
@@ -254,6 +282,8 @@ def test_outputs_match_the_pinned_digests(tmp_path):
     got = {k: _digest(v) for k, v in all_outputs(tmp_path).items()}
     assert sorted(got) == sorted(pinned)
     changed = [k for k in pinned if got[k] != pinned[k]]
+    if sys.version_info[:2] != SURFACE_PYTHON:
+        changed = [k for k in changed if not k.startswith("cli/surface/")]
     assert not changed, changed
 
 
