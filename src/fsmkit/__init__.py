@@ -14,17 +14,6 @@ layer and the ones it imports.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And", "App", "Atom", "BOT", "Bottom", "Choice", "Equal", "Exists",
-    "Forall", "Formula", "FsmError", "Iff", "Implies", "IntensionalList",
-    "Lit", "Not", "Obj", "Or", "Program", "Rule", "Signature", "TOP", "Var",
-    "FiniteInterpretation", "enumerate_interpretations", "satisfies",
-    "check_stable", "check_stable_both", "stable_models",
-    "check_strong_equivalence_bounded", "complete", "is_tight",
-    "to_clark_normal_form", "unfold", "fol_representation",
-    "parse_formula", "parse_program", "print_formula", "print_program",
-]
-
 #: the submodule that defines each public name
 _HOME = {
     "And": "syntax", "App": "syntax", "Atom": "syntax", "BOT": "syntax",
@@ -45,6 +34,8 @@ _HOME = {
     "parse_formula": "parser", "parse_program": "parser",
     "print_formula": "parser", "print_program": "parser",
 }
+
+__all__ = list(_HOME)
 
 _SUBMODULES = ("aspmt", "cli", "eliminations", "interp", "parser", "related",
                "sortsred", "stable", "syntax", "transforms")

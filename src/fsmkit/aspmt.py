@@ -125,14 +125,15 @@ class SmtScript(Record):
 
 def _simplify_not_not(f):
     """f with every double negation removed; a subformula that has none is
-    returned itself."""
-    inner = is_not(f)
-    if inner is not None:
-        inner2 = is_not(inner)
-        if inner2 is not None:
-            return _simplify_not_not(inner2)
-        new = _simplify_not_not(inner)
-        return f if new is inner else Not(new)
+    returned itself.  A chain of negations is walked in a loop, so its
+    length costs no recursion: its pairs are dropped, and an odd one out
+    stays on the formula below the chain."""
+    last, length = None, 0      # the chain's last negation, its length
+    while (inner := is_not(f)) is not None:
+        last, f, length = f, inner, length + 1
+    if length % 2:
+        new = _simplify_not_not(f)
+        return last if new is f else Not(new)
     if isinstance(f, (And, Or, Implies)):
         return _rebuilt(f, _simplify_not_not(f.left),
                         _simplify_not_not(f.right))

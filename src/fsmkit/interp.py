@@ -110,7 +110,9 @@ class FiniteInterpretation(Record):
     def _decode(cls, data, signature):
         def dec(e):
             if isinstance(e, dict) and "rat" in e:
-                return Fraction(e["rat"][0], e["rat"][1])
+                # unpacking raises ValueError unless there are two parts
+                numerator, denominator = e["rat"]
+                return Fraction(numerator, denominator)
             return e
 
         universe = {s: tuple(dec(e) for e in ext) for s, ext in data.get("universe", {}).items()}

@@ -162,9 +162,7 @@ def gor(members, choice=False) -> GOr:
     return GOr(frozenset(unique), tuple(unique), choice)
 
 
-
-def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
-           index=False):
+def ground(f: Formula, interp: FiniteInterpretation, *, index=False):
     """Structure-preserving grounding of a sentence relative to interp.
 
     Quantifiers become finite set-conjunctions/disjunctions over the
@@ -174,8 +172,7 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
     ground terms (Obj, Lit, App), implications stay Implies, and GAnd, GOr
     and GIndex are the only nodes of ground formulas alone.  Only the
     universe of interp is read, so one grounding serves every candidate
-    over that universe.  The top-level call (env is None) rejects a formula
-    with free variables; nested calls bind every variable they meet.
+    over that universe.  A formula with free variables is rejected.
 
     With index, a guarded quantifier (see _guard) becomes a GIndex on the
     ground guard term instead of a GAnd or a GOr.  It grounds an instance
@@ -183,11 +180,9 @@ def ground(f: Formula, interp: FiniteInterpretation, env=None, *,
     and visit the guarded instances, not the extent.  The extent itself is
     read here, so a sort without one fails here as on the plain grounding.
     """
-    if env is None:
-        if free_vars(f):
-            raise FsmError(f"ground: free variables in {f!r}")
-        env = {}
-    return _ground(f, interp, env, index)
+    if free_vars(f):
+        raise FsmError(f"ground: free variables in {f!r}")
+    return _ground(f, interp, {}, index)
 
 
 def _ground(f, interp, env, index):
@@ -619,18 +614,18 @@ class _Search(_Kleene):
         return self.holds(self.conjuncts[k])
 
 
-def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
-                     locations=None, positions=None):
-    """The interpretations over universe that extend fixed_funcs and
-    satisfy g, a grounding of a sentence over universe, as pairs (key, I);
-    sorted by key they come in enumerate_interpretations order.
+def classical_models(g, sig: Signature, universe: dict, locations=None,
+                     positions=None):
+    """The interpretations over universe that satisfy g, a grounding of a
+    sentence over universe, as pairs (key, I); sorted by key they come in
+    enumerate_interpretations order.
 
-    Backtracking search over the locations of every user symbol outside
-    fixed_funcs, each tried with every value in extent order, pruned by the
-    Kleene value of g's conjuncts (see _Search).  Once no conjunct is
-    undecided, every completion of the unassigned locations is a model
-    (Kleene monotonicity), and Locations.completions yields all of them
-    without evaluating g again.
+    Backtracking search over the locations of every user symbol, each tried
+    with every value in extent order, pruned by the Kleene value of g's
+    conjuncts (see _Search).  Once no conjunct is undecided, every
+    completion of the unassigned locations is a model (Kleene
+    monotonicity), and Locations.completions yields all of them without
+    evaluating g again.
     The conjuncts are evaluated as gsat evaluates them (see _Kleene): a
     choice G | not G evaluates G and is true when G is unknown (excluded
     middle), and a GIndex whose guard is unknown is unknown.
@@ -638,19 +633,18 @@ def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
     The search evaluates a conjunct under a partial assignment that gsat
     would not have reached, so it can raise EvaluationError where
     filtering enumerate_interpretations with gsat does not, and the other
-    way round (see tests/test_search.py).  A choice whose G divides by zero
-    under fixed_funcs raises in both.
+    way round (see tests/test_search.py).
 
-    With positions, which must hold every location of a searched symbol
-    that g reads (one ground component, see _components), key holds the
-    value indices of those positions alone, in their order, and I leaves
-    every other location of a searched symbol undefined or false.
+    With positions, which must hold every location that g reads (one
+    ground component, see _components), key holds the value indices of
+    those positions alone, in their order, and I leaves every other
+    location undefined or false.
     """
     _require_nonempty(universe)
     table = locations or Locations(sig, universe)
-    outside, vary = _outside(sig, universe, fixed_funcs)
+    outside, symbols = _outside(sig, universe)
     if positions is None:
-        positions = table.positions(vary)
+        positions = table.positions(symbols)
     allowed = set(positions)
 
     def options(p):
@@ -659,21 +653,19 @@ def classical_models(g, sig: Signature, universe: dict, fixed_funcs=None,
                            "outside its locations")
         return table.values[p]
 
-    search = _Search(table, _conjuncts(g), outside, vary)
+    search = _Search(table, _conjuncts(g), outside, symbols)
     for _ in search.nodes(options):
         yield from table.completions(
             outside, positions, {top[0]: top[3] for top in search.trail})
 
 
-def _outside(sig: Signature, universe: dict, fixed_funcs):
-    """(fixed_funcs with an empty table for every other user symbol, the
-    other user symbols): the interpretation a search of those symbols
-    starts from."""
-    funcs = dict(fixed_funcs or {})
-    vary = [n for n in sig.user_symbols() if n not in funcs]
-    funcs.update((n, {}) for n in vary if n in sig.functions)
-    preds = {n: () for n in vary if n in sig.predicates}
-    return FiniteInterpretation(sig, universe, funcs, preds), vary
+def _outside(sig: Signature, universe: dict):
+    """(the interpretation with an empty table for every user symbol, the
+    user symbols): what a search of every user symbol starts from."""
+    symbols = sig.user_symbols()
+    funcs = {n: {} for n in symbols if n in sig.functions}
+    preds = {n: () for n in symbols if n in sig.predicates}
+    return FiniteInterpretation(sig, universe, funcs, preds), symbols
 
 
 def smaller_witness(red, i: FiniteInterpretation, c, locations=None,
@@ -950,8 +942,7 @@ def prepare(f: Formula, c, sig: Signature, universe: dict,
     return shared
 
 
-def support(f: Formula, c, sig: Signature, universe: dict,
-            fixed_funcs=None):
+def support(f: Formula, c, sig: Signature, universe: dict):
     """The support half of the completion of F, grounded with the index
     over the universe, when the completion theorem decides stability on
     the reduct route; else None.
@@ -966,13 +957,9 @@ def support(f: Formula, c, sig: Signature, universe: dict,
     p(X)) has other stable models).  When F' is tight on c and every value
     sort of a function in c has at least two elements, those are exactly
     the models of the completion of F' (Fages; Erdem and Lifschitz; the
-    completion theorem for intensional functions).  The theorem is about
-    total interpretations, so every table in fixed_funcs must be total;
-    and no member of c may be fixed, since stable_models checks one
-    ground component at a time, and the support of a location outside the
-    component holds only where the candidate leaves it undefined or false.
-    A choice rule's case of G holds not not H, which is true wherever the
-    support reads G, so it is left out (see _assuming).
+    completion theorem for intensional functions).  A choice rule's case
+    of G holds not not H, which is true wherever the support reads G, so
+    it is left out (see _assuming).
     """
     # transforms imports this module
     from .transforms import (
@@ -981,17 +968,9 @@ def support(f: Formula, c, sig: Signature, universe: dict,
     c = as_clist(c)
     if not is_c_plain(f, c, sig):
         return None
-    fixed_funcs = fixed_funcs or {}
     base = FiniteInterpretation(sig, universe)
     for n in c.func_part(sig):
-        if n in fixed_funcs:
-            return None
         if len({elem_key(e) for e in base.extent(sig.functions[n][1])}) < 2:
-            return None
-    for n in sig.functions:
-        if n in fixed_funcs and not all(
-                args in fixed_funcs[n] for args in itertools.product(
-                    *[base.extent(s) for s in sig.functions[n][0]])):
             return None
     try:
         cnf = to_clark_normal_form(f, c, sig)
@@ -1026,13 +1005,14 @@ def _assuming(f: Formula, fact: Formula) -> Formula:
 
 
 def stable_models(f: Formula, c, sig: Signature, universe: dict,
-                  fixed_funcs=None, method: str = METHOD_REDUCT):
+                  method: str = METHOD_REDUCT):
     """All stable models of F relative to c over the given finite universe,
     in enumerate_interpretations order.
 
-    The functions in fixed_funcs keep the given tables; every other user
-    symbol ranges over all its assignments.  What the checks share (see
-    prepare) is built once, and every candidate is checked against it.
+    Every user symbol ranges over all its assignments; to fix a symbol
+    outside c, filter the models (a witness J agrees with I off c, so a
+    fixed table changes no verdict).  What the checks share (see prepare)
+    is built once, and every candidate is checked against it.
     METHOD_SECOND_ORDER and METHOD_BOTH check every interpretation, as the
     generate-and-test reference.
 
@@ -1065,31 +1045,25 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
     check = checker(method)
     shared = prepare(f, c, sig, universe, method)
     if method != METHOD_REDUCT:
-        return [i for i in enumerate_interpretations(sig, universe,
-                                                     fixed_funcs)
+        return [i for i in enumerate_interpretations(sig, universe)
                 if check(f, c, i, **shared)]
     table = shared["locations"]
-    outside, vary = _outside(sig, universe, fixed_funcs)
-    # a c-symbol in fixed_funcs is not searched for I, but J can vary it
-    fixed_c = [n for n in c.names if n not in vary]
-    supported = support(f, c, sig, universe, fixed_funcs)
+    outside, symbols = _outside(sig, universe)
+    supported = support(f, c, sig, universe)
     parts = []      # per component: its stable assignments, position -> index
-    for g, positions in _components(shared["grounding"], table,
-                                    vary + fixed_c):
-        searched = [p for p in positions if table.keys[p][0] not in fixed_c]
-        candidates = classical_models(g, sig, universe, fixed_funcs, table,
-                                      searched)
+    for g, positions in _components(shared["grounding"], table, symbols):
+        candidates = classical_models(g, sig, universe, table, positions)
         if supported is None:
-            stable = [dict(zip(searched, key)) for key, i in candidates
+            stable = [dict(zip(positions, key)) for key, i in candidates
                       if check(f, c, i, grounding=g, locations=table,
                                positions=positions)]
         else:
-            stable = [dict(zip(searched, key)) for key, i in candidates
+            stable = [dict(zip(positions, key)) for key, i in candidates
                       if gsat(i, g) and gsat(i, supported)]
         if not stable:
             return []
         parts.append(stable)
-    order = table.positions(vary)
+    order = table.positions(symbols)
     values = table.values
     found = []
     for combo in itertools.product(*parts):

@@ -25,10 +25,6 @@ class DeclarationError(FsmError):
     pass
 
 
-class SortError(FsmError):
-    pass
-
-
 class ContractViolation(FsmError):
     pass
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes and machine-readable output."""
 
+import ast
 import importlib
 import json
 import os
@@ -166,6 +167,22 @@ def test_the_installed_script_names_the_process_entry():
     module = importlib.import_module(target.group(1))
     assert target.group(2) == "run"
     assert callable(getattr(module, target.group(2)))
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    """Every module of the package parses under the grammar of the oldest
+    Python that pyproject.toml admits.  This checks syntax only: a library
+    feature that is newer, such as a regular-expression construct that
+    re compiles only on a later Python, still passes here."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text, re.M)
+    assert floor is not None
+    version = (int(floor.group(1)), int(floor.group(2)))
+    modules = sorted((ROOT / "src" / "fsmkit").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=version)
 
 
 @pytest.mark.parametrize("argv", [
@@ -375,8 +392,12 @@ def test_check_malformed_interp_exits_2(tmp_path):
      "flush(1): 1 arguments, want 0"),
     (lambda d: d["preds"].update({"flush": 5}),
      "malformed interpretation JSON"),
+    (lambda d: d["funcs"]["amt1"].update({"": {"rat": [1]}}),
+     "malformed interpretation JSON"),
+    (lambda d: d["funcs"]["amt1"].update({"": {"rat": []}}),
+     "malformed interpretation JSON"),
 ], ids=["value-outside", "bool-value", "no-flush", "no-amt0", "undeclared",
-        "arity", "shape"])
+        "arity", "shape", "short-rat", "empty-rat"])
 def test_check_rejects_an_interpretation_outside_the_signature(
         tmp_path, capsys, edit, message):
     path = pathlib.Path(tank_interp_file(tmp_path, 5, 6, False))

@@ -500,10 +500,9 @@ def test_second_order_route_stars_once_per_run(monkeypatch):
     top_level = []
     original = stable_module.ground
 
-    def counting(g, interp, env=None, **kw):
-        if env is None:
-            top_level.append(g)
-        return original(g, interp, env, **kw)
+    def counting(g, interp, **kw):
+        top_level.append(g)
+        return original(g, interp, **kw)
     monkeypatch.setattr(stable_module, "ground", counting)
     models = stable_models(f, c, sig, universe, method=METHOD_SECOND_ORDER)
     assert len(models) == 11

@@ -258,29 +258,29 @@ def test_c_function_over_a_one_element_sort():
 # ---------------------------------------------------------------------------
 # the classical search against filtering every interpretation
 
-def searched_models(g, sig, universe, fixed_funcs=None):
+def searched_models(g, sig, universe):
     """The classical models the search finds, in enumeration order."""
-    found = sorted(classical_models(g, sig, universe, fixed_funcs),
+    found = sorted(classical_models(g, sig, universe),
                    key=lambda pair: pair[0])
     return [i for _, i in found]
 
 
-def filtered_models(g, sig, universe, fixed_funcs=None):
-    return [i for i in enumerate_interpretations(sig, universe, fixed_funcs)
+def filtered_models(g, sig, universe):
+    return [i for i in enumerate_interpretations(sig, universe)
             if gsat(i, g)]
 
 
-def assert_searches_agree(f, c, sig, universe, fixed_funcs):
+def assert_searches_agree(f, c, sig, universe):
     """On both groundings the search finds the classical models that
     filtering finds, in the same order; and the reduct route, which runs on
     those, finds the stable models the second-order route finds."""
     base = FiniteInterpretation(sig, universe)
     for index in (False, True):
         g = ground(f, base, index=index)
-        assert (searched_models(g, sig, universe, fixed_funcs)
-                == filtered_models(g, sig, universe, fixed_funcs)), f
-    assert (stable_models(f, c, sig, universe, fixed_funcs)
-            == stable_models(f, c, sig, universe, fixed_funcs,
+        assert (searched_models(g, sig, universe)
+                == filtered_models(g, sig, universe)), f
+    assert (stable_models(f, c, sig, universe)
+            == stable_models(f, c, sig, universe,
                              method="second-order")), (f, c)
 
 
@@ -290,27 +290,21 @@ FORMULA_CS = [("a", "p"), ("p",), ("a", "b"), ("q",), ("a", "b", "p", "q"),
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32), unary=st.booleans(),
-       arith=st.booleans(), fixed=st.sampled_from([None, 1, 2]),
-       c=st.sampled_from(FORMULA_CS))
-def test_classical_search_on_random_formulas(seed, unary, arith, fixed, c):
+       arith=st.booleans(), c=st.sampled_from(FORMULA_CS))
+def test_classical_search_on_random_formulas(seed, unary, arith, c):
     # p is unary; with arith, a + 1 and f(b + 1) leave u = {1, 2}
     sig, gen = make_gen(seed, with_unary_func=unary, with_arith=arith)
     if "f" in c and not unary:
         c = ("a", "p")
-    fixed_funcs = None if fixed is None else {"b": {(): fixed}}
-    assert_searches_agree(gen.formula(depth=3), c, sig, {"u": (1, 2)},
-                          fixed_funcs)
+    assert_searches_agree(gen.formula(depth=3), c, sig, {"u": (1, 2)})
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2 ** 32), fixed=st.sampled_from([None, 1, 2]),
+@given(seed=st.integers(0, 2 ** 32),
        c=st.sampled_from([("f", "g", "p"), ("f",), ("g", "p")]))
-def test_classical_search_on_definition_programs(seed, fixed, c):
+def test_classical_search_on_definition_programs(seed, c):
     sig, f = random_definition_program(random.Random(seed))
-    fixed_funcs = None if fixed is None else {"g": {(): fixed}}
-    if fixed_funcs:
-        c = tuple(n for n in c if n != "g")
-    assert_searches_agree(f, c, sig, {"u": (1, 2)}, fixed_funcs)
+    assert_searches_agree(f, c, sig, {"u": (1, 2)})
 
 
 def test_classical_search_on_the_demos():
@@ -514,21 +508,6 @@ def test_choice_rule_skips_a_division_gsat_reaches():
             == list(enumerate_interpretations(sig, universe)))
     with pytest.raises(EvaluationError):
         stable_models(f, ("p",), sig, universe)
-
-
-def test_choice_rule_divides_once_its_term_is_fixed():
-    # with a fixed to 0 the search evaluates p(1/a) at the root, where the
-    # choice is decided, and divides as filtering with gsat does
-    f, c, i = division_case(Choice(ONE_BY_A))
-    sig, universe = i.signature, i.universe
-    fixed = {"a": {(): 0}}
-    g = ground(f, FiniteInterpretation(sig, universe, fixed), index=True)
-    with pytest.raises(EvaluationError):
-        filtered_models(g, sig, universe, fixed)
-    with pytest.raises(EvaluationError):
-        searched_models(g, sig, universe, fixed)
-    with pytest.raises(EvaluationError):
-        stable_models(f, ("p",), sig, universe, fixed)
 
 
 def test_candidate_search_divides_where_gsat_short_circuits():

@@ -9,7 +9,7 @@ import pytest
 from fsmkit.syntax import (
     And, App, Atom, BOT, Bottom, Choice, DeclarationError, Equal, Exists,
     Forall, Iff, Implies, IntensionalList, Lit, Not, Obj, Or, Rule,
-    RULE_CONSTRAINT, Signature, SortError, TOP, Var, as_clist,
+    RULE_CONSTRAINT, Signature, TOP, Var, as_clist,
     close_universally, conj, conjuncts, disj, disjuncts, fol_representation,
     free_vars, is_not, negative_on, nodes, rename_symbols,
     strictly_positive_symbols, subst, symbols, transform,

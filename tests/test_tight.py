@@ -30,21 +30,20 @@ from test_search import SWITCHES_2, demo, filtered_models, program, \
 from test_split import disjoint_copies
 
 
-def generate_and_test(f, c, sig, universe, fixed_funcs=None):
+def generate_and_test(f, c, sig, universe):
     """The stable models by the reduct route's check of every
     interpretation, in enumeration order."""
     shared = prepare(f, c, sig, universe)
-    return [i for i in enumerate_interpretations(sig, universe, fixed_funcs)
+    return [i for i in enumerate_interpretations(sig, universe)
             if check_stable(f, c, i, **shared)]
 
 
-def assert_tight_path(f, c, sig, universe, fixed_funcs=None, taken=True):
+def assert_tight_path(f, c, sig, universe, taken=True):
     """stable_models equals generate-and-test, as a list, and the tight
     path is taken (or not) as expected.  Returns the models."""
-    assert (support(f, c, sig, universe, fixed_funcs) is not None) == taken
-    models = stable_models(f, c, sig, universe, fixed_funcs)
-    assert models == generate_and_test(f, c, sig, universe, fixed_funcs), \
-        (f, c, fixed_funcs)
+    assert (support(f, c, sig, universe) is not None) == taken
+    models = stable_models(f, c, sig, universe)
+    assert models == generate_and_test(f, c, sig, universe), (f, c)
     return models
 
 
@@ -89,9 +88,9 @@ def test_tight_path_finds_stable_models_of_choice_programs():
 
 def test_tight_path_on_the_watertank():
     f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(8)))
-    assert len(assert_tight_path(f, c, sig, universe)) == 2 * 7 + 1
-    fixed = {"amt0": {(): 3}}
-    assert len(assert_tight_path(f, c, sig, universe, fixed)) == 2
+    models = assert_tight_path(f, c, sig, universe)
+    assert len(models) == 2 * 7 + 1
+    assert len([m for m in models if m.funcs["amt0"] == {(): 3}]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -113,24 +112,6 @@ def test_a_c_function_over_a_one_element_sort_falls_back():
     f, c, sig, universe = program(ONE_VALUE)
     models = assert_tight_path(f, c, sig, universe, taken=False)
     assert [m.funcs["h"] for m in models] == [{(): "z"}]
-
-
-def test_a_partial_fixed_table_falls_back():
-    for seed in range(6):
-        sig, f = random_choice_program(random.Random(seed))
-        for fixed in ({"g": {}}, {"g": {(): 2}}):
-            assert_tight_path(f, ("f", "p"), sig, {"u": (1, 2)}, fixed,
-                              taken=bool(fixed["g"]))
-
-
-def test_a_fixed_c_function_falls_back():
-    # a fixed c-function is defined in every component's candidate, where
-    # its support would read the other components' undefined locations
-    sig, f = random_choice_program(random.Random(3))
-    f, c, sig = disjoint_copies(sig, [f, f], [("f", "g", "p")] * 2,
-                                ("pred", False))
-    assert_tight_path(f, c, sig, {"u": (1, 2)}, {"g0": {(): 1}},
-                      taken=False)
 
 
 def test_a_non_plain_program_falls_back():
