@@ -178,3 +178,34 @@ def make_gen(seed, elements=(1, 2), with_unary_func=False, with_arith=False):
     sig = small_signature(elements, with_unary_func)
     gen = FormulaGen(random.Random(seed), sig, elements, with_arith)
     return sig, gen
+
+
+def ring(n):
+    """n switches s0 .. s(n-1) with the three per-switch rules of the
+    switches demo, and a positive cycle through their values at time 1:
+    s(i+1) takes the value of si unless it was flipped or already held it.
+    up(si, 0) is true for odd i.  The program is not tight, it is one
+    ground component, and it has 2 ** n + 1 stable models."""
+    names = [f"s{i}" for i in range(n)]
+    rules = [
+        "up(S, 1) = X :- up(S, 0) = Y & flip(S) = true & X != Y.",
+        "{ up(S, 1) = X } :- up(S, 0) = X.",
+        "{ flip(S) = X }.",
+    ]
+    for i, s in enumerate(names):
+        t = names[(i + 1) % n]
+        rules.append(f"up({t}, 1) = X :- up({s}, 1) = X & flip({t}) = false"
+                     f" & up({t}, 0) != X.")
+    for i, s in enumerate(names):
+        rules.append(f"up({s}, 0) = {'true' if i % 2 else 'false'}.")
+    return "\n".join([
+        f"sort switch = {{{', '.join(names)}}}.",
+        "sort tm = 0..1.",
+        "var S : switch.",
+        "var X : bool.",
+        "var Y : bool.",
+        "func up : switch * tm -> bool.",
+        "func flip : switch -> bool.",
+        "intensional up, flip.",
+        "",
+    ] + rules) + "\n"

@@ -2,7 +2,8 @@
 
 Each case is a CLI run (parsing, the tightness check, grounding,
 completion, unfolding, both eliminations, sort merging, SMT emission) on a
-demo or an inline program, the command-line surface (`--help` of the
+demo or an inline program, a run of `stable` on the watertank and on a
+ring of switches, the command-line surface (`--help` of the
 program and of each subcommand, and the usage errors, at COLUMNS=80), the
 error a malformed input raises (message, file:line:col and span), or a
 library call
@@ -35,7 +36,7 @@ from fsmkit.stable import Mirrors, star
 from fsmkit.syntax import FsmError, Lit, Obj, as_clist, rename_symbols, transform
 from fsmkit.transforms import complete, to_clark_normal_form, unfold
 
-from conftest import make_gen, random_definition_program
+from conftest import make_gen, random_definition_program, ring
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINNED = pathlib.Path(__file__).resolve().parent / "pinned_outputs.json"
@@ -107,6 +108,15 @@ ELIMINATIONS = {
     "mixed": [["--pred", "reach", "--to-func", "reachf"],
               ["--pred", "done", "--to-func", "donef"],
               ["--func", "paint", "--to-pred", "paintg"]],
+}
+
+
+#: `stable` runs: the program text and the arguments before its path; the
+#: ring is not tight, the watertank is
+STABLE = {
+    "ring-6": (ring(6), []),
+    "watertank amt=0..80": (PROGRAMS["watertank"],
+                            ["--universe", "amt=0..80"]),
 }
 
 
@@ -216,6 +226,15 @@ def cli_outputs(work):
     return outputs
 
 
+def stable_outputs(work):
+    outputs = {}
+    for label, (text, argv) in STABLE.items():
+        path = pathlib.Path(work) / "stable.fsm"
+        path.write_text(text)
+        outputs[f"cli/stable/{label}"] = _cli(["stable"] + argv + [str(path)])
+    return outputs
+
+
 def _objects_for_literals(f):
     """f with each builtin literal replaced by an object name, so that
     relativize accepts it."""
@@ -269,7 +288,7 @@ def generator_outputs():
 
 
 def all_outputs(work):
-    return {**cli_outputs(work), **surface_outputs(),
+    return {**cli_outputs(work), **stable_outputs(work), **surface_outputs(),
             **parse_error_outputs(), **generator_outputs()}
 
 
