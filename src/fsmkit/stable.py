@@ -22,8 +22,9 @@ import itertools
 from .syntax import (
     ARITH_FUNCS, And, App, Atom, BOT, Bottom, Equal, Exists, Forall, Formula,
     FragmentError, FrozenRecord, FsmError, Implies, Lit, Not, Obj, Or,
-    Signature, TOP, Var, _set, as_clist, choice_of, close_universally, conj,
-    conjuncts, free_vars, guard_term, nodes, rename_symbols, transform,
+    Signature, TOP, Var, _set, as_clist, choice_of, close_existentially, conj,
+    conjuncts, disjuncts, free_vars, guard_term, nodes, rename_symbols, subst,
+    transform,
 )
 from .interp import (
     COMPARE_PREDS, UNDEF, FiniteInterpretation, Locations, _arith, _compare,
@@ -638,7 +639,14 @@ def classical_models(g, sig: Signature, universe: dict, locations=None,
     With positions, which must hold every location that g reads (one
     ground component, see _components), key holds the value indices of
     those positions alone, in their order, and I leaves every other
-    location undefined or false.
+    location undefined or false.  stable_models passes the component's
+    conjuncts of F together with the support instances of its c-locations
+    (see support), so the pairs are then the supported models of the
+    component: every stable model is among them, tight or not, and when
+    the Clark normal form is tight they are exactly the stable models.
+    Each instance reads only its own component; one that read another
+    would make the search branch outside positions, which raises FsmError
+    rather than give a wrong answer.
     """
     _require_nonempty(universe)
     table = locations or Locations(sig, universe)
@@ -944,22 +952,54 @@ def prepare(f: Formula, c, sig: Signature, universe: dict,
 
 def support(f: Formula, c, sig: Signature, universe: dict):
     """The support half of the completion of F, grounded with the index
-    over the universe, when the completion theorem decides stability on
-    the reduct route; else None.
+    over the universe, one instance per c-location, and whether it decides
+    stability alone: the pair (a dict mapping each location (n, args) of a
+    member n of c to its instance, whether F's Clark normal form is tight
+    on c), or None when the completion is not sound for F.
 
     Let F' be the Clark normal form of F (to_clark_normal_form), with one
     definition forall x (G -> p(x)) or forall x y (G -> f(x) = y) per
     member of c.  Its support is the conjunction of forall x (p(x) -> G)
-    and forall x y (f(x) = y -> G).  F' is equivalent to F, so a model of
-    F that satisfies the support satisfies the completion of F'.  When F
-    is c-plain, F and F' have the same stable models relative to c (p(a)
-    with a in c is not c-plain, and its normal form forall X (X = a ->
-    p(X)) has other stable models).  When F' is tight on c and every value
-    sort of a function in c has at least two elements, those are exactly
-    the models of the completion of F' (Fages; Erdem and Lifschitz; the
-    completion theorem for intensional functions).  A choice rule's case
-    of G holds not not H, which is true wherever the support reads G, so
-    it is left out (see _assuming).
+    and forall x y (f(x) = y -> G).  F' is equivalent to F, so F and the
+    support together are the completion of F'.  When F is c-plain, F and
+    F' have the same stable models relative to c (p(a) with a in c is not
+    c-plain, and its normal form forall X (X = a -> p(X)) has other stable
+    models).
+
+    Soundness needs no tightness: every stable model I of F' satisfies the
+    support (Fages; Erdem and Lifschitz; the completion theorem for
+    intensional functions).  Suppose I(p)(a) holds and G(a) is false in I,
+    and let J be I with p(a) false; or suppose G(a, I(f)(a)) is false in
+    I, and let J be I with another value of f(a), which is why every value
+    sort of a function in c needs two elements.  Then J <^c I, and J
+    satisfies the reduct of F' relative to I: the reduct of a definition
+    instance whose body is false in I is true, the head of every other
+    instance holds in I at a location J keeps, and the rest of F' is
+    negative on c.  So I is not stable.  When F' is also tight on c, the
+    converse holds: the models of F that satisfy the support are exactly
+    its stable models.
+
+    The instances.  Each is the support of one location: p(a) -> G(a) for
+    a predicate, and G(a, f(a)) for a function (the value form).  The
+    value form is equivalent to forall y (f(a) = y -> G(a, y)) wherever
+    f(a) has a value, and every candidate of stable_models assigns every
+    location of its component.  It is indexed better: in the forall y
+    form, the index of an existential in G is keyed on f(a) until f(a) is
+    assigned, and sits inside an instance of the index on y, so it keeps
+    its last key only (see GIndex) and is grounded again for every
+    candidate.  In the value form, the watertank's exists X (amt1 = X + 1
+    & amt0 = X) is indexed once, at the top of the instance, on amt0.
+
+    An instance reads only its own location's ground component (see
+    _components).  G is split into its disjuncts once per member of c (see
+    _case), and the instance of a location a keeps only the disjuncts
+    whose head-argument equations x = e can hold for a, decided on
+    elements.  What a kept disjunct reads, an instance of its rule in the
+    grounding of F reads beside a, so both are in one component.  A
+    dropped one may not be: the rule up(a1, 1) = X :- up(b1, 1) = Y & X !=
+    Y is a disjunct of G for every location of up, and an instance for
+    up(a2, 1) that kept it would read up(b1, 1), which another pair's
+    component holds.
     """
     # transforms imports this module
     from .transforms import (
@@ -976,32 +1016,74 @@ def support(f: Formula, c, sig: Signature, universe: dict):
         cnf = to_clark_normal_form(f, c, sig)
     except FragmentError:
         return None
-    if not is_tight(cnf, c):
-        return None
     defs, _ = _definitions(cnf, c, sig)
-    return ground(conj(close_universally(
-        Implies(head, _assuming(body, Not(Not(head)))), variables)
-        for variables, body, head in map(defs.get, c)), base, index=True)
+    instances = {}
+    for n in c:
+        _, body, head = defs[n]
+        if isinstance(head, Atom):
+            xs, argsorts, slots = head.args, sig.predicates[n], {}
+        else:
+            xs, argsorts = head.left.args, sig.functions[n][0]
+            slots = {head.right: head.left}
+        slots.update((x, x) for x in xs)
+        cases = [_case(d, xs, slots, Not(Not(head))) for d in disjuncts(body)]
+        for args in itertools.product(*map(base.extent, argsorts)):
+            keys = [elem_key(a) for a in args]
+            env = dict(zip(xs, args))
+            g = gor([_ground(d, base, env, True) for d, fixed in cases
+                     if all(keys[k] == e for k, e in fixed)])
+            if isinstance(head, Atom):
+                g = Implies(_ground(head, base, env, True), g)
+            instances[n, args] = g
+    return instances, is_tight(cnf, c)
 
 
-def _assuming(f: Formula, fact: Formula) -> Formula:
-    """f with fact read as true: each occurrence becomes TOP, and a
-    conjunction, disjunction or existential that TOP decides is
-    simplified (an extent is never empty)."""
-    def step(g, new):
-        if g == fact:
-            return TOP
-        if isinstance(new, And):
-            if new.left == TOP:
-                return new.right
-            if new.right == TOP:
-                return new.left
-        if isinstance(new, Or) and TOP in (new.left, new.right):
-            return TOP
-        if isinstance(new, Exists) and new.body == TOP:
-            return TOP
-        return new
-    return transform(f, step)
+def _case(d: Formula, xs, slots: dict, fact: Formula):
+    """One disjunct d of a definition's body G, prepared once for every
+    location of its symbol: the pair (d', fixed).
+
+    xs are the argument variables of the definition's head, and slots maps
+    each variable of the head to the term that stands for it in the value
+    form: an argument variable to itself, the value variable y of f to
+    f(xs).  d' is d with y replaced by f(xs), and, below d's existential
+    block, these conjuncts dropped:
+    * fact, a choice rule's not not H, true wherever the support reads G;
+    * x = e, with x in xs and e an element: d is false wherever x has a
+      value with another key, so fixed holds (k, elem_key(e)) for x =
+      xs[k], and the location keeps d' only if its arguments match fixed;
+    * s = v, with s a variable of the head and v one of the block of the
+      same sort: exists v (s = v & M) is M with v replaced by slots[s],
+      since s's value is in v's extent (a location's arguments are, and so
+      is the value a candidate gives f(xs)), and v leaves the block.
+    So the block loses the variables that the head equations bind, and
+    its guard index (see _guard) sits at the top of the instance."""
+    block = []
+    while isinstance(d, Exists):
+        block.append(d.var)
+        d = d.body
+    index = {x: k for k, x in enumerate(xs)}
+    mapping = {x: t for x, t in slots.items() if x is not t}
+    fixed, rest = [], []
+    for a in conjuncts(d):
+        if isinstance(a, Implies) and a == fact:
+            continue
+        if isinstance(a, Equal):
+            s, t = a.left, a.right
+            if isinstance(t, Var) and t in slots:
+                s, t = t, s
+            if isinstance(s, Var) and s in slots:
+                if (isinstance(t, Var) and t in block and t not in mapping
+                        and t.sort == s.sort):
+                    mapping[t] = slots[s]
+                    continue
+                if s in index and (e := _element(t, {})) is not _UNKNOWN:
+                    fixed.append((index[s], elem_key(e)))
+                    continue
+        rest.append(a)
+    if not rest:
+        return TOP, fixed
+    return close_existentially(subst(conj(rest), mapping),
+                               [v for v in block if v not in mapping]), fixed
 
 
 def stable_models(f: Formula, c, sig: Signature, universe: dict,
@@ -1012,34 +1094,40 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
     Every user symbol ranges over all its assignments; to fix a symbol
     outside c, filter the models (a witness J agrees with I off c, so a
     fixed table changes no verdict).  What the checks share (see prepare)
-    is built once, and every candidate is checked against it.
-    METHOD_SECOND_ORDER and METHOD_BOTH check every interpretation, as the
-    generate-and-test reference.
+    is built once, and every candidate that is checked is checked against
+    it.  METHOD_SECOND_ORDER and METHOD_BOTH check every interpretation,
+    as the generate-and-test reference.
 
     The reduct route splits the grounding into its ground components (see
     _components): groups of top-level conjuncts that read disjoint
     locations.  Per component, classical_models finds the candidates on
-    its conjuncts and locations alone, and each is still checked in full
-    (gsat, the reduct and smaller_witness) on that component.  The stable
-    models are the products of one stable assignment per component, sorted
-    into enumeration order at the end.  This is exact: when I |= F, the
-    reduct F^I is the conjunction of the components' reducts, and a J <^c I
-    that satisfies F^I still does when it takes I's values back outside
-    one component where it differs from I, since every other component
-    then reads only I's values, and I satisfies its reduct (the ground
-    case of the splitting theorem).  The search within a component is
-    exact by three lemmas: a Kleene "true" under a partial assignment holds
-    under every completion (monotonicity), so once every conjunct is true
-    all the completions are models; a choice G | not G holds whatever G is
-    (excluded middle); and smaller_witness stops as soon as some J <^c I is
-    sure to satisfy the reduct (the <^c success rule).
+    its conjuncts and locations alone, and each is checked in full (gsat,
+    the reduct and smaller_witness) on that component, unless the support
+    decides it (below).  The stable models are the products of one stable
+    assignment per component, sorted into enumeration order at the end.
+    This is exact: when I |= F, the reduct F^I is the conjunction of the
+    components' reducts, and a J <^c I that satisfies F^I still does when
+    it takes I's values back outside one component where it differs from
+    I, since every other component then reads only I's values, and I
+    satisfies its reduct (the ground case of the splitting theorem).  The
+    search within a component is exact by three lemmas: a Kleene "true"
+    under a partial assignment holds under every completion
+    (monotonicity), so once every conjunct is true all the completions are
+    models; a choice G | not G holds whatever G is (excluded middle); and
+    smaller_witness stops as soon as some J <^c I is sure to satisfy the
+    reduct (the <^c success rule).
 
-    When the completion theorem applies (see support), a candidate is
-    checked with two gsat calls instead: on the component's conjuncts, as
-    check_stable starts, so that an arithmetic error is raised there as
-    before, and on the grounded support, which holds for every location
-    outside the component, since the candidate leaves it undefined or
-    false.  No reduct is built and no witness is searched.
+    When F has a support (see support), its instances join the search:
+    each component searches its conjuncts of F and the instances of its
+    own c-locations, so its candidates are the assignments that satisfy F
+    and the support there.  This prunes no stable model, tight or not
+    (every stable model is supported), and the product stays exact, since
+    an instance reads only its own component and a candidate assigns
+    every location of it.  When F's Clark normal form is tight, the
+    candidates are the stable models, and none is checked: no gsat, no
+    reduct, no witness search.  When it is not, each is still checked in
+    full, against the component's conjuncts of F alone (the support would
+    only slow the check down).
     """
     c = as_clist(c)
     check = checker(method)
@@ -1049,17 +1137,20 @@ def stable_models(f: Formula, c, sig: Signature, universe: dict,
                 if check(f, c, i, **shared)]
     table = shared["locations"]
     outside, symbols = _outside(sig, universe)
-    supported = support(f, c, sig, universe)
+    components = _components(shared["grounding"], table, symbols)
+    instances, tight = support(f, c, sig, universe) or ({}, False)
+    supports = [[] for _ in components]     # per component: its instances
+    home = {p: k for k, (_, positions) in enumerate(components)
+            for p in positions}
+    for location, g in instances.items():
+        supports[home[table.index[location]]].append(g)
     parts = []      # per component: its stable assignments, position -> index
-    for g, positions in _components(shared["grounding"], table, symbols):
-        candidates = classical_models(g, sig, universe, table, positions)
-        if supported is None:
-            stable = [dict(zip(positions, key)) for key, i in candidates
-                      if check(f, c, i, grounding=g, locations=table,
-                               positions=positions)]
-        else:
-            stable = [dict(zip(positions, key)) for key, i in candidates
-                      if gsat(i, g) and gsat(i, supported)]
+    for (g, positions), more in zip(components, supports):
+        candidates = classical_models(gand([g, *more]), sig, universe, table,
+                                      positions)
+        stable = [dict(zip(positions, key)) for key, i in candidates
+                  if tight or check(f, c, i, grounding=g, locations=table,
+                                    positions=positions)]
         if not stable:
             return []
         parts.append(stable)

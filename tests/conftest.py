@@ -209,3 +209,52 @@ def ring(n):
         "intensional up, flip.",
         "",
     ] + rules) + "\n"
+
+
+#: the positive cycles random_cyclic_program builds on: through p alone,
+#: through the values of f and g, and through p and the value of f
+CYCLES = ("pred", "func", "mixed")
+
+
+def _cyclic_literal(rng, elements, v, w):
+    """A body literal about v and w: an atom of f, g or p, positive or
+    negated, or an equation between a variable and an element."""
+    t = rng.choice([v, w, Lit(rng.choice(elements))])
+    kind = rng.choice(["p", "f", "g", "eq", "neq"])
+    if kind == "eq":
+        return Equal(v, Lit(rng.choice(elements)))
+    if kind == "neq":
+        return Not(Equal(v, w))
+    atom = Atom("p", (t,)) if kind == "p" else Equal(App(kind, ()), t)
+    return Not(atom) if rng.random() < 0.3 else atom
+
+
+def random_cyclic_program(rng, elements=(1, 2), cycle=None):
+    """A random program over definition_signature that is not tight: one
+    positive cycle from CYCLES (through p alone, through the values of f
+    and g, or through p and the value of f), choice rules that give the
+    cycle something to start from or not, and one to three random rules,
+    each a body of one or two literals (see _cyclic_literal) and a head
+    of f, g or p.  Every rule is universally closed over V and W."""
+    v, w = Var("V", "u"), Var("W", "u")
+    cycle = cycle or rng.choice(CYCLES)
+    lit = lambda: _cyclic_literal(rng, elements, v, w)
+    if cycle == "pred":
+        loop = [(And(Atom("p", (w,)), Not(Equal(v, w))), _head("p", v))]
+    elif cycle == "func":
+        loop = [(Equal(App("g", ()), v), _head("f", v)),
+                (And(Equal(App("f", ()), v), lit()), _head("g", v))]
+    else:
+        loop = [(Equal(App("f", ()), v), _head("p", v)),
+                (And(Atom("p", (v,)), lit()), _head("f", v))]
+    rules = [Forall(v, Forall(w, Implies(body, head)))
+             for body, head in loop]
+    for name in rng.sample(DEFINED, rng.randint(1, 3)):
+        head = _head(name, rng.choice([v, Lit(rng.choice(elements))]))
+        if rng.random() < 0.5:
+            rules.append(Forall(v, Choice(head)))
+        else:
+            body = lit() if rng.random() < 0.5 else And(lit(), lit())
+            rules.append(Forall(v, Forall(w, Implies(body, head))))
+    rng.shuffle(rules)
+    return definition_signature(elements), conj(rules)

@@ -1,8 +1,8 @@
-"""The tight path of the reduct route and the guard index for an
+"""The support of the reduct route and the guard index for an
 existential: stable_models against generate-and-test (check_stable over
-every interpretation), the conditions under which the path is not taken,
-the existential index against the plain grounding, and the work the path
-saves."""
+every interpretation) on tight programs and on programs with positive
+cycles, the conditions under which no support is built, the existential
+index against the plain grounding, and the work the support saves."""
 
 import random
 
@@ -13,14 +13,16 @@ from fsmkit import stable
 from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    GIndex, GOr, _guard, check_stable, ground, prepare, stable_models,
-    support,
+    METHOD_BOTH, GIndex, GOr, _guard, check_stable, check_stable_both,
+    ground, prepare, stable_models, support,
 )
 from fsmkit.syntax import (
     And, App, Atom, Equal, Exists, Implies, Lit, Not, Or, Var,
     fol_representation,
 )
-from conftest import make_gen, random_choice_program
+from conftest import (
+    CYCLES, make_gen, random_choice_program, random_cyclic_program, ring,
+)
 from test_index import (
     A, EQUAL_ELEMENTS, INTS, X, assert_index_agrees,
     assert_star_index_agrees, edge_interps, edge_signature,
@@ -94,7 +96,55 @@ def test_tight_path_on_the_watertank():
 
 
 # ---------------------------------------------------------------------------
-# where the path is not taken
+# programs that are not tight: supported candidates, each checked in full
+
+#: the intensional symbols: all of them, so that the cycle counts, or a
+#: subset, which may cut it
+CYCLIC_CS = [("f", "g", "p"), ("f", "p"), ("g", "p"), ("p",), ("f", "g")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(seed=st.integers(0, 2 ** 32), cycle=st.sampled_from(CYCLES),
+       c=st.sampled_from(CYCLIC_CS))
+def test_supported_candidates_on_programs_with_positive_cycles(seed, cycle,
+                                                                c):
+    # generate-and-test with both checkers, against the search of F and its
+    # support, which checks every candidate in full when the Clark normal
+    # form is not tight
+    sig, f = random_cyclic_program(random.Random(seed), cycle=cycle)
+    universe = {"u": (1, 2)}
+    instances, tight = support(f, c, sig, universe)
+    if c == CYCLIC_CS[0]:
+        assert not tight
+    shared = prepare(f, c, sig, universe, METHOD_BOTH)
+    expected = [i for i in enumerate_interpretations(sig, universe)
+                if check_stable_both(f, c, i, **shared)]
+    assert stable_models(f, c, sig, universe) == expected, (f, c)
+
+
+def test_the_support_prunes_programs_with_positive_cycles(monkeypatch):
+    # over the cycles the generator builds, the support removes classical
+    # models, and some supported candidates are still not stable (an
+    # unfounded loop), so both halves of the path are exercised
+    totals = dict.fromkeys(["classical", "candidates", "models"], 0)
+    universe = {"u": (1, 2)}
+    for seed in range(30):
+        sig, f = random_cyclic_program(random.Random(seed),
+                                       cycle=CYCLES[seed % 3])
+        g = ground(f, FiniteInterpretation(sig, universe))
+        interps = enumerate_interpretations(sig, universe)
+        totals["classical"] += sum(stable.gsat(i, g) for i in interps)
+        work = count_work(monkeypatch, f, CYCLIC_CS[0], sig, universe)
+        assert work["check_stable"] == work["candidates"]
+        totals["candidates"] += work["candidates"]
+        totals["models"] += work["models"]
+    assert totals["classical"] > totals["candidates"] > totals["models"] > 0, \
+        totals
+
+
+# ---------------------------------------------------------------------------
+# where no support is built
 
 ONE_VALUE = """\
 sort one = {z}.
@@ -124,9 +174,19 @@ def test_a_non_plain_program_falls_back():
     assert len(models) == 8
 
 
-def test_a_program_that_is_not_tight_falls_back():
+def test_a_program_that_is_not_tight_falls_back(monkeypatch):
+    # the switches program has a support, one instance per location of up
+    # and flip, but its normal form is not tight, so each supported
+    # candidate is still checked in full
     f, c, sig, universe = program(SWITCHES_2)
-    assert support(f, c, sig, universe) is None
+    instances, tight = support(f, c, sig, universe)
+    assert not tight
+    assert sorted(instances) == sorted(
+        [("up", (s, t)) for s in ("a1", "b1", "a2", "b2") for t in (0, 1)]
+        + [("flip", (s,)) for s in ("a1", "b1", "a2", "b2")])
+    work = count_work(monkeypatch, f, c, sig, universe)
+    assert work["check_stable"] == work["candidates"] == 10
+    assert_tight_path(f, c, sig, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +280,63 @@ def test_exists_guard_shapes():
 # ---------------------------------------------------------------------------
 # work
 
-def count_checks(monkeypatch, f, c, sig, universe):
-    """(stable models, calls of stable.reduct, calls of
-    stable.smaller_witness) of one stable_models run."""
-    count = {"reduct": 0, "smaller_witness": 0}
-    for name in count:
+#: the functions of stable whose calls count_work counts
+COUNTED = ("gsat", "reduct", "smaller_witness", "check_stable")
+
+
+def count_work(monkeypatch, f, c, sig, universe):
+    """The work of one stable_models run: the number of stable models
+    ("models"), of candidates the searches of classical_models yield
+    ("candidates"), and of calls of each function in COUNTED."""
+    count = dict.fromkeys(("models", "candidates") + COUNTED, 0)
+    for name in COUNTED:
         def counting(*args, _name=name, _inner=getattr(stable, name),
                      **kwargs):
             count[_name] += 1
             return _inner(*args, **kwargs)
         monkeypatch.setattr(stable, name, counting)
-    models = stable_models(f, c, sig, universe)
+
+    def classical_models(*args, _inner=stable.classical_models, **kwargs):
+        for pair in _inner(*args, **kwargs):
+            count["candidates"] += 1
+            yield pair
+    monkeypatch.setattr(stable, "classical_models", classical_models)
+    count["models"] = len(stable_models(f, c, sig, universe))
     monkeypatch.undo()
-    return len(models), count["reduct"], count["smaller_witness"]
+    return count
+
+
+def count_checks(monkeypatch, f, c, sig, universe):
+    """(stable models, calls of stable.reduct, calls of
+    stable.smaller_witness) of one stable_models run."""
+    work = count_work(monkeypatch, f, c, sig, universe)
+    return work["models"], work["reduct"], work["smaller_witness"]
 
 
 def test_the_tight_path_builds_no_reduct(monkeypatch):
-    # watertank at amt=0..40: 1,722 classical models, 81 stable; each was
-    # checked with a reduct and a witness search before the tight path
+    # watertank at amt=0..40: 81 stable models; the search yields those 81
+    # and no other candidate, where it once yielded all 1,722 classical
+    # models, each then checked with a reduct and a witness search
     f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(41)))
     assert count_checks(monkeypatch, f, c, sig, universe) == (81, 0, 0)
+
+
+def test_the_watertank_search_yields_only_its_stable_models(monkeypatch):
+    # tight: the candidates are the stable models, and none is checked
+    f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(41)))
+    assert count_work(monkeypatch, f, c, sig, universe) == {
+        "models": 81, "candidates": 81, "gsat": 0, "reduct": 0,
+        "smaller_witness": 0, "check_stable": 0}
+
+
+def test_the_ring_search_yields_only_supported_candidates(monkeypatch):
+    # not tight: 2 ** 6 + 1 supported candidates, where the search of F
+    # alone yields 416 classical models; each is checked in full, and on
+    # the ring every supported candidate is stable
+    f, c, sig, universe = program(ring(6))
+    assert count_work(monkeypatch, f, c, sig, universe) == {
+        "models": 65, "candidates": 65, "gsat": 65, "reduct": 65,
+        "smaller_witness": 65, "check_stable": 65}
 
 
 def test_a_program_that_is_not_tight_checks_as_before(monkeypatch):
@@ -249,25 +346,31 @@ def test_a_program_that_is_not_tight_checks_as_before(monkeypatch):
 
 
 def test_the_support_keeps_no_pair_of_nested_keys():
-    # the existential inside each instance of the support's index on amt1
-    # keeps the instances of its last key (amt0) only, and reads the keys
-    # of the extent from the outer node
+    # the value form: amt1's one instance holds exists X (amt1 = X + 1 &
+    # amt0 = X) as one index at its top, on amt0, with nothing nested, so
+    # it grounds each key once and keeps at most one instance per element
+    # of amt
     f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(21)))
-    s = support(f, c, sig, universe)
+    instances, tight = support(f, c, sig, universe)
+    assert tight and list(instances) == [("amt1", ())]
+    (index,) = [g for g in instances["amt1", ()].order
+                if isinstance(g, GIndex)]
+    assert index.outer is None and index.term == App("amt0", ())
     for v in range(21):
-        inner = s.instances(v)[0].right.order[0]
-        assert isinstance(inner, GIndex) and inner.exists
-        assert inner.outer is s and inner.elements() is s.elements()
-        for u in range(21):
-            inner.instances(u)
-        assert len(inner._instances) == 1
-    assert len(s._instances) == 21
+        (instance,) = index.instances(v)
+        assert not any(isinstance(g, GIndex) for g in instance.order)
+        assert index.instances(v)[0] is instance
+    assert len(index._instances) == 21
 
 
 def test_the_support_reads_a_choice_without_its_double_negation():
+    # { b = X } :- a = X. has the one case a = b in the value form
     prog = parse_program("sort u = 0..2.\nvar X : u.\nfunc a : -> u.\n"
                          "func b : -> u.\nintensional b.\n"
                          "{ b = X } :- a = X.\n")
     f = fol_representation(prog)
-    s = support(f, prog.intensional, prog.signature, prog.universe)
-    assert "->" not in repr(s.body.right)
+    instances, tight = support(f, prog.intensional, prog.signature,
+                               prog.universe)
+    instance = instances["b", ()]
+    assert tight and "->" not in repr(instance)
+    assert instance.order == (Equal(App("a", ()), App("b", ())),)
