@@ -5,7 +5,8 @@ The two checkers realize the same semantics by different routes:
 * ``method="reduct"``: ground the sentence over the interpretation's finite
   universe, take the reduct relative to I, and search for a smaller witness J.
   stable_models finds its candidates I with the same search (_Search), run
-  on the grounding instead of the reduct, one ground component at a time.
+  on the grounding and the support of its completion instead of the
+  reduct, one ground component at a time.
 * ``method="second-order"``: build the star transform F*(d) over mirror
   constants d and test the defining second-order condition directly by
   enumerating candidate witness assignments for d, evaluating the indexed

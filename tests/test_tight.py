@@ -95,6 +95,34 @@ def test_tight_path_on_the_watertank():
     assert len([m for m in models if m.funcs["amt0"] == {(): 3}]) == 2
 
 
+#: out(H, n1) has a head variable over the subsort hub, out(N, n1) one over
+#: node itself: the support binds N to the argument, but not H, which n3
+#: is no value of
+HUBS = """\
+sort node = {n1, n2, n3}.
+sort hub = {n1, n2}.
+sort hub < node.
+var N : node.
+var H : hub.
+var X : bool.
+func inp : node -> bool.
+func out : node * node -> bool.
+intensional inp, out.
+
+{ inp(N) = X }.
+out(H, n1) = X :- inp(H) = X.
+out(N, n1) = false :- inp(N) = false.
+out(N, n2) = true.
+out(N, n3) = X :- inp(N) = X.
+"""
+
+
+def test_tight_path_with_a_head_variable_over_a_subsort():
+    f, c, sig, universe = program(HUBS)
+    assert support(f, c, sig, universe)[1]
+    assert len(assert_tight_path(f, c, sig, universe)) == 4
+
+
 # ---------------------------------------------------------------------------
 # programs that are not tight: supported candidates, each checked in full
 
@@ -114,9 +142,8 @@ def test_supported_candidates_on_programs_with_positive_cycles(seed, cycle,
     # form is not tight
     sig, f = random_cyclic_program(random.Random(seed), cycle=cycle)
     universe = {"u": (1, 2)}
-    instances, tight = support(f, c, sig, universe)
     if c == CYCLIC_CS[0]:
-        assert not tight
+        assert not support(f, c, sig, universe)[1]
     shared = prepare(f, c, sig, universe, METHOD_BOTH)
     expected = [i for i in enumerate_interpretations(sig, universe)
                 if check_stable_both(f, c, i, **shared)]
