@@ -26,8 +26,8 @@ _HOME = {
     "fol_representation": "syntax",
     "FiniteInterpretation": "interp", "enumerate_interpretations": "interp",
     "satisfies": "interp",
-    "check_stable": "stable", "check_stable_both": "stable",
-    "stable_models": "stable",
+    "Problem": "stable", "check_stable": "stable",
+    "check_stable_both": "stable", "stable_models": "stable",
     "check_strong_equivalence_bounded": "transforms", "complete": "transforms",
     "is_tight": "transforms", "to_clark_normal_form": "transforms",
     "unfold": "transforms",

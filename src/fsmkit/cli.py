@@ -179,7 +179,7 @@ def cmd_stable(args):
 def cmd_check(args):
     import json
     from .interp import FiniteInterpretation
-    from .stable import checker
+    from .stable import check_stable
     from .syntax import fol_representation
     program = _load_program(args.file)
     c = _relative_to(program, args.relative_to)
@@ -187,7 +187,7 @@ def cmd_check(args):
     with open(args.interp, encoding="utf-8") as fh:
         data = json.load(fh)
     i = FiniteInterpretation.from_json(data, program.signature)
-    verdict = checker(args.method)(f, c.names, i)
+    verdict = check_stable(f, c.names, i, args.method)
     json.dump({"stable": verdict}, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK if verdict else EXIT_NO
@@ -307,7 +307,7 @@ def cmd_compare(args):
     import json
     from .interp import enumerate_interpretations
     from .related import CausalRule, IfRule, cm_check, if_check
-    from .stable import check_stable, prepare
+    from .stable import Problem
     from .syntax import FragmentError, fol_representation
     program = _load_program(args.file)
     universe = _universe(program, args.universe)
@@ -323,17 +323,10 @@ def cmd_compare(args):
     if_rules = [IfRule(_choice_free(r), r.body) for r in program.rules]
     cm_rules = [CausalRule(_choice_free(r), r.body) for r in program.rules]
     interps = list(enumerate_interpretations(program.signature, universe))
-    shared = (prepare(f, c, program.signature, universe)
-              if "fsm" in semantics else {})
-    verdicts = {s: [] for s in semantics}
-    for i in interps:
-        for s in semantics:
-            if s == "fsm":
-                verdicts[s].append(check_stable(f, c.names, i, **shared))
-            elif s == "if":
-                verdicts[s].append(if_check(if_rules, c.names, i))
-            else:
-                verdicts[s].append(cm_check(cm_rules, c.names, i))
+    checks = {"fsm": Problem(f, c, program.signature, universe).check,
+              "if": lambda i: if_check(if_rules, c.names, i),
+              "cm": lambda i: cm_check(cm_rules, c.names, i)}
+    verdicts = {s: [checks[s](i) for i in interps] for s in semantics}
     json.dump({"interpretations": [i.to_json() for i in interps],
                "verdicts": verdicts}, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -319,7 +319,7 @@ class Locations:
     A symbol gets consecutive positions, its argument tuples in
     itertools.product order, the first time it is asked for (span).  One
     table serves every enumeration and search of a run (see
-    stable.prepare)."""
+    stable.Problem)."""
 
     def __init__(self, sig: Signature, universe: dict):
         self.sig = sig

@@ -12,7 +12,8 @@ The two checkers realize the same semantics by different routes:
   enumerating candidate witness assignments for d, evaluating the indexed
   grounding of F* under each.
 
-Their agreement is a continuously-audited invariant.
+Their agreement is a continuously-audited invariant.  A Problem holds
+what every check and search of F over one universe shares.
 """
 
 from __future__ import annotations
@@ -640,7 +641,7 @@ def classical_models(g, sig: Signature, universe: dict, locations=None,
     With positions, which must hold every location that g reads (one
     ground component, see _components), key holds the value indices of
     those positions alone, in their order, and I leaves every other
-    location undefined or false.  stable_models passes the component's
+    location undefined or false.  Problem.models passes the component's
     conjuncts of F together with the support instances of its c-locations
     (see support), so the pairs are then the supported models of the
     component: every stable model is among them, tight or not, and when
@@ -865,59 +866,6 @@ def witnesses(i: FiniteInterpretation, c, ordered: bool = True):
             yield j
 
 
-def check_stable(f: Formula, c, i: FiniteInterpretation,
-                 method: str = METHOD_REDUCT, *, grounding=None,
-                 locations=None, starred=None, positions=None) -> bool:
-    """Whether I is a stable model of F relative to c.
-
-    Callers that check many candidates over one universe build what the
-    route needs once and pass it in (see prepare); what is None is built
-    here.  The reduct route takes grounding, ground(f, ...) over I's
-    universe (indexed or not), and uses it for the classical test too,
-    and locations, the Locations table over that universe.  With positions,
-    those of one ground component (see _components), grounding may hold
-    that component's conjuncts alone: I is checked against them, and the
-    witness J differs from I only there (see smaller_witness).
-    The second-order route takes starred, the pair (Mirrors(c, sig),
-    ground F*) of star_of; without it, the pair is built only once I has
-    passed the classical test, which stays satisfies(i, f).
-    """
-    c = as_clist(c)
-    if method == METHOD_REDUCT:
-        if grounding is None:
-            grounding = ground(f, i, index=True)
-        if not gsat(i, grounding):
-            return False
-        return smaller_witness(reduct(grounding, i), i, c, locations,
-                               positions) is None
-    if method == METHOD_SECOND_ORDER:
-        if not satisfies(i, f):
-            return False
-        mirrors, gstar = starred or star_of(f, c, i.signature, i.universe)
-        return not any(gsat(ext, gstar) for _, ext in mirrors.witnesses(i))
-    raise FsmError(f"unknown method {method!r}")
-
-
-def check_stable_both(f: Formula, c, i: FiniteInterpretation, *,
-                      grounding=None, locations=None, starred=None) -> bool:
-    """Run both checkers, the witness search on the reduct and the
-    enumeration of witnesses for F*, and fail loudly if they disagree."""
-    a = check_stable(f, c, i, METHOD_REDUCT, grounding=grounding,
-                     locations=locations)
-    b = check_stable(f, c, i, METHOD_SECOND_ORDER, starred=starred)
-    if a != b:
-        raise FsmError(f"stable checker divergence on {f!r}: reduct={a} second-order={b}")
-    return a
-
-
-def checker(method: str):
-    """The check for method, called as fn(f, c, i, **prepare(...));
-    METHOD_BOTH runs both checkers and compares them."""
-    if method == METHOD_BOTH:
-        return check_stable_both
-    return functools.partial(check_stable, method=method)
-
-
 def star_of(f: Formula, c, sig: Signature, universe: dict):
     """(Mirrors(c, sig), F*(d) grounded with the guard index over the
     universe) for the second-order route: gsat of the grounding under each
@@ -927,28 +875,6 @@ def star_of(f: Formula, c, sig: Signature, universe: dict):
     mirrors = Mirrors(c, sig)
     base = FiniteInterpretation(mirrors.signature, universe)
     return mirrors, ground(star(f, c, mirrors.names), base, index=True)
-
-
-def prepare(f: Formula, c, sig: Signature, universe: dict,
-            method: str = METHOD_REDUCT) -> dict:
-    """What every check of F over the universe shares, built once, as the
-    keyword arguments of checker(method): the indexed grounding of F and
-    the table of locations for the reduct route, and star_of (the mirrors
-    and the indexed grounding of F*) for the second-order route.  The
-    groundings keep the guarded instances they ground (see GIndex), so a
-    key that many candidates look up is grounded once per run.  The table
-    of ground components (see _components) is not among them: only
-    stable_models searches by component, and it builds the table from this
-    grounding and locations once per run, while every check that takes
-    them (check_stable, fsmkit compare) reads the whole grounding."""
-    shared = {}
-    if method != METHOD_SECOND_ORDER:
-        shared["grounding"] = ground(f, FiniteInterpretation(sig, universe),
-                                     index=True)
-        shared["locations"] = Locations(sig, universe)
-    if method != METHOD_REDUCT:
-        shared["starred"] = star_of(f, c, sig, universe)
-    return shared
 
 
 def support(f: Formula, c, sig: Signature, universe: dict):
@@ -1087,86 +1013,143 @@ def _case(d: Formula, xs, slots: dict, fact: Formula):
                                [v for v in block if v not in mapping]), fixed
 
 
+class Problem:
+    """SM[F; c] over one finite universe, and what every check and search
+    of it shares, each part built on first use and kept: grounding, the
+    indexed grounding of F, which keeps the guarded instances it grounds
+    (see GIndex); locations, the Locations table; components, the ground
+    components of grounding (see _components); supported, support(...)
+    (its instances and whether F is tight) or None; and starred, star_of.
+    fsmkit check and compare build one problem per run, and stable_models,
+    check_stable and check_stable_both one per call."""
+
+    def __init__(self, f: Formula, c, sig: Signature, universe: dict):
+        self.f = f
+        self.c = as_clist(c)
+        self.sig = sig
+        self.universe = universe
+
+    @functools.cached_property
+    def grounding(self):
+        return ground(self.f, FiniteInterpretation(self.sig, self.universe),
+                      index=True)
+
+    @functools.cached_property
+    def locations(self) -> Locations:
+        return Locations(self.sig, self.universe)
+
+    @functools.cached_property
+    def components(self) -> list:
+        return _components(self.grounding, self.locations,
+                           self.sig.user_symbols())
+
+    @functools.cached_property
+    def supported(self):
+        return support(self.f, self.c, self.sig, self.universe)
+
+    @functools.cached_property
+    def starred(self):
+        return star_of(self.f, self.c, self.sig, self.universe)
+
+    def check(self, i: FiniteInterpretation,
+              method: str = METHOD_REDUCT) -> bool:
+        """Whether I, over the problem's universe, is a stable model of F
+        relative to c.
+
+        The reduct route tests I with gsat on grounding, then searches the
+        reduct for a smaller witness (smaller_witness).  The second-order
+        route keeps satisfies(i, f) as its classical test, and reads
+        starred only once I has passed it.  METHOD_BOTH runs both and
+        raises FsmError if they disagree."""
+        if method == METHOD_REDUCT:
+            return gsat(i, self.grounding) and smaller_witness(
+                reduct(self.grounding, i), i, self.c, self.locations) is None
+        if method == METHOD_SECOND_ORDER:
+            if not satisfies(i, self.f):
+                return False
+            mirrors, gstar = self.starred
+            return not any(gsat(ext, gstar) for _, ext in mirrors.witnesses(i))
+        if method == METHOD_BOTH:
+            a, b = (self.check(i, METHOD_REDUCT),
+                    self.check(i, METHOD_SECOND_ORDER))
+            if a != b:
+                raise FsmError(f"stable checker divergence on {self.f!r}: "
+                               f"reduct={a} second-order={b}")
+            return a
+        raise FsmError(f"unknown method {method!r}")
+
+    def models(self, method: str = METHOD_REDUCT) -> list:
+        """All stable models of F relative to c over the universe, in
+        enumerate_interpretations order.  Every user symbol ranges over all
+        its assignments; to fix a symbol outside c, filter the models.
+        METHOD_SECOND_ORDER and METHOD_BOTH check every interpretation, as
+        the generate-and-test reference.
+
+        The reduct route searches each ground component (see _components)
+        on its own, and the stable models are the products of one stable
+        assignment per component, sorted into enumeration order.  This is
+        exact, the ground case of the splitting theorem: when I |= F, the
+        reduct F^I is the conjunction of the components' reducts, and a
+        J <^c I that satisfies F^I still does when it takes I's values back
+        outside one component where it differs from I.  Within a
+        component, classical_models searches its conjuncts of F and, when F
+        has a support, the instances of its c-locations, so its candidates
+        are the supported models there.  Every stable model is supported,
+        tight or not, and an instance reads only its own component.  When
+        F's Clark normal form is tight, the candidates are the stable
+        models, and none is checked.  Otherwise each gets the reduct and
+        the witness search on the component's conjuncts of F, with no gsat:
+        every candidate already satisfies them.
+        """
+        if method != METHOD_REDUCT:
+            return [i for i in enumerate_interpretations(self.sig,
+                                                         self.universe)
+                    if self.check(i, method)]
+        table, components = self.locations, self.components
+        outside, symbols = _outside(self.sig, self.universe)
+        instances, tight = self.supported or ({}, False)
+        supports = [[] for _ in components]     # per component: its instances
+        home = {p: k for k, (_, positions) in enumerate(components)
+                for p in positions}
+        for location, g in instances.items():
+            supports[home[table.index[location]]].append(g)
+        parts = []  # per component: its stable assignments, position -> index
+        for (g, positions), more in zip(components, supports):
+            candidates = classical_models(gand([g, *more]), self.sig,
+                                          self.universe, table, positions)
+            stable = [dict(zip(positions, key)) for key, i in candidates
+                      if tight or smaller_witness(reduct(g, i), i, self.c,
+                                                  table, positions) is None]
+            if not stable:
+                return []
+            parts.append(stable)
+        order = table.positions(symbols)
+        values = table.values
+        found = [{p: k for part in combo for p, k in part.items()}
+                 for combo in itertools.product(*parts)]
+        found.sort(key=lambda picked: [picked[p] for p in order])
+        return [table.interpretation(outside, order,
+                                     lambda p: values[p][picked[p]])
+                for picked in found]
+
+
+def check_stable(f: Formula, c, i: FiniteInterpretation,
+                 method: str = METHOD_REDUCT) -> bool:
+    """Whether I is a stable model of F relative to c (see Problem.check)."""
+    return Problem(f, c, i.signature, i.universe).check(i, method)
+
+
+def check_stable_both(f: Formula, c, i: FiniteInterpretation) -> bool:
+    """Run both checkers, the witness search on the reduct and the
+    enumeration of witnesses for F*, and fail loudly if they disagree."""
+    return Problem(f, c, i.signature, i.universe).check(i, METHOD_BOTH)
+
+
 def stable_models(f: Formula, c, sig: Signature, universe: dict,
-                  method: str = METHOD_REDUCT):
+                  method: str = METHOD_REDUCT) -> list:
     """All stable models of F relative to c over the given finite universe,
-    in enumerate_interpretations order.
-
-    Every user symbol ranges over all its assignments; to fix a symbol
-    outside c, filter the models (a witness J agrees with I off c, so a
-    fixed table changes no verdict).  What the checks share (see prepare)
-    is built once, and every candidate that is checked is checked against
-    it.  METHOD_SECOND_ORDER and METHOD_BOTH check every interpretation,
-    as the generate-and-test reference.
-
-    The reduct route splits the grounding into its ground components (see
-    _components): groups of top-level conjuncts that read disjoint
-    locations.  Per component, classical_models finds the candidates on
-    its conjuncts and locations alone, and each is checked in full (gsat,
-    the reduct and smaller_witness) on that component, unless the support
-    decides it (below).  The stable models are the products of one stable
-    assignment per component, sorted into enumeration order at the end.
-    This is exact: when I |= F, the reduct F^I is the conjunction of the
-    components' reducts, and a J <^c I that satisfies F^I still does when
-    it takes I's values back outside one component where it differs from
-    I, since every other component then reads only I's values, and I
-    satisfies its reduct (the ground case of the splitting theorem).  The
-    search within a component is exact by three lemmas: a Kleene "true"
-    under a partial assignment holds under every completion
-    (monotonicity), so once every conjunct is true all the completions are
-    models; a choice G | not G holds whatever G is (excluded middle); and
-    smaller_witness stops as soon as some J <^c I is sure to satisfy the
-    reduct (the <^c success rule).
-
-    When F has a support (see support), its instances join the search:
-    each component searches its conjuncts of F and the instances of its
-    own c-locations, so its candidates are the assignments that satisfy F
-    and the support there.  This prunes no stable model, tight or not
-    (every stable model is supported), and the product stays exact, since
-    an instance reads only its own component and a candidate assigns
-    every location of it.  When F's Clark normal form is tight, the
-    candidates are the stable models, and none is checked: no gsat, no
-    reduct, no witness search.  When it is not, each is still checked in
-    full, against the component's conjuncts of F alone (the support would
-    only slow the check down).
-    """
-    c = as_clist(c)
-    check = checker(method)
-    shared = prepare(f, c, sig, universe, method)
-    if method != METHOD_REDUCT:
-        return [i for i in enumerate_interpretations(sig, universe)
-                if check(f, c, i, **shared)]
-    table = shared["locations"]
-    outside, symbols = _outside(sig, universe)
-    components = _components(shared["grounding"], table, symbols)
-    instances, tight = support(f, c, sig, universe) or ({}, False)
-    supports = [[] for _ in components]     # per component: its instances
-    home = {p: k for k, (_, positions) in enumerate(components)
-            for p in positions}
-    for location, g in instances.items():
-        supports[home[table.index[location]]].append(g)
-    parts = []      # per component: its stable assignments, position -> index
-    for (g, positions), more in zip(components, supports):
-        candidates = classical_models(gand([g, *more]), sig, universe, table,
-                                      positions)
-        stable = [dict(zip(positions, key)) for key, i in candidates
-                  if tight or check(f, c, i, grounding=g, locations=table,
-                                    positions=positions)]
-        if not stable:
-            return []
-        parts.append(stable)
-    order = table.positions(symbols)
-    values = table.values
-    found = []
-    for combo in itertools.product(*parts):
-        picked = {}
-        for part in combo:
-            picked.update(part)
-        found.append((tuple([picked[p] for p in order]), picked))
-    found.sort(key=lambda pair: pair[0])
-    return [table.interpretation(outside, order,
-                                 lambda p: values[p][picked[p]])
-            for _, picked in found]
+    in enumerate_interpretations order (see Problem.models)."""
+    return Problem(f, c, sig, universe).models(method)
 
 
 # ---------------------------------------------------------------------------

@@ -150,12 +150,27 @@ def test_every_public_name_resolves_to_its_defining_module():
         fsmkit.no_such_name
 
 
+def test_the_package_exports_the_problem_of_the_stable_layer():
+    import fsmkit
+    import fsmkit.stable
+    assert fsmkit.Problem is fsmkit.stable.Problem
+    assert "Problem" in fsmkit.__all__
+
+
 def test_the_method_choices_are_the_checkers_of_the_stable_layer():
     from fsmkit import cli, stable
+    from fsmkit.parser import parse_program
+    from fsmkit.syntax import FsmError, fol_representation
     assert cli.METHODS == (stable.METHOD_REDUCT, stable.METHOD_SECOND_ORDER,
                            stable.METHOD_BOTH)
+    prog = parse_program("pred p.\nintensional p.\np.\n")
+    problem = stable.Problem(fol_representation(prog), prog.intensional,
+                             prog.signature, prog.universe)
+    (model,) = problem.models()
     for method in cli.METHODS:
-        assert callable(stable.checker(method))
+        assert problem.check(model, method) is True
+    with pytest.raises(FsmError, match="unknown method"):
+        problem.check(model, "no-such-method")
 
 
 def test_the_installed_script_names_the_process_entry():
@@ -557,6 +572,19 @@ def test_compare_verdicts(capsys):
     jsonschema.validate(data, schema)
     assert set(data["verdicts"]) == {"fsm", "if"}
     assert len(data["interpretations"]) == len(data["verdicts"]["fsm"])
+
+
+def test_compare_lists_one_verdict_per_interpretation_for_a_repeated_name(
+        capsys):
+    # a semantics named twice once got two verdicts per interpretation
+    code, out = run(capsys, "compare", "--semantics", "fsm,if,fsm",
+                    str(DEMOS / "switches.fsm"))
+    assert code == EXIT_OK
+    data = json.loads(out)
+    n = len(data["interpretations"])
+    assert n == 64
+    assert {s: len(v) for s, v in data["verdicts"].items()} == {"fsm": n,
+                                                                "if": n}
 
 
 def test_se_check_accepts_and_refutes(tmp_path, capsys):

@@ -561,12 +561,11 @@ for n in (10, 20, 40):
                              funcs={"amt0": {(): n // 2},
                                     "amt1": {(): n // 2 + 1}},
                              preds={"flush": frozenset()})
-    starred = stable.star_of(f, c, prog.signature, universe)
-    count = sum(1 for _ in starred[0].witnesses(i))
+    problem = stable.Problem(f, c, prog.signature, universe)
+    count = sum(1 for _ in problem.starred[0].witnesses(i))
     calls[0] = 0
     interp.eval_term, stable._Kleene.term = counting_eval_term, counting_term
-    assert stable.check_stable(f, c, i, stable.METHOD_SECOND_ORDER,
-                               starred=starred)
+    assert problem.check(i, stable.METHOD_SECOND_ORDER)
     interp.eval_term, stable._Kleene.term = eval_term, term
     per_witness.append(calls[0] / count)
 print(json.dumps(per_witness))

@@ -336,13 +336,13 @@ stable._Search.evaluate = counting
 prog = parse_program(sys.stdin.read())
 f, c = fol_representation(prog), prog.intensional
 universe = dict(prog.universe)
-shared = stable.prepare(f, c, prog.signature, universe)
+problem = stable.Problem(f, c, prog.signature, universe)
 models = stable.stable_models(f, c, prog.signature, universe)
 total = count[0]
 per_model = []
 for m in models:
     count[0] = 0
-    assert stable.check_stable(f, c, m, **shared)
+    assert problem.check(m)
     per_model.append(count[0])
 table = stable.Locations(prog.signature, universe)
 print(json.dumps({"models": len(models), "total": total,
@@ -410,12 +410,12 @@ def switch_models(pairs):
 def test_three_pairs_of_switches(monkeypatch):
     # 2 ** 18 interpretations, 125 classical models, 64 stable ones.  The
     # pairs are three ground components, so stable_models checks the 5
-    # classical models of each component: 15 checks, where the whole
-    # program has 125.  Every check costs at most 8 conjunct evaluations
-    # per location, the search included, and so does each stable model's
-    # witness search on the whole program.
+    # classical models of each component: 15 witness searches, where the
+    # whole program has 125 models.  Every check costs at most 8 conjunct
+    # evaluations per location, the search included, and so does each
+    # stable model's witness search on the whole program.
     count = {"evaluate": 0, "check": 0}
-    evaluate, check = stable._Search.evaluate, stable.check_stable
+    evaluate, check = stable._Search.evaluate, stable.smaller_witness
 
     def counting_evaluate(self, k):
         count["evaluate"] += 1
@@ -426,7 +426,7 @@ def test_three_pairs_of_switches(monkeypatch):
         return check(*args, **kwargs)
 
     monkeypatch.setattr(stable._Search, "evaluate", counting_evaluate)
-    monkeypatch.setattr(stable, "check_stable", counting_check)
+    monkeypatch.setattr(stable, "smaller_witness", counting_check)
     f, c, sig, universe = program(SWITCHES_3)
     models = stable_models(f, c, sig, universe)
 
@@ -440,10 +440,10 @@ def test_three_pairs_of_switches(monkeypatch):
     locations = sum(len(table.span(n)) for n in c)
     assert locations == 18 and count["check"] == 15
     assert count["evaluate"] <= 8 * locations * count["check"]
-    shared = stable.prepare(f, c, sig, universe)
+    problem = stable.Problem(f, c, sig, universe)
     for m in models:
         count["evaluate"] = 0
-        assert check(f, c, m, **shared)
+        assert problem.check(m)
         assert count["evaluate"] <= 8 * locations
 
 

@@ -6,14 +6,16 @@ import random
 
 import pytest
 
+from fsmkit import stable
 from fsmkit.interp import (
-    FiniteInterpretation, enumerate_interpretations, less_on_c, vary_on,
+    FiniteInterpretation, enumerate_interpretations, less_on_c, satisfies,
+    vary_on,
 )
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    GAnd, GOr, METHOD_BOTH, METHOD_REDUCT, METHOD_SECOND_ORDER, check_stable,
-    check_stable_both, gand, gor, ground, gsat, mvp_stable_check, reduct,
-    stable_models, witnesses,
+    GAnd, GOr, METHOD_BOTH, METHOD_REDUCT, METHOD_SECOND_ORDER, Problem,
+    check_stable, check_stable_both, gand, gor, ground, gsat,
+    mvp_stable_check, reduct, stable_models, witnesses,
 )
 from fsmkit.syntax import (
     And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, FsmError,
@@ -241,12 +243,50 @@ def test_stable_models_with_shared_grounding_matches_per_candidate_checks():
 
 
 def test_check_stable_uses_a_given_grounding():
+    # every check of one Problem reads the grounding it built once, and
+    # gives the verdict of a check that grounds F afresh
     f, sig, universe = demo("watertank.fsm", amt=4)
-    g = ground(f, FiniteInterpretation(sig, universe))
+    problem = Problem(f, ("amt1",), sig, universe)
     for i in enumerate_interpretations(sig, universe):
-        assert (check_stable(f, ("amt1",), i, grounding=g)
-                == check_stable(f, ("amt1",), i)
-                == check_stable_both(f, ("amt1",), i, grounding=g))
+        assert (problem.check(i) == check_stable(f, ("amt1",), i)
+                == problem.check(i, METHOD_BOTH))
+
+
+def counting(monkeypatch, name):
+    """The arguments of each call of stable.<name> from now on."""
+    calls = []
+
+    def counted(*args, _inner=getattr(stable, name), **kwargs):
+        calls.append(args)
+        return _inner(*args, **kwargs)
+    monkeypatch.setattr(stable, name, counted)
+    return calls
+
+
+def test_one_problem_grounds_f_and_its_star_once(monkeypatch):
+    # watertank at amt=0..3: each of the 32 interpretations checked both
+    # ways against one Problem, which grounds F once and F* once, and its
+    # stable models afterwards reuse the grounding of F
+    f, sig, universe = demo("watertank.fsm", amt=4)
+    interps = list(enumerate_interpretations(sig, universe))
+    expected = [check_stable_both(f, ("amt1",), i) for i in interps]
+    assert len(interps) == 32 and any(expected)
+    grounded = counting(monkeypatch, "ground")
+    problem = Problem(f, ("amt1",), sig, universe)
+    assert [problem.check(i, METHOD_BOTH) for i in interps] == expected
+    assert len(grounded) == 2 and grounded[0][0] is f
+    assert problem.models() == [i for i, v in zip(interps, expected) if v]
+    assert len(grounded) == 2
+
+
+def test_a_second_order_check_of_a_non_model_builds_no_star(monkeypatch):
+    f, sig, universe = demo("watertank.fsm", amt=4)
+    starred = counting(monkeypatch, "star")
+    problem = Problem(f, ("amt1",), sig, universe)
+    i = next(i for i in enumerate_interpretations(sig, universe)
+             if not satisfies(i, f))
+    assert not problem.check(i, METHOD_SECOND_ORDER)
+    assert starred == []
 
 
 def test_ground_rejects_free_variable_under_a_quantifier():

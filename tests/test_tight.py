@@ -13,8 +13,8 @@ from fsmkit import stable
 from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    METHOD_BOTH, GIndex, GOr, _guard, check_stable, check_stable_both,
-    ground, prepare, stable_models, support,
+    METHOD_BOTH, GIndex, GOr, Problem, _guard, ground, stable_models,
+    support,
 )
 from fsmkit.syntax import (
     And, App, Atom, Equal, Exists, Implies, Lit, Not, Or, Var,
@@ -35,9 +35,9 @@ from test_split import disjoint_copies
 def generate_and_test(f, c, sig, universe):
     """The stable models by the reduct route's check of every
     interpretation, in enumeration order."""
-    shared = prepare(f, c, sig, universe)
+    problem = Problem(f, c, sig, universe)
     return [i for i in enumerate_interpretations(sig, universe)
-            if check_stable(f, c, i, **shared)]
+            if problem.check(i)]
 
 
 def assert_tight_path(f, c, sig, universe, taken=True):
@@ -144,9 +144,9 @@ def test_supported_candidates_on_programs_with_positive_cycles(seed, cycle,
     universe = {"u": (1, 2)}
     if c == CYCLIC_CS[0]:
         assert not support(f, c, sig, universe)[1]
-    shared = prepare(f, c, sig, universe, METHOD_BOTH)
+    problem = Problem(f, c, sig, universe)
     expected = [i for i in enumerate_interpretations(sig, universe)
-                if check_stable_both(f, c, i, **shared)]
+                if problem.check(i, METHOD_BOTH)]
     assert stable_models(f, c, sig, universe) == expected, (f, c)
 
 
@@ -163,7 +163,7 @@ def test_the_support_prunes_programs_with_positive_cycles(monkeypatch):
         interps = enumerate_interpretations(sig, universe)
         totals["classical"] += sum(stable.gsat(i, g) for i in interps)
         work = count_work(monkeypatch, f, CYCLIC_CS[0], sig, universe)
-        assert work["check_stable"] == work["candidates"]
+        assert work["smaller_witness"] == work["candidates"]
         totals["candidates"] += work["candidates"]
         totals["models"] += work["models"]
     assert totals["classical"] > totals["candidates"] > totals["models"] > 0, \
@@ -212,7 +212,7 @@ def test_a_program_that_is_not_tight_falls_back(monkeypatch):
         [("up", (s, t)) for s in ("a1", "b1", "a2", "b2") for t in (0, 1)]
         + [("flip", (s,)) for s in ("a1", "b1", "a2", "b2")])
     work = count_work(monkeypatch, f, c, sig, universe)
-    assert work["check_stable"] == work["candidates"] == 10
+    assert work["smaller_witness"] == work["candidates"] == 10
     assert_tight_path(f, c, sig, universe)
 
 
@@ -333,6 +333,30 @@ def count_work(monkeypatch, f, c, sig, universe):
     return count
 
 
+def count_evaluations(monkeypatch, f, c, sig, universe):
+    """The conjunct evaluations (_Search.evaluate) of one stable_models
+    run."""
+    count = [0]
+
+    def evaluate(self, k, _inner=stable._Search.evaluate):
+        count[0] += 1
+        return _inner(self, k)
+    monkeypatch.setattr(stable._Search, "evaluate", evaluate)
+    stable_models(f, c, sig, universe)
+    monkeypatch.undo()
+    return count[0]
+
+
+@pytest.mark.parametrize("top, evaluations",
+                         [(20, 1028), (40, 3648), (80, 13688)])
+def test_the_watertank_search_evaluations(monkeypatch, top, evaluations):
+    # the search of F and the support refutes a conjunct only once it is
+    # false, so its evaluations grow as N ** 2 in the size N of amt;
+    # propagating values would bend this curve
+    f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(top + 1)))
+    assert count_evaluations(monkeypatch, f, c, sig, universe) == evaluations
+
+
 def count_checks(monkeypatch, f, c, sig, universe):
     """(stable models, calls of stable.reduct, calls of
     stable.smaller_witness) of one stable_models run."""
@@ -358,12 +382,13 @@ def test_the_watertank_search_yields_only_its_stable_models(monkeypatch):
 
 def test_the_ring_search_yields_only_supported_candidates(monkeypatch):
     # not tight: 2 ** 6 + 1 supported candidates, where the search of F
-    # alone yields 416 classical models; each is checked in full, and on
-    # the ring every supported candidate is stable
+    # alone yields 416 classical models; each gets a reduct and a witness
+    # search but no gsat, since the search found it a model, and on the
+    # ring every supported candidate is stable
     f, c, sig, universe = program(ring(6))
     assert count_work(monkeypatch, f, c, sig, universe) == {
-        "models": 65, "candidates": 65, "gsat": 65, "reduct": 65,
-        "smaller_witness": 65, "check_stable": 65}
+        "models": 65, "candidates": 65, "gsat": 0, "reduct": 65,
+        "smaller_witness": 65, "check_stable": 0}
 
 
 def test_a_program_that_is_not_tight_checks_as_before(monkeypatch):
