@@ -40,10 +40,10 @@ def _universe(program, overrides, declared=None):
     """The program's sort extents with the --universe specs applied; raises
     FsmError on a malformed spec, on a sort that is not among declared
     (by default the sorts of the program's signature, builtins included)
-    or is bool, whose extent is fixed, on an empty range, or on a listed
-    element that is not an integer where the declared extent is all
-    integers."""
-    from .syntax import BOOL, FsmError
+    or is bool, whose extent is fixed, on an empty range, on an element
+    listed twice, or on a listed element that is not an integer where the
+    declared extent is all integers."""
+    from .syntax import BOOL, FsmError, repeated_element
     if declared is None:
         declared = program.signature.sorts
     universe = {s: tuple(ext) for s, ext in program.universe.items()}
@@ -70,6 +70,10 @@ def _universe(program, overrides, declared=None):
             if "" in parts:
                 raise FsmError(f"bad universe spec {spec!r} (empty element)")
             elements = tuple(map(_parse_element, parts))
+            e = repeated_element(elements)
+            if e is not None:
+                raise FsmError(f"bad universe spec {spec!r} (element {e!r} "
+                               "listed twice)")
             ext = program.universe.get(name)
             if ext and all(_is_int(e) for e in ext) and not all(
                     map(_is_int, elements)):
@@ -180,12 +184,15 @@ def cmd_check(args):
     import json
     from .interp import FiniteInterpretation
     from .stable import check_stable
-    from .syntax import fol_representation
+    from .syntax import FsmError, fol_representation
     program = _load_program(args.file)
     c = _relative_to(program, args.relative_to)
     f = fol_representation(program)
     with open(args.interp, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FsmError(str(e)) from None
     i = FiniteInterpretation.from_json(data, program.signature)
     verdict = check_stable(f, c.names, i, args.method)
     json.dump({"stable": verdict}, sys.stdout)
@@ -265,7 +272,6 @@ def cmd_desort(args):
 
 
 def cmd_to_smt(args):
-    import json
     from .aspmt import (
         BackgroundTheory, KIND_INTEGERS, KIND_REALS, emit_smtlib, run_solver,
         solve_all, solver_path, validate_smtlib,
@@ -291,6 +297,7 @@ def cmd_to_smt(args):
         sys.stdout.write(text)
     if solver_path(args.solver):
         if args.all_models:
+            import json
             models = solve_all(script, program.signature, bg,
                                solver=args.solver, timeout_ms=args.timeout)
             json.dump(_canonical_models(models), sys.stdout, indent=2,
@@ -474,7 +481,6 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_ERROR if e.code not in (0, None) else 0
     # the except clauses below need these bound before the command runs
-    import json
     from .parser import ParseError
     from .syntax import FsmError
     try:
@@ -487,7 +493,7 @@ def main(argv=None):
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return EXIT_ERROR
-    except (FsmError, OSError, json.JSONDecodeError) as e:
+    except (FsmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError as e:

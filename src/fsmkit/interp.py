@@ -15,7 +15,7 @@ from fractions import Fraction
 from .syntax import (
     ARITH_FUNCS, COMPARE_PREDS, App, Atom, And, Bottom, Equal,
     Exists, Forall, FsmError, Implies, Lit, Obj, Or, Record, Signature, Var,
-    as_clist,
+    as_clist, repeated_element,
 )
 
 
@@ -304,11 +304,16 @@ def count_assignments(universe, sig, name) -> int:
     return 2 ** _domain_size(universe, sig.predicates[name])
 
 
-def _require_nonempty(universe):
-    """Raise DomainError if some sort of universe has an empty extent."""
+def _check_extents(universe):
+    """Raise DomainError if some sort of universe has an empty extent, or
+    one that lists an element twice (see syntax.repeated_element)."""
     for s, ext in universe.items():
         if len(ext) == 0:
             raise DomainError(f"empty extent for sort {s!r}")
+        e = repeated_element(ext)
+        if e is not None:
+            raise DomainError(f"the extent of sort {s!r} lists the element "
+                              f"{e!r} twice")
 
 
 class Locations:
@@ -410,7 +415,7 @@ def enumerate_interpretations(sig: Signature, universe: dict,
     vary: restrict the varying symbols to this collection (default: every
     user symbol not pinned by the fixed part).
     """
-    _require_nonempty(universe)
+    _check_extents(universe)
     outside = FiniteInterpretation(sig, universe, dict(fixed_funcs or {}),
                                    dict(fixed_preds or {}))
     if vary is None:

@@ -29,9 +29,9 @@ from .syntax import (
     transform,
 )
 from .interp import (
-    COMPARE_PREDS, UNDEF, FiniteInterpretation, Locations, _arith, _compare,
-    _require_nonempty, elem_key, enumerate_interpretations, less_on_c,
-    satisfies, vary_on,
+    COMPARE_PREDS, UNDEF, FiniteInterpretation, Locations, _arith,
+    _check_extents, _compare, elem_key, enumerate_interpretations,
+    less_on_c, satisfies, vary_on,
 )
 
 
@@ -650,7 +650,7 @@ def classical_models(g, sig: Signature, universe: dict, locations=None,
     would make the search branch outside positions, which raises FsmError
     rather than give a wrong answer.
     """
-    _require_nonempty(universe)
+    _check_extents(universe)
     table = locations or Locations(sig, universe)
     outside, symbols = _outside(sig, universe)
     if positions is None:

@@ -407,6 +407,18 @@ def close_existentially(f: Formula, variables: Iterable[Var]) -> Formula:
 # ---------------------------------------------------------------------------
 # signatures
 
+def repeated_element(elements):
+    """The first element that elements lists a second time, or None.  Two
+    elements are the same when they have one type and one value: 1 and
+    Fraction(1) are ==, but a sort may list both."""
+    seen = set()
+    for e in elements:
+        if (type(e), e) in seen:
+            return e
+        seen.add((type(e), e))
+    return None
+
+
 class SortDecl(Record):
     __slots__ = ("name", "elements", "tag")
 
@@ -443,7 +455,13 @@ class Signature(Record):
     def declare_sort(self, name, elements=None, tag=TAG_USER):
         if name in self.sorts:
             raise DeclarationError(f"sort {name!r} already declared")
-        self.sorts[name] = SortDecl(name, tuple(elements) if elements is not None else None, tag)
+        if elements is not None:
+            elements = tuple(elements)
+            e = repeated_element(elements)
+            if e is not None:
+                raise DeclarationError(
+                    f"sort {name!r} lists the element {e!r} twice")
+        self.sorts[name] = SortDecl(name, elements, tag)
         if elements is not None and all(isinstance(e, int) and not isinstance(e, bool) for e in elements):
             # integer-valued extents live inside the builtin int sort
             self.subsorts.add((name, INT))

@@ -1,15 +1,46 @@
-"""Shared fixtures: a small test signature and seeded random generators
-for formulas and rule programs over tiny universes.
+"""What more than one test module uses, so that no test module imports
+another: a small test signature and seeded random generators for formulas
+and rule programs over tiny universes; the demo loader and the benchmark's
+switches generator; the environment of a child interpreter and a call
+recorder; generate_and_test, the one generate-and-test reference of the
+differential tests, and the witness-level and grounding-level references;
+the edge-case signature of the guard index; disjoint copies of a program;
+the switches demo as a causal theory; and the exact evaluation of emitted
+SMT-LIB scripts.
 """
 
+import importlib.util
+import itertools
+import os
+import pathlib
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
-from fsmkit.syntax import (
-    And, App, Atom, BOT, Choice, Equal, Exists, Forall, Implies, Lit, Not,
-    Or, Signature, Var, conj,
+from fsmkit.aspmt import parse_sexprs
+from fsmkit.interp import (
+    FiniteInterpretation, elem_key, enumerate_interpretations, satisfies,
 )
+from fsmkit.parser import parse_program
+from fsmkit.related import CausalRule
+from fsmkit.stable import (
+    GAnd, GIndex, GOr, classical_models, ground, gsat, reduct, star,
+    star_of, witnesses,
+)
+from fsmkit.syntax import (
+    And, App, Atom, Choice, Equal, Exists, Forall, Implies, Lit, Not,
+    Obj, Or, Signature, TOP, Var, conj, fol_representation, nodes,
+    rename_symbols,
+)
+from stand_in_solver import eval_sexpr
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+BENCH = ROOT / "perfbench"
+#: the stand-in SMT solver, run as a script where a solver path is wanted
+STAND_IN = pathlib.Path(__file__).resolve().parent / "stand_in_solver.py"
 
 
 def small_signature(elements=(1, 2), with_unary_func=False):
@@ -258,3 +289,293 @@ def random_cyclic_program(rng, elements=(1, 2), cycle=None):
             rules.append(Forall(v, Forall(w, Implies(body, head))))
     rng.shuffle(rules)
     return definition_signature(elements), conj(rules)
+
+
+# ---------------------------------------------------------------------------
+# programs: the demos and the benchmark's switches generator
+
+def program(text, **universe):
+    """(F, c, signature, universe) of a program's text: its FOL
+    representation, its intensional symbols, its signature, and its
+    universe with the extents given as keywords put in."""
+    prog = parse_program(text)
+    full = dict(prog.universe, **universe)
+    return (fol_representation(prog), prog.intensional, prog.signature,
+            full)
+
+
+def demo(name, **universe):
+    """program() of demos/<name>."""
+    return program((DEMOS / name).read_text(), **universe)
+
+
+def load_perfbench_gen():
+    """perfbench/gen.py, the benchmark's input generators, as a module.  It
+    is only read: no __pycache__ is left in the benchmark's directory."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  BENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+#: switches(n): the switches demo generalised to n independent pairs
+#: (ak, bk), with ak down and bk up at time 0, as the benchmark writes it
+switches = load_perfbench_gen().switches
+#: 4096 candidates, 16 stable models
+SWITCHES_2 = switches(2)
+
+
+# ---------------------------------------------------------------------------
+# child interpreters and call records
+
+def fsmkit_env(**extra):
+    """os.environ with extra set, for a child Python that imports the
+    fsmkit of this checkout: src comes first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def record_calls(monkeypatch, holder, name):
+    """The arguments of each call of holder.<name> from now on, one tuple
+    per call."""
+    calls = []
+    inner = getattr(holder, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(holder, name, recording)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# the references of the differential tests
+
+def generate_and_test(sig, universe, check):
+    """The interpretations of sig over universe that check accepts, in
+    enumeration order.  With a stable-model check this is SM[F; c] by
+    generate-and-test, the reference each search route of the stable models
+    is compared with; with gsat against a grounding it gives the classical
+    models, the reference of classical_models."""
+    return [i for i in enumerate_interpretations(sig, universe) if check(i)]
+
+
+def searched_models(g, sig, universe):
+    """The classical models the search finds, in enumeration order."""
+    found = sorted(classical_models(g, sig, universe),
+                   key=lambda pair: pair[0])
+    return [i for _, i in found]
+
+
+def enumerated_witness_exists(red, i, c):
+    """The reduct route's witness test before the search: try every J <^c I
+    in the order witnesses yields them."""
+    return any(gsat(j, red) for j in witnesses(i, c))
+
+
+def index_nodes(g) -> int:
+    """Number of GIndex nodes in a ground formula, grounding every
+    instance of each through instances()."""
+    n, stack = 0, [g]
+    while stack:
+        h = stack.pop()
+        if isinstance(h, GIndex):
+            n += 1
+            for v in {elem_key(e): e for e in h.extent}.values():
+                stack.extend(h.instances(v))
+        elif isinstance(h, (GAnd, GOr)):
+            stack.extend(h.members)
+        elif isinstance(h, Implies):
+            stack.extend((h.left, h.right))
+    return n
+
+
+def assert_index_agrees(f, c, interps, base):
+    """For every I: the indexed grounding holds in I exactly when F does
+    classically, and for every J differing from I on c, J satisfies the
+    indexed reduct exactly when it satisfies the plain one.  Returns the
+    number of GIndex nodes in the indexed grounding."""
+    plain = ground(f, base)
+    indexed = ground(f, base, index=True)
+    for i in interps:
+        holds = satisfies(i, f)
+        assert gsat(i, indexed) == holds == gsat(i, plain), i.to_json()
+        red_plain, red_indexed = reduct(plain, i), reduct(indexed, i)
+        for j in witnesses(i, c, ordered=False):
+            assert gsat(j, red_indexed) == gsat(j, red_plain), \
+                (i.to_json(), j.to_json())
+    return index_nodes(indexed)
+
+
+def assert_star_index_agrees(f, c, interps, universe):
+    """For every I and every (J, ext) of Mirrors.witnesses(I): the indexed
+    grounding of F* that star_of builds holds in ext exactly when F* does
+    classically.  Returns the number of GIndex nodes in that grounding."""
+    mirrors, gstar = star_of(f, c, interps[0].signature, universe)
+    fstar = star(f, c, mirrors.names)
+    for i in interps:
+        for j, ext in mirrors.witnesses(i):
+            assert gsat(ext, gstar) == satisfies(ext, fstar), \
+                (f, c, i.to_json(), j.to_json())
+    return index_nodes(gstar)
+
+
+# ---------------------------------------------------------------------------
+# the edge cases of the guard index
+
+X = Var("X", "u")
+A = App("a", ())
+
+
+def edge_signature(elements):
+    """Sort u, a : -> u, a partial h : u -> u, t : -> bool, p over u."""
+    sig = Signature()
+    sig.declare_sort("u", elements)
+    sig.declare_func("a", (), "u")
+    sig.declare_func("h", ("u",), "u")
+    sig.declare_func("t", (), "bool")
+    sig.declare_pred("p", ("u",))
+    return sig
+
+
+def edge_interps(sig, elements):
+    """Every a, t and p, with h empty, the identity on the first element
+    only, or constant on the last element."""
+    first, last = elements[0], elements[-1]
+    tables = ({}, {(first,): first}, {(e,): last for e in elements})
+    subsets = [frozenset((e,) for e in chosen)
+               for k in range(len(elements) + 1)
+               for chosen in itertools.combinations(elements, k)]
+    for a, h, t, p in itertools.product(elements, tables, (False, True),
+                                        subsets):
+        yield FiniteInterpretation(
+            sig, {"u": elements},
+            funcs={"a": {(): a}, "h": h, "t": {(): t}}, preds={"p": p})
+
+
+def guarded_by(guard):
+    return Forall(X, Implies(guard, Atom("p", (X,))))
+
+
+GUARDS = {
+    "t=X": guarded_by(Equal(A, X)),
+    "X=t": guarded_by(Equal(X, A)),
+    "undef": guarded_by(Equal(App("h", (A,)), X)),      # h is partial
+    "bool": guarded_by(Equal(App("t", ()), X)),         # bool t, int u
+    "conjunct": Forall(X, Implies(
+        And(Atom("p", (A,)), Equal(X, App("h", (A,)))),
+        Equal(App("h", (X,)), A))),
+    "outside": guarded_by(Equal(App("+", (A, Lit(1))), X)),
+}
+INTS = (0, 1, 2)
+# == but distinct elements: the index keeps both under one key
+EQUAL_ELEMENTS = (0, 1, Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# disjoint copies of a program
+
+def disjoint_copies(sig, formulas, cs, unread):
+    """(F, c, signature): F is the conjunction of the formulas, the k-th
+    with every user symbol n of sig renamed to n + str(k), and c holds the
+    renamed symbols of cs[k] for each k.  The signature declares the
+    symbols of each copy that its formula mentions or its c holds, and
+    also r, which no formula reads: a propositional constant or an object
+    constant of sort u, in c when unread says so."""
+    out = Signature()
+    out.declare_sort("u", sig.sorts["u"].elements)
+    parts, c = [], []
+    for k, (f, names) in enumerate(zip(formulas, cs)):
+        mentioned = {h.fn if isinstance(h, App) else h.pred
+                     for h in nodes(f) if isinstance(h, (App, Atom))}
+        mapping = {n: f"{n}{k}" for n in sig.user_symbols()
+                   if n in mentioned or n in names}
+        for n, m in mapping.items():
+            if n in sig.functions:
+                out.declare_func(m, *sig.functions[n])
+            else:
+                out.declare_pred(m, sig.predicates[n])
+        parts.append(rename_symbols(f, mapping))
+        c += [mapping[n] for n in names]
+    kind, in_c = unread
+    if kind == "pred":
+        out.declare_pred("r", ())
+    else:
+        out.declare_func("r", (), "u")
+    if in_c:
+        c.append("r")
+    f = parts[0]
+    for g in parts[1:]:
+        f = And(f, g)
+    return f, tuple(c), out
+
+
+# ---------------------------------------------------------------------------
+# the switches demo as a causal theory
+
+def up_at(s, t):
+    return App("up", (Obj(s), Lit(t)))
+
+
+def flip_of(s):
+    return App("flip", (Obj(s),))
+
+
+def switch_rules():
+    rules = []
+    for s in ("a", "b"):
+        other = "b" if s == "a" else "a"
+        for x in (False, True):
+            rules.append(CausalRule(
+                Equal(up_at(s, 1), Lit(x)),
+                And(Equal(up_at(s, 0), Lit(not x)),
+                    Equal(flip_of(s), Lit(True)))))
+            rules.append(CausalRule(
+                Equal(up_at(s, 1), Lit(x)),
+                Equal(up_at(other, 1), Lit(not x))))
+            rules.append(CausalRule(
+                Equal(up_at(s, 1), Lit(x)),
+                And(Equal(up_at(s, 1), Lit(x)),
+                    Equal(up_at(s, 0), Lit(x)))))
+            rules.append(CausalRule(
+                Equal(flip_of(s), Lit(x)),
+                Equal(flip_of(s), Lit(x))))
+    rules.append(CausalRule(Equal(up_at("a", 0), Lit(False)), TOP))
+    rules.append(CausalRule(Equal(up_at("b", 0), Lit(True)), TOP))
+    return rules
+
+
+def switch_interp(program, fa, fb, ua, ub):
+    return FiniteInterpretation(
+        program.signature, dict(program.universe),
+        funcs={"up": {("a", 0): False, ("b", 0): True,
+                      ("a", 1): ua, ("b", 1): ub},
+               "flip": {("a",): fa, ("b",): fb}})
+
+
+def load_switches():
+    return parse_program((DEMOS / "switches.fsm").read_text())
+
+
+CAUSAL_ROWS = {
+    (False, False, False, True),
+    (False, True, True, False),
+    (True, False, True, False),
+    (True, True, True, False),
+    (False, False, True, False),
+}
+STABLE_ROWS = CAUSAL_ROWS - {(False, False, True, False)}
+
+
+# ---------------------------------------------------------------------------
+# emitted SMT-LIB scripts, evaluated exactly (stand_in_solver.eval_sexpr)
+
+def script_holds(script, env):
+    return all(eval_sexpr(parse_sexprs(a)[0], env) for a in script.assertions)

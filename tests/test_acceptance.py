@@ -2,17 +2,13 @@
 single pass/fail line.  Run with -s to see the lines as they happen."""
 
 import itertools
-import json
 import pathlib
 import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from fsmkit.aspmt import (
-    BackgroundTheory, decode_model, emit_smtlib, run_solver, solve_all,
-    solver_path, t_stable_check, validate_smtlib,
+    BackgroundTheory, emit_smtlib, solve_all, solver_path, validate_smtlib,
 )
 from fsmkit.eliminations import (
     eliminate_function, eliminate_predicate, map_func_to_pred,
@@ -43,11 +39,10 @@ from fsmkit.transforms import (
     complete, is_head_c_plain, is_tight, to_clark_normal_form, unfold,
 )
 
-from conftest import FormulaGen, make_gen, random_definition_program
-from test_related import (
-    CAUSAL_ROWS, STABLE_ROWS, load_switches, switch_interp, switch_rules,
+from conftest import (
+    CAUSAL_ROWS, STABLE_ROWS, STAND_IN, load_switches, make_gen,
+    random_definition_program, script_holds, switch_interp, switch_rules,
 )
-from test_aspmt import STAND_IN, script_holds
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 

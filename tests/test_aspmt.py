@@ -3,7 +3,6 @@ background, checked against an exact-rational evaluation of the emitted
 scripts (stand_in_solver.eval_sexpr)."""
 
 import itertools
-import pathlib
 import random
 from fractions import Fraction
 
@@ -14,27 +13,15 @@ from fsmkit.aspmt import (
     decode_model, eliminate_background_quantifiers, emit_smtlib,
     parse_sexprs, solve_all, solver_path, t_stable_check, validate_smtlib,
 )
-from fsmkit.interp import FiniteInterpretation, satisfies
+from fsmkit.interp import FiniteInterpretation
 from fsmkit.parser import parse_program
 from fsmkit.stable import stable_models
 from fsmkit.syntax import (
-    And, App, Equal, Exists, Forall, FragmentError, Implies, Lit, Not, Or,
-    Signature, Var, conj,
+    App, Equal, Exists, Forall, Implies, Lit, Signature, Var, conj,
 )
-from fsmkit.transforms import complete, to_clark_normal_form
+from fsmkit.transforms import to_clark_normal_form
 
-from conftest import random_choice_program
-from stand_in_solver import eval_sexpr
-
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
-STAND_IN = pathlib.Path(__file__).resolve().parent / "stand_in_solver.py"
-
-
-# ---------------------------------------------------------------------------
-# the rendered scripts, evaluated exactly (eval_sexpr)
-
-def script_holds(script, env):
-    return all(eval_sexpr(parse_sexprs(a)[0], env) for a in script.assertions)
+from conftest import DEMOS, STAND_IN, random_choice_program, script_holds
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ import jsonschema
 import pytest
 
 from fsmkit.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main
+from fsmkit.parser import parse_program
+from fsmkit.syntax import DeclarationError
+from conftest import DEMOS, ROOT, STAND_IN, fsmkit_env
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = ROOT / "demos"
-SCHEMAS = (pathlib.Path(__file__).resolve().parent.parent
-           / "src" / "fsmkit" / "schemas")
+SCHEMAS = ROOT / "src" / "fsmkit" / "schemas"
 
 TANK = DEMOS / "watertank.fsm"
-STAND_IN = pathlib.Path(__file__).resolve().parent / "stand_in_solver.py"
 
 
 #: the commands without --universe: check reads the universe from the
@@ -75,24 +74,18 @@ def test_stable_outputs_schema_valid_models(capsys):
     assert (5, 9, False) not in pairs
 
 
-def _env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return env
-
-
 def _modules_added(code):
     """The modules that running code adds to sys.modules, in a fresh
-    interpreter; modules loaded before it (json, sys) do not count."""
-    probe = ("import json, sys\n"
+    interpreter; modules loaded before it (sys) do not count.  The probe
+    prints the list with repr, so that json counts when code loads it."""
+    probe = ("import sys\n"
              "before = set(sys.modules)\n"
              f"{code}\n"
-             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+             "print(sorted(set(sys.modules) - before))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=_env(), timeout=60)
+                          text=True, env=fsmkit_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
 LAYERS = ("aspmt", "eliminations", "interp", "parser", "related", "sortsred",
@@ -129,6 +122,20 @@ def test_a_stable_run_loads_no_compiler_and_no_oracle():
     assert "fsmkit.stable" in added
     assert not {f"fsmkit.{m}" for m in ("aspmt", "related", "eliminations",
                                         "sortsred")} & added
+
+
+@pytest.mark.parametrize("command", ["parse", "check-tight", "complete",
+                                     "to-smt"])
+def test_a_command_that_reads_no_json_loads_no_json(command):
+    # only check reads JSON, and to-smt writes it only with a solver and
+    # --all-models; FSMKIT_SOLVER is unset, so to-smt runs no solver
+    added = _modules_added(
+        "import contextlib, io, os\n"
+        "os.environ.pop('FSMKIT_SOLVER', None)\n"
+        "from fsmkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main([{command!r}, {str(TANK)!r}]) == 0")
+    assert "json" not in added
 
 
 def test_every_public_name_resolves_to_its_defining_module():
@@ -207,7 +214,7 @@ def test_every_module_parses_at_the_declared_python_floor():
 def test_ground_prints_the_same_under_every_hash_seed(argv):
     # a ground conjunction or disjunction prints its members in the order
     # they were built, not in the hash order of its set
-    env = _env()
+    env = fsmkit_env()
     outputs = set()
     for seed in ("1", "2", "3"):
         proc = subprocess.run(
@@ -229,7 +236,7 @@ def test_programs_past_a_thousand_rules(tmp_path):
     lines += [f"c{i} = 1 :- q{j}." for i in range(n) for j in range(n)]
     src = tmp_path / "long.fsm"
     src.write_text("\n".join(lines) + "\n")
-    env = _env()
+    env = fsmkit_env()
     for command in ("check-tight", "complete", "to-smt"):
         proc = subprocess.run(
             [sys.executable, "-m", "fsmkit.cli", command, str(src)],
@@ -251,7 +258,7 @@ def test_a_chain_of_1201_intensional_predicates(tmp_path, reverse):
     lines += [f"p{k + 1} :- p{k}." for k in range(n - 1)]
     src = tmp_path / "chain.fsm"
     src.write_text("\n".join(lines) + "\n")
-    env = _env()
+    env = fsmkit_env()
     for command in (["unfold"], ["desort"], ["check-tight"], ["complete"],
                     ["to-smt"], ["eliminate", "--pred", "p0", "--to-func", "f0"]):
         proc = subprocess.run(
@@ -328,6 +335,28 @@ def test_a_non_integer_element_of_an_integer_sort_exits_2(capsys):
             in capsys.readouterr().err)
 
 
+def test_a_universe_spec_that_lists_an_element_twice_exits_2(capsys):
+    # the tank would print each model with amt0 or amt1 = 1 twice
+    assert main(["stable", str(TANK), "--universe", "amt=0,1,1"]) \
+        == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: bad universe spec 'amt=0,1,1' (element 1 listed twice)"
+            in captured.err)
+
+
+def test_a_sort_that_lists_an_element_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "twice.fsm"
+    path.write_text("sort s = {a, a}.\nfunc f : -> s.\nintensional f.\n"
+                    "{ f = a }.\n")
+    assert main(["stable", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: sort 's' lists the element 'a' twice" in captured.err
+    with pytest.raises(DeclarationError, match="'a' twice"):
+        parse_program(path.read_text())
+
+
 @pytest.mark.parametrize("command", NO_UNIVERSE)
 def test_commands_that_do_not_ground_refuse_universe(tmp_path, capsys,
                                                      command):
@@ -386,10 +415,13 @@ def test_check_accepts_and_rejects(tmp_path, capsys):
     assert json.loads(out) == {"stable": False}
 
 
-def test_check_malformed_interp_exits_2(tmp_path):
+def test_check_malformed_interp_exits_2(tmp_path, capsys):
     path = tmp_path / "interp.json"
     path.write_text("{not json")
     assert main(["check", "--interp", str(path), str(TANK)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -458,7 +490,7 @@ def test_check_both_methods_over_a_large_sort(tmp_path, capsys, amt0, amt1,
 def test_a_closed_pipe_exits_2_without_a_message():
     # `fsmkit stable ... | head -1`: the reader is gone before the models
     # are written; the reading end is closed first, so every write fails
-    env = _env()
+    env = fsmkit_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -478,7 +510,7 @@ def test_a_closed_pipe_exits_2_without_a_message():
 
 def _process(argv, **kw):
     return subprocess.run([sys.executable, "-m", "fsmkit.cli", *argv],
-                          capture_output=True, env=_env(), timeout=120, **kw)
+                          capture_output=True, env=fsmkit_env(), timeout=120, **kw)
 
 
 @pytest.mark.parametrize("demo", ["watertank", "switches"])
@@ -506,7 +538,7 @@ def test_a_reader_that_leaves_after_one_byte_gets_exit_2():
     proc = subprocess.Popen(
         [sys.executable, "-m", "fsmkit.cli", "stable", str(TANK),
          "--universe", "amt=0..100"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fsmkit_env())
     try:
         assert proc.stdout.read(1) == b"["
         proc.stdout.close()

@@ -10,15 +10,11 @@ only reads the two files.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-import pathlib
-import sys
 
 from fsmkit.cli import main
-
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import BENCH, load_perfbench_gen
 
 # the argument lists of perfbench/workloads.py's COMPILE_COMMANDS
 COMMANDS = {
@@ -29,25 +25,12 @@ COMMANDS = {
 }
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen",
-                                                  BENCH / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    # leave no __pycache__ behind in the benchmark's directory
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_compile_outputs_match_the_benchmark_digests(tmp_path):
-    gen = _load_gen()
+    gen = load_perfbench_gen()
     golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
     text = gen.car(0, golden["steps"])
     row = golden["variants"]["0"]

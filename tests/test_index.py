@@ -4,10 +4,7 @@ and shapes, and work counts that pin the per-candidate cost of the reduct
 route and the per-witness cost of the second-order route."""
 
 import functools
-import itertools
 import json
-import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -19,77 +16,24 @@ from hypothesis import given, settings, strategies as st
 from fsmkit import interp as interp_module
 from fsmkit import stable as stable_module
 from fsmkit.interp import (
-    EvaluationError, FiniteInterpretation, elem_key,
-    enumerate_interpretations, satisfies,
+    EvaluationError, FiniteInterpretation, enumerate_interpretations,
+    satisfies,
 )
-from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    METHOD_REDUCT, METHOD_SECOND_ORDER, GAnd, GIndex, GOr, Mirrors,
-    _guard, _Kleene, check_stable, check_stable_both, ground, gsat, reduct,
-    star, star_of, stable_models, witnesses,
+    METHOD_REDUCT, METHOD_SECOND_ORDER, GAnd, GIndex, Mirrors, _guard,
+    _Kleene, check_stable, check_stable_both, ground, gsat, reduct, star,
+    star_of, stable_models,
 )
 from fsmkit.syntax import (
     BOT, And, App, Atom, Equal, Forall, FsmError, Implies, Lit, Obj, Or,
-    Signature, Var, fol_representation,
+    Signature, Var,
 )
-from conftest import make_gen, random_definition_program
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = ROOT / "demos"
-
-
-def index_nodes(g) -> int:
-    """Number of GIndex nodes in a ground formula, grounding every
-    instance of each through instances()."""
-    n, stack = 0, [g]
-    while stack:
-        h = stack.pop()
-        if isinstance(h, GIndex):
-            n += 1
-            for v in {elem_key(e): e for e in h.extent}.values():
-                stack.extend(h.instances(v))
-        elif isinstance(h, (GAnd, GOr)):
-            stack.extend(h.members)
-        elif isinstance(h, Implies):
-            stack.extend((h.left, h.right))
-    return n
-
-
-def assert_index_agrees(f, c, interps, base):
-    """For every I: the indexed grounding holds in I exactly when F does
-    classically, and for every J differing from I on c, J satisfies the
-    indexed reduct exactly when it satisfies the plain one.  Returns the
-    number of GIndex nodes in the indexed grounding."""
-    plain = ground(f, base)
-    indexed = ground(f, base, index=True)
-    for i in interps:
-        holds = satisfies(i, f)
-        assert gsat(i, indexed) == holds == gsat(i, plain), i.to_json()
-        red_plain, red_indexed = reduct(plain, i), reduct(indexed, i)
-        for j in witnesses(i, c, ordered=False):
-            assert gsat(j, red_indexed) == gsat(j, red_plain), \
-                (i.to_json(), j.to_json())
-    return index_nodes(indexed)
-
-
-def assert_star_index_agrees(f, c, interps, universe):
-    """For every I and every (J, ext) of Mirrors.witnesses(I): the indexed
-    grounding of F* that star_of builds holds in ext exactly when F* does
-    classically.  Returns the number of GIndex nodes in that grounding."""
-    mirrors, gstar = star_of(f, c, interps[0].signature, universe)
-    fstar = star(f, c, mirrors.names)
-    for i in interps:
-        for j, ext in mirrors.witnesses(i):
-            assert gsat(ext, gstar) == satisfies(ext, fstar), \
-                (f, c, i.to_json(), j.to_json())
-    return index_nodes(gstar)
-
-
-def demo(name, **universe):
-    program = parse_program((DEMOS / name).read_text())
-    full = dict(program.universe, **universe)
-    return (fol_representation(program), program.intensional,
-            program.signature, full)
+from conftest import (
+    A, DEMOS, EQUAL_ELEMENTS, GUARDS, INTS, X, assert_index_agrees,
+    assert_star_index_agrees, demo, edge_interps, edge_signature,
+    fsmkit_env, guarded_by, make_gen, random_definition_program,
+    record_calls,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -211,55 +155,6 @@ def test_star_index_agrees_on_demos(name, universe, fixed, c):
 # ---------------------------------------------------------------------------
 # guard edge cases
 
-X = Var("X", "u")
-A = App("a", ())
-
-
-def edge_signature(elements):
-    """Sort u, a : -> u, a partial h : u -> u, t : -> bool, p over u."""
-    sig = Signature()
-    sig.declare_sort("u", elements)
-    sig.declare_func("a", (), "u")
-    sig.declare_func("h", ("u",), "u")
-    sig.declare_func("t", (), "bool")
-    sig.declare_pred("p", ("u",))
-    return sig
-
-
-def edge_interps(sig, elements):
-    """Every a, t and p, with h empty, the identity on the first element
-    only, or constant on the last element."""
-    first, last = elements[0], elements[-1]
-    tables = ({}, {(first,): first}, {(e,): last for e in elements})
-    subsets = [frozenset((e,) for e in chosen)
-               for k in range(len(elements) + 1)
-               for chosen in itertools.combinations(elements, k)]
-    for a, h, t, p in itertools.product(elements, tables, (False, True),
-                                        subsets):
-        yield FiniteInterpretation(
-            sig, {"u": elements},
-            funcs={"a": {(): a}, "h": h, "t": {(): t}}, preds={"p": p})
-
-
-def guarded_by(guard):
-    return Forall(X, Implies(guard, Atom("p", (X,))))
-
-
-GUARDS = {
-    "t=X": guarded_by(Equal(A, X)),
-    "X=t": guarded_by(Equal(X, A)),
-    "undef": guarded_by(Equal(App("h", (A,)), X)),      # h is partial
-    "bool": guarded_by(Equal(App("t", ()), X)),         # bool t, int u
-    "conjunct": Forall(X, Implies(
-        And(Atom("p", (A,)), Equal(X, App("h", (A,)))),
-        Equal(App("h", (X,)), A))),
-    "outside": guarded_by(Equal(App("+", (A, Lit(1))), X)),
-}
-INTS = (0, 1, 2)
-# == but distinct elements: the index keeps both under one key
-EQUAL_ELEMENTS = (0, 1, Fraction(1))
-
-
 @pytest.mark.parametrize("guard, elements", [
     (name, INTS) for name in GUARDS] + [
     (name, EQUAL_ELEMENTS) for name in GUARDS])
@@ -331,11 +226,10 @@ def test_literals_keep_bool_ness(hash_seed):
     # set holding either equation, and gsat would say true with a = 1
     assert Lit(True) != Lit(1) and Lit(1) == Lit(Fraction(1))
     assert hash(Lit(True)) == hash((True,))
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", LIT_BOOL_NESS],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True,
+                          env=fsmkit_env(PYTHONHASHSEED=hash_seed),
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
@@ -480,43 +374,23 @@ def test_gsat_raises_like_satisfies_on_a_missing_function():
 # ---------------------------------------------------------------------------
 # work counts
 
-def count_calls(monkeypatch, module, name, *also):
-    """Route every call of module.name through a counter; also patches the
-    same function where the modules in also bind it."""
-    calls = [0]
-    original = getattr(module, name)
-
-    def counting(*args, **kw):
-        calls[0] += 1
-        return original(*args, **kw)
-    for holder in (module,) + also:
-        monkeypatch.setattr(holder, name, counting)
-    return calls
-
-
 def test_second_order_route_stars_once_per_run(monkeypatch):
     f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(6)))
-    calls = count_calls(monkeypatch, stable_module, "star")
-    top_level = []
-    original = stable_module.ground
-
-    def counting(g, interp, **kw):
-        top_level.append(g)
-        return original(g, interp, **kw)
-    monkeypatch.setattr(stable_module, "ground", counting)
+    calls = record_calls(monkeypatch, stable_module, "star")
+    top_level = record_calls(monkeypatch, stable_module, "ground")
     models = stable_models(f, c, sig, universe, method=METHOD_SECOND_ORDER)
     assert len(models) == 11
-    assert calls[0] == 1
+    assert len(calls) == 1
     # F* only: the second-order route does not ground F
-    assert len(top_level) == 1 and top_level[0] != f
+    assert len(top_level) == 1 and top_level[0][0] != f
 
 
 def count_term_evaluations(monkeypatch):
     """Count the terms the ground evaluator evaluates, and those satisfies
     evaluates; both count the nested terms too."""
-    kleene = count_calls(monkeypatch, stable_module._Kleene, "term")
-    classical = count_calls(monkeypatch, interp_module, "eval_term")
-    return lambda: kleene[0] + classical[0]
+    kleene = record_calls(monkeypatch, stable_module._Kleene, "term")
+    classical = record_calls(monkeypatch, interp_module, "eval_term")
+    return lambda: len(kleene) + len(classical)
 
 
 def test_term_evaluations_per_candidate_do_not_grow_with_the_sort(
@@ -576,12 +450,10 @@ print(json.dumps(per_witness))
 def evaluations_per_witness(hash_seed):
     """Term evaluations per witness of a stable watertank snapshot at
     amt=0..10/20/40, in a fresh interpreter under PYTHONHASHSEED=hash_seed."""
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", COUNT_EVALUATIONS],
                           input=(DEMOS / "watertank.fsm").read_text(),
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True,
+                          env=fsmkit_env(PYTHONHASHSEED=hash_seed),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)
@@ -612,8 +484,8 @@ def test_a_check_grounds_the_same_instances_at_every_sort_size(monkeypatch):
                                  funcs={"amt0": {(): n // 2},
                                         "amt1": {(): n // 2 + 1}},
                                  preds={"flush": frozenset()})
-        calls = count_calls(monkeypatch, stable_module, "ground")
+        calls = record_calls(monkeypatch, stable_module, "ground")
         assert check_stable_both(f, c, i)
-        built.append(calls[0])
+        built.append(len(calls))
         monkeypatch.undo()
     assert built[0] == built[1] == built[2], built

@@ -1,7 +1,6 @@
 """Finite interpretations: evaluation, enumeration, ordering, JSON."""
 
 import itertools
-import pathlib
 import re
 from fractions import Fraction
 
@@ -18,9 +17,9 @@ from fsmkit.syntax import (
     BOT, TAG_USER, And, App, Atom, Equal, Exists, Forall, FsmError, Implies,
     Lit, Not, Var, as_clist,
 )
-from conftest import definition_signature, small_signature
-
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+from conftest import (
+    DEMOS, definition_signature, record_calls, small_signature,
+)
 
 
 def make_interp(sig, a=1, b=2, p=(1,), q=False):
@@ -228,18 +227,12 @@ def test_lazy_enumeration_keeps_the_order(sig, universe):
 def test_lazy_enumeration_builds_nothing_ahead(monkeypatch):
     # f : u -> u over 3 elements has 27 tables, a 3 of them, p 8 extents:
     # the first interpretation is decoded once from its locations
-    made = [0]
-    decode = Locations.interpretation
-
-    def counting(*args):
-        made[0] += 1
-        return decode(*args)
-    monkeypatch.setattr(Locations, "interpretation", counting)
+    made = record_calls(monkeypatch, Locations, "interpretation")
     sig = small_signature((1, 2, 3), with_unary_func=True)
     first = next(enumerate_interpretations(sig, {"u": (1, 2, 3)}))
     assert first.funcs == {"a": {(): 1}, "b": {(): 1},
                            "f": {(1,): 1, (2,): 1, (3,): 1}}
-    assert made[0] == 1
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("enumerator", [
@@ -252,6 +245,18 @@ def test_lazy_enumeration_builds_nothing_ahead(monkeypatch):
 def test_an_empty_sort_is_refused_before_any_work(enumerator):
     with pytest.raises(DomainError, match="empty extent for sort 'u'"):
         next(enumerator(small_signature(), {"u": ()}))
+
+
+@pytest.mark.parametrize("enumerator", [
+    lambda sig, universe: enumerate_interpretations(sig, universe),
+    lambda sig, universe: classical_models(BOT, sig, universe),
+], ids=["enumerate_interpretations", "classical_models"])
+def test_an_extent_that_lists_an_element_twice_is_refused(enumerator):
+    # by type and value: 1 and Fraction(1) are == but both may be listed
+    list(enumerator(small_signature(), {"u": (1, Fraction(1))}))
+    with pytest.raises(DomainError, match="sort 'u' lists the element 1 "
+                                          "twice"):
+        next(enumerator(small_signature(), {"u": (1, 2, 1)}))
 
 
 def test_enumerating_an_unknown_symbol_is_refused():

@@ -2,12 +2,10 @@
 stable-model checkers on small hand-checked domains."""
 
 import itertools
-import pathlib
 
 import pytest
 
 from fsmkit.interp import FiniteInterpretation
-from fsmkit.parser import parse_program
 from fsmkit.related import (
     CausalRule, CRule, IfRule, LinCon, LRule, LwRule, SliceRequired,
     causal_translate, clingcon_answer_sets, cm_check, crules_to_formula,
@@ -16,69 +14,16 @@ from fsmkit.related import (
 )
 from fsmkit.stable import check_stable_both, stable_models
 from fsmkit.syntax import (
-    And, App, Atom, BOT, Equal, FragmentError, Implies, Lit, Not, Obj,
+    And, App, Atom, BOT, Equal, FragmentError, Implies, Lit, Not,
     Signature, TOP, fol_representation,
 )
-
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+from conftest import (
+    CAUSAL_ROWS, STABLE_ROWS, load_switches, switch_interp, switch_rules,
+)
 
 
 # ---------------------------------------------------------------------------
 # causal theories
-
-def up_at(s, t):
-    return App("up", (Obj(s), Lit(t)))
-
-
-def flip_of(s):
-    return App("flip", (Obj(s),))
-
-
-def switch_rules():
-    rules = []
-    for s in ("a", "b"):
-        other = "b" if s == "a" else "a"
-        for x in (False, True):
-            rules.append(CausalRule(
-                Equal(up_at(s, 1), Lit(x)),
-                And(Equal(up_at(s, 0), Lit(not x)),
-                    Equal(flip_of(s), Lit(True)))))
-            rules.append(CausalRule(
-                Equal(up_at(s, 1), Lit(x)),
-                Equal(up_at(other, 1), Lit(not x))))
-            rules.append(CausalRule(
-                Equal(up_at(s, 1), Lit(x)),
-                And(Equal(up_at(s, 1), Lit(x)),
-                    Equal(up_at(s, 0), Lit(x)))))
-            rules.append(CausalRule(
-                Equal(flip_of(s), Lit(x)),
-                Equal(flip_of(s), Lit(x))))
-    rules.append(CausalRule(Equal(up_at("a", 0), Lit(False)), TOP))
-    rules.append(CausalRule(Equal(up_at("b", 0), Lit(True)), TOP))
-    return rules
-
-
-def switch_interp(program, fa, fb, ua, ub):
-    return FiniteInterpretation(
-        program.signature, dict(program.universe),
-        funcs={"up": {("a", 0): False, ("b", 0): True,
-                      ("a", 1): ua, ("b", 1): ub},
-               "flip": {("a",): fa, ("b",): fb}})
-
-
-def load_switches():
-    return parse_program((DEMOS / "switches.fsm").read_text())
-
-
-CAUSAL_ROWS = {
-    (False, False, False, True),
-    (False, True, True, False),
-    (True, False, True, False),
-    (True, True, True, False),
-    (False, False, True, False),
-}
-STABLE_ROWS = CAUSAL_ROWS - {(False, False, True, False)}
-
 
 def test_switch_causal_models_are_exactly_the_expected_rows():
     program = load_switches()

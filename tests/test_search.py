@@ -7,8 +7,6 @@ differs from gsat's on arithmetic errors."""
 import functools
 import itertools
 import json
-import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -20,55 +18,22 @@ from fsmkit.interp import (
     EvaluationError, FiniteInterpretation, enumerate_interpretations,
     less_on_c,
 )
-from fsmkit.parser import parse_program
 from fsmkit import stable
 from fsmkit.stable import (
-    check_stable, classical_models, ground, gsat, reduct, smaller_witness,
-    stable_models, witnesses,
+    check_stable, ground, gsat, reduct, smaller_witness, stable_models,
 )
 from fsmkit.syntax import (
     And, App, Atom, BOT, Choice, Equal, Forall, Implies, Lit, Signature,
-    fol_representation,
 )
-from conftest import make_gen, random_definition_program
-from test_index import GUARDS, X, A, edge_interps, edge_signature
+from conftest import (
+    A, DEMOS, GUARDS, SWITCHES_2, X, demo, edge_interps, edge_signature,
+    enumerated_witness_exists, fsmkit_env, generate_and_test, make_gen,
+    program, random_definition_program, record_calls, searched_models,
+    switches,
+)
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = ROOT / "demos"
-
-def switches(pairs):
-    """The switches demo generalised to independent pairs (ak, bk), k = 1
-    .. pairs, with ak down and bk up at time 0."""
-    ks = range(1, pairs + 1)
-    elements = ", ".join(f"a{k}, b{k}" for k in ks)
-    return (f"sort switch = {{{elements}}}.\n" + """\
-sort tm = 0..1.
-var S : switch.
-var X : bool.
-var Y : bool.
-func up : switch * tm -> bool.
-func flip : switch -> bool.
-intensional up, flip.
-
-up(S, 1) = X :- up(S, 0) = Y & flip(S) = true & X != Y.
-{ up(S, 1) = X } :- up(S, 0) = X.
-{ flip(S) = X }.
-""" + "".join(f"up(a{k}, 1) = X :- up(b{k}, 1) = Y & X != Y.\n"
-              f"up(b{k}, 1) = X :- up(a{k}, 1) = Y & X != Y.\n" for k in ks)
-            + "".join(f"up(a{k}, 0) = false.\nup(b{k}, 0) = true.\n"
-                      for k in ks))
-
-
-#: 4096 candidates, 16 stable models
-SWITCHES_2 = switches(2)
 #: 2 ** 18 interpretations, 64 stable models
 SWITCHES_3 = switches(3)
-
-
-def enumerated_witness_exists(red, i, c):
-    """The reduct route's witness test before the search: try every J <^c I
-    in the order witnesses yields them."""
-    return any(gsat(j, red) for j in witnesses(i, c))
 
 
 def assert_search_agrees(f, c, interps, base, plain=True):
@@ -93,17 +58,6 @@ def assert_search_agrees(f, c, interps, base, plain=True):
                     (f, c, i.to_json(), j.to_json())
         stable += j is None
     return models, stable
-
-
-def program(text, **universe):
-    prog = parse_program(text)
-    full = dict(prog.universe, **universe)
-    return (fol_representation(prog), prog.intensional, prog.signature,
-            full)
-
-
-def demo(name, **universe):
-    return program((DEMOS / name).read_text(), **universe)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +212,6 @@ def test_c_function_over_a_one_element_sort():
 # ---------------------------------------------------------------------------
 # the classical search against filtering every interpretation
 
-def searched_models(g, sig, universe):
-    """The classical models the search finds, in enumeration order."""
-    found = sorted(classical_models(g, sig, universe),
-                   key=lambda pair: pair[0])
-    return [i for _, i in found]
-
-
-def filtered_models(g, sig, universe):
-    return [i for i in enumerate_interpretations(sig, universe)
-            if gsat(i, g)]
-
-
 def assert_searches_agree(f, c, sig, universe):
     """On both groundings the search finds the classical models that
     filtering finds, in the same order; and the reduct route, which runs on
@@ -278,7 +220,8 @@ def assert_searches_agree(f, c, sig, universe):
     for index in (False, True):
         g = ground(f, base, index=index)
         assert (searched_models(g, sig, universe)
-                == filtered_models(g, sig, universe)), f
+                == generate_and_test(sig, universe,
+                                     lambda i: gsat(i, g))), f
     assert (stable_models(f, c, sig, universe)
             == stable_models(f, c, sig, universe,
                              method="second-order")), (f, c)
@@ -314,7 +257,7 @@ def test_classical_search_on_the_demos():
             program(SWITCHES_2)):
         g = ground(f, FiniteInterpretation(sig, universe), index=True)
         assert (searched_models(g, sig, universe)
-                == filtered_models(g, sig, universe))
+                == generate_and_test(sig, universe, lambda i: gsat(i, g)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +299,10 @@ def evaluation_counts(hash_seed):
     """Conjunct evaluations on the 2-pair switches program in a fresh
     interpreter under PYTHONHASHSEED=hash_seed: in the whole stable_models
     run, and in the witness search of each stable model."""
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", COUNT_EVALUATIONS],
                           input=SWITCHES_2, capture_output=True, text=True,
-                          env=env, timeout=300)
+                          env=fsmkit_env(PYTHONHASHSEED=hash_seed),
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)
 
@@ -414,19 +355,8 @@ def test_three_pairs_of_switches(monkeypatch):
     # whole program has 125 models.  Every check costs at most 8 conjunct
     # evaluations per location, the search included, and so does each
     # stable model's witness search on the whole program.
-    count = {"evaluate": 0, "check": 0}
-    evaluate, check = stable._Search.evaluate, stable.smaller_witness
-
-    def counting_evaluate(self, k):
-        count["evaluate"] += 1
-        return evaluate(self, k)
-
-    def counting_check(*args, **kwargs):
-        count["check"] += 1
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(stable._Search, "evaluate", counting_evaluate)
-    monkeypatch.setattr(stable, "smaller_witness", counting_check)
+    evaluated = record_calls(monkeypatch, stable._Search, "evaluate")
+    checked = record_calls(monkeypatch, stable, "smaller_witness")
     f, c, sig, universe = program(SWITCHES_3)
     models = stable_models(f, c, sig, universe)
 
@@ -438,13 +368,13 @@ def test_three_pairs_of_switches(monkeypatch):
             == {tables(*m) for m in switch_models(3)})
     table = stable.Locations(sig, universe)
     locations = sum(len(table.span(n)) for n in c)
-    assert locations == 18 and count["check"] == 15
-    assert count["evaluate"] <= 8 * locations * count["check"]
+    assert locations == 18 and len(checked) == 15
+    assert len(evaluated) <= 8 * locations * len(checked)
     problem = stable.Problem(f, c, sig, universe)
     for m in models:
-        count["evaluate"] = 0
+        evaluated.clear()
         assert problem.check(m)
-        assert count["evaluate"] <= 8 * locations
+        assert len(evaluated) <= 8 * locations
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +433,7 @@ def test_choice_rule_skips_a_division_gsat_reaches():
     sig, universe = i.signature, i.universe
     g = ground(f, FiniteInterpretation(sig, universe), index=True)
     with pytest.raises(EvaluationError):
-        filtered_models(g, sig, universe)
+        generate_and_test(sig, universe, lambda i: gsat(i, g))
     assert (searched_models(g, sig, universe)
             == list(enumerate_interpretations(sig, universe)))
     with pytest.raises(EvaluationError):
@@ -519,6 +449,6 @@ def test_candidate_search_divides_where_gsat_short_circuits():
                                     Implies(a0, b0)), ONE_BY_A))
     sig, universe = i.signature, i.universe
     g = ground(f, FiniteInterpretation(sig, universe), index=True)
-    assert filtered_models(g, sig, universe)
+    assert generate_and_test(sig, universe, lambda i: gsat(i, g))
     with pytest.raises(EvaluationError):
         searched_models(g, sig, universe)

@@ -10,11 +10,11 @@ from hypothesis import Phase, given, settings, strategies as st
 from fsmkit import stable
 from fsmkit.interp import FiniteInterpretation
 from fsmkit.stable import ground, stable_models
-from fsmkit.syntax import (
-    BOT, And, App, Atom, Equal, Lit, Or, Signature, nodes, rename_symbols,
+from fsmkit.syntax import BOT, And, Atom, Equal, Lit, Or, Signature
+from conftest import (
+    demo, disjoint_copies, make_gen, program, random_definition_program,
+    record_calls, switches,
 )
-from conftest import make_gen, random_definition_program
-from test_search import demo, program, switches
 
 
 def component_table(f, sig, universe):
@@ -58,41 +58,6 @@ def test_unread_locations_and_conjuncts_that_read_none():
     models = stable_models(f, ("p", "q"), sig, universe)
     assert [(m.preds["p"], m.preds["q"]) for m in models] == [
         (frozenset({(1,)}), frozenset())]
-
-
-def disjoint_copies(sig, formulas, cs, unread):
-    """(F, c, signature): F is the conjunction of the formulas, the k-th
-    with every user symbol n of sig renamed to n + str(k), and c holds the
-    renamed symbols of cs[k] for each k.  The signature declares the
-    symbols of each copy that its formula mentions or its c holds, and
-    also r, which no formula reads: a propositional constant or an object
-    constant of sort u, in c when unread says so."""
-    out = Signature()
-    out.declare_sort("u", sig.sorts["u"].elements)
-    parts, c = [], []
-    for k, (f, names) in enumerate(zip(formulas, cs)):
-        mentioned = {h.fn if isinstance(h, App) else h.pred
-                     for h in nodes(f) if isinstance(h, (App, Atom))}
-        mapping = {n: f"{n}{k}" for n in sig.user_symbols()
-                   if n in mentioned or n in names}
-        for n, m in mapping.items():
-            if n in sig.functions:
-                out.declare_func(m, *sig.functions[n])
-            else:
-                out.declare_pred(m, sig.predicates[n])
-        parts.append(rename_symbols(f, mapping))
-        c += [mapping[n] for n in names]
-    kind, in_c = unread
-    if kind == "pred":
-        out.declare_pred("r", ())
-    else:
-        out.declare_func("r", (), "u")
-    if in_c:
-        c.append("r")
-    f = parts[0]
-    for g in parts[1:]:
-        f = And(f, g)
-    return f, tuple(c), out
 
 
 UNREAD = [("pred", True), ("pred", False), ("func", True), ("func", False)]
@@ -154,18 +119,11 @@ def test_split_agrees_on_copies_of_definition_programs(seed, cs, unread):
 def evaluations(pairs, monkeypatch):
     """Conjunct evaluations (_Search.evaluate) of stable_models on the
     switches program with the given number of pairs."""
-    count = [0]
-    evaluate = stable._Search.evaluate
-
-    def counting(self, k):
-        count[0] += 1
-        return evaluate(self, k)
-
-    monkeypatch.setattr(stable._Search, "evaluate", counting)
+    evaluated = record_calls(monkeypatch, stable._Search, "evaluate")
     f, c, sig, universe = program(switches(pairs))
     assert len(stable_models(f, c, sig, universe)) == 4 ** pairs
     monkeypatch.undo()
-    return count[0]
+    return len(evaluated)
 
 
 def test_evaluations_grow_linearly_with_the_pairs(monkeypatch):

@@ -1,7 +1,6 @@
 """Stable-model checking: grounding, reducts, the second-order route, and
 agreement between the two methods on random inputs."""
 
-import pathlib
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from fsmkit.interp import (
     FiniteInterpretation, enumerate_interpretations, less_on_c, satisfies,
     vary_on,
 )
-from fsmkit.parser import parse_program
 from fsmkit.stable import (
     GAnd, GOr, METHOD_BOTH, METHOD_REDUCT, METHOD_SECOND_ORDER, Problem,
     check_stable, check_stable_both, gand, gor, ground, gsat,
@@ -19,11 +17,12 @@ from fsmkit.stable import (
 )
 from fsmkit.syntax import (
     And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, FsmError,
-    Implies, Lit, Not, Or, Signature, TOP, Var, conj, fol_representation,
+    Implies, Lit, Not, Or, Signature, TOP, Var, conj,
 )
-from conftest import make_gen, random_definition_program, small_signature
-
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+from conftest import (
+    demo, generate_and_test, make_gen, random_definition_program,
+    record_calls, small_signature,
+)
 
 
 def prop_sig():
@@ -193,16 +192,11 @@ def assert_reduct_matches_reference(f, sig, universe):
     return n
 
 
-def demo(name, **sizes):
-    program = parse_program((DEMOS / name).read_text())
-    universe = dict(program.universe)
-    universe.update({s: tuple(range(n)) for s, n in sizes.items()})
-    return fol_representation(program), program.signature, universe
-
-
 def test_single_pass_reduct_matches_two_pass_on_demos():
-    assert assert_reduct_matches_reference(*demo("watertank.fsm", amt=11)) == 242
-    assert assert_reduct_matches_reference(*demo("switches.fsm")) == 64
+    f, _, sig, universe = demo("watertank.fsm", amt=tuple(range(11)))
+    assert assert_reduct_matches_reference(f, sig, universe) == 242
+    f, _, sig, universe = demo("switches.fsm")
+    assert assert_reduct_matches_reference(f, sig, universe) == 64
 
 
 def test_single_pass_reduct_matches_two_pass_on_random_formulas():
@@ -217,11 +211,6 @@ def test_single_pass_reduct_matches_two_pass_on_random_formulas():
         assert_reduct_matches_reference(f, sig, {"u": (1, 2)})
 
 
-def brute_force_stable(f, c, sig, universe, method):
-    return [i for i in enumerate_interpretations(sig, universe)
-            if check_stable(f, c, i, method)]
-
-
 def test_stable_models_with_shared_grounding_matches_per_candidate_checks():
     universe = {"u": (1, 2)}
     cases = []
@@ -233,9 +222,11 @@ def test_stable_models_with_shared_grounding_matches_per_candidate_checks():
         cases.append((f, ("f", "g", "p"), sig))
     found = 0
     for f, c, sig in cases:
-        expected = brute_force_stable(f, c, sig, universe, METHOD_REDUCT)
-        assert expected == brute_force_stable(f, c, sig, universe,
-                                              METHOD_SECOND_ORDER)
+        expected = generate_and_test(
+            sig, universe, lambda i: check_stable(f, c, i, METHOD_REDUCT))
+        assert expected == generate_and_test(
+            sig, universe,
+            lambda i: check_stable(f, c, i, METHOD_SECOND_ORDER))
         for method in (METHOD_REDUCT, METHOD_SECOND_ORDER, METHOD_BOTH):
             assert stable_models(f, c, sig, universe, method=method) == expected
         found += len(expected)
@@ -245,33 +236,22 @@ def test_stable_models_with_shared_grounding_matches_per_candidate_checks():
 def test_check_stable_uses_a_given_grounding():
     # every check of one Problem reads the grounding it built once, and
     # gives the verdict of a check that grounds F afresh
-    f, sig, universe = demo("watertank.fsm", amt=4)
+    f, _, sig, universe = demo("watertank.fsm", amt=tuple(range(4)))
     problem = Problem(f, ("amt1",), sig, universe)
     for i in enumerate_interpretations(sig, universe):
         assert (problem.check(i) == check_stable(f, ("amt1",), i)
                 == problem.check(i, METHOD_BOTH))
 
 
-def counting(monkeypatch, name):
-    """The arguments of each call of stable.<name> from now on."""
-    calls = []
-
-    def counted(*args, _inner=getattr(stable, name), **kwargs):
-        calls.append(args)
-        return _inner(*args, **kwargs)
-    monkeypatch.setattr(stable, name, counted)
-    return calls
-
-
 def test_one_problem_grounds_f_and_its_star_once(monkeypatch):
     # watertank at amt=0..3: each of the 32 interpretations checked both
     # ways against one Problem, which grounds F once and F* once, and its
     # stable models afterwards reuse the grounding of F
-    f, sig, universe = demo("watertank.fsm", amt=4)
+    f, _, sig, universe = demo("watertank.fsm", amt=tuple(range(4)))
     interps = list(enumerate_interpretations(sig, universe))
     expected = [check_stable_both(f, ("amt1",), i) for i in interps]
     assert len(interps) == 32 and any(expected)
-    grounded = counting(monkeypatch, "ground")
+    grounded = record_calls(monkeypatch, stable, "ground")
     problem = Problem(f, ("amt1",), sig, universe)
     assert [problem.check(i, METHOD_BOTH) for i in interps] == expected
     assert len(grounded) == 2 and grounded[0][0] is f
@@ -280,8 +260,8 @@ def test_one_problem_grounds_f_and_its_star_once(monkeypatch):
 
 
 def test_a_second_order_check_of_a_non_model_builds_no_star(monkeypatch):
-    f, sig, universe = demo("watertank.fsm", amt=4)
-    starred = counting(monkeypatch, "star")
+    f, _, sig, universe = demo("watertank.fsm", amt=tuple(range(4)))
+    starred = record_calls(monkeypatch, stable, "star")
     problem = Problem(f, ("amt1",), sig, universe)
     i = next(i for i in enumerate_interpretations(sig, universe)
              if not satisfies(i, f))

@@ -13,7 +13,7 @@ from fsmkit import stable
 from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
 from fsmkit.parser import parse_program
 from fsmkit.stable import (
-    METHOD_BOTH, GIndex, GOr, Problem, _guard, ground, stable_models,
+    METHOD_BOTH, GIndex, GOr, Problem, _guard, ground, gsat, stable_models,
     support,
 )
 from fsmkit.syntax import (
@@ -21,23 +21,12 @@ from fsmkit.syntax import (
     fol_representation,
 )
 from conftest import (
-    CYCLES, make_gen, random_choice_program, random_cyclic_program, ring,
+    A, CYCLES, EQUAL_ELEMENTS, INTS, SWITCHES_2, X, assert_index_agrees,
+    assert_star_index_agrees, demo, disjoint_copies, edge_interps,
+    edge_signature, generate_and_test, make_gen, program,
+    random_choice_program, random_cyclic_program, record_calls, ring,
+    searched_models,
 )
-from test_index import (
-    A, EQUAL_ELEMENTS, INTS, X, assert_index_agrees,
-    assert_star_index_agrees, edge_interps, edge_signature,
-)
-from test_search import SWITCHES_2, demo, filtered_models, program, \
-    searched_models
-from test_split import disjoint_copies
-
-
-def generate_and_test(f, c, sig, universe):
-    """The stable models by the reduct route's check of every
-    interpretation, in enumeration order."""
-    problem = Problem(f, c, sig, universe)
-    return [i for i in enumerate_interpretations(sig, universe)
-            if problem.check(i)]
 
 
 def assert_tight_path(f, c, sig, universe, taken=True):
@@ -45,7 +34,8 @@ def assert_tight_path(f, c, sig, universe, taken=True):
     path is taken (or not) as expected.  Returns the models."""
     assert (support(f, c, sig, universe) is not None) == taken
     models = stable_models(f, c, sig, universe)
-    assert models == generate_and_test(f, c, sig, universe), (f, c)
+    problem = Problem(f, c, sig, universe)
+    assert models == generate_and_test(sig, universe, problem.check), (f, c)
     return models
 
 
@@ -145,8 +135,8 @@ def test_supported_candidates_on_programs_with_positive_cycles(seed, cycle,
     if c == CYCLIC_CS[0]:
         assert not support(f, c, sig, universe)[1]
     problem = Problem(f, c, sig, universe)
-    expected = [i for i in enumerate_interpretations(sig, universe)
-                if problem.check(i, METHOD_BOTH)]
+    expected = generate_and_test(sig, universe,
+                                 lambda i: problem.check(i, METHOD_BOTH))
     assert stable_models(f, c, sig, universe) == expected, (f, c)
 
 
@@ -263,7 +253,7 @@ def test_exists_index_agrees_with_the_plain_grounding(seed, unary, arith, n,
     assert_star_index_agrees(f, c, interps, universe)
     g = ground(f, base, index=True)
     assert (searched_models(g, sig, universe)
-            == filtered_models(g, sig, universe)), f
+            == generate_and_test(sig, universe, lambda i: gsat(i, g))), f
     assert (stable_models(f, c, sig, universe)
             == stable_models(f, c, sig, universe, method="second-order"))
 
@@ -315,20 +305,18 @@ def count_work(monkeypatch, f, c, sig, universe):
     """The work of one stable_models run: the number of stable models
     ("models"), of candidates the searches of classical_models yield
     ("candidates"), and of calls of each function in COUNTED."""
-    count = dict.fromkeys(("models", "candidates") + COUNTED, 0)
-    for name in COUNTED:
-        def counting(*args, _name=name, _inner=getattr(stable, name),
-                     **kwargs):
-            count[_name] += 1
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(stable, name, counting)
+    calls = {name: record_calls(monkeypatch, stable, name)
+             for name in COUNTED}
+    candidates = [0]
 
     def classical_models(*args, _inner=stable.classical_models, **kwargs):
         for pair in _inner(*args, **kwargs):
-            count["candidates"] += 1
+            candidates[0] += 1
             yield pair
     monkeypatch.setattr(stable, "classical_models", classical_models)
-    count["models"] = len(stable_models(f, c, sig, universe))
+    count = {"models": len(stable_models(f, c, sig, universe)),
+             "candidates": candidates[0]}
+    count.update((name, len(args)) for name, args in calls.items())
     monkeypatch.undo()
     return count
 
@@ -336,15 +324,10 @@ def count_work(monkeypatch, f, c, sig, universe):
 def count_evaluations(monkeypatch, f, c, sig, universe):
     """The conjunct evaluations (_Search.evaluate) of one stable_models
     run."""
-    count = [0]
-
-    def evaluate(self, k, _inner=stable._Search.evaluate):
-        count[0] += 1
-        return _inner(self, k)
-    monkeypatch.setattr(stable._Search, "evaluate", evaluate)
+    evaluated = record_calls(monkeypatch, stable._Search, "evaluate")
     stable_models(f, c, sig, universe)
     monkeypatch.undo()
-    return count[0]
+    return len(evaluated)
 
 
 @pytest.mark.parametrize("top, evaluations",
