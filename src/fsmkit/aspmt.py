@@ -16,14 +16,15 @@ import re
 from fractions import Fraction
 
 from .syntax import (
-    And, App, Atom, ARITH_FUNCS, BOOL, Bottom, COMPARE_PREDS, Equal,
-    Exists, Forall, Formula, FragmentError, FreshNames, FsmError, INT,
-    Implies, Lit, Not, Obj, Or, REAL, Record, Signature, TAG_USER, TOP, Var,
-    as_clist, conj, conjuncts, free_vars, guard_term, iff_of, is_not, subst,
+    And, App, Atom, ARITH_FUNCS, BOOL, Bottom, COMPARE_PREDS,
+    ContractViolation, Equal, Exists, Forall, Formula, FragmentError,
+    FreshNames, FsmError, INT, Implies, Lit, Not, Obj, Or, REAL, Record,
+    Signature, TOP, Var, all_ints, as_clist, conj, conjuncts, free_vars,
+    guard_term, iff_of, is_not, subst,
 )
 from .interp import FiniteInterpretation
 from .stable import check_stable, METHOD_REDUCT
-from .transforms import complete, find_cycle, dependency_graph, is_clark_normal_form
+from .transforms import complete, find_cycle, dependency_graph
 
 
 class NotATInterpretationError(FsmError):
@@ -151,17 +152,6 @@ def _rebuilt(f, left, right):
     return type(f)(left, right)
 
 
-def _finite_extent(sig: Signature, sort, bg: BackgroundTheory):
-    if sort == BOOL:
-        return (False, True)
-    if sort in bg.slice:
-        return tuple(bg.slice[sort])
-    decl = sig.sorts.get(sort)
-    if decl is not None and decl.elements is not None:
-        return decl.elements
-    return None
-
-
 def _element_term(e):
     if isinstance(e, bool) or isinstance(e, (int, Fraction)):
         return Lit(e)
@@ -170,7 +160,7 @@ def _element_term(e):
 
 def _expand_finite_quantifiers(f, sig, bg):
     if isinstance(f, (Forall, Exists)):
-        ext = _finite_extent(sig, f.var.sort, bg)
+        ext = sig.extent(f.var.sort, bg.slice)
         if ext is not None:
             parts = [_expand_finite_quantifiers(
                 subst(f.body, {f.var: _element_term(e)}), sig, bg) for e in ext]
@@ -277,10 +267,10 @@ class _Compiler:
 
     # -- elements ----------------------------------------------------------
     def elem_index(self, sort, e):
-        ext = _finite_extent(self.sig, sort, self.bg)
+        ext = self.sig.extent(sort, self.bg.slice)
         if ext is None:
             raise SmtError(f"sort {sort!r} has no finite extent")
-        if all(isinstance(x, int) and not isinstance(x, bool) for x in ext):
+        if all_ints(ext):
             return e
         return list(ext).index(e)
 
@@ -328,7 +318,7 @@ class _Compiler:
             e = self.ground_elem(a, s, env)
             parts.append(_mangle_elem(e))
         name = "_".join(parts)
-        ext = _finite_extent(self.sig, valsort, self.bg)
+        ext = self.sig.extent(valsort, self.bg.slice)
         if valsort == BOOL:
             smt_sort = "Bool"
         elif ext is not None or self.sig.is_subsort(valsort, REAL):
@@ -361,8 +351,7 @@ class _Compiler:
         raise SmtError(f"argument {a!r} of a compiled symbol was not eliminated")
 
     def range_guard(self, name, sort, ext):
-        if all(isinstance(x, int) and not isinstance(x, bool) for x in ext) \
-                and tuple(ext) == tuple(range(ext[0], ext[-1] + 1)):
+        if all_ints(ext) and tuple(ext) == tuple(range(ext[0], ext[-1] + 1)):
             lo, hi = ext[0], ext[-1]
             return f"(and (<= {self.num_lit(lo)} {name}) (<= {name} {self.num_lit(hi)}))"
         if all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
@@ -446,20 +435,21 @@ def _has_quantifier(sexprs):
 
 def emit_smtlib(f: Formula, c, sig: Signature, bg: BackgroundTheory,
                 logic=None) -> SmtScript:
-    """Compile a completed tight theory to an SMT-LIB script.
-
-    Accepts either a theory in definitional normal form (it is then checked
-    for tightness and completed) or an already-completed formula.
+    """Compile a tight theory in Clark normal form to an SMT-LIB script of
+    its completion; raises FragmentError on a theory that is not tight or
+    not in Clark normal form.
     """
     c = as_clist(c)
     if bg.kind == KIND_NONE:
         raise SmtError("SMT emission needs an integer or real background")
-    if is_clark_normal_form(f, c, sig):
-        cycle = find_cycle(dependency_graph(f, c))
-        if cycle is not None:
-            raise FragmentError(
-                "theory is not tight; dependency cycle: " + " -> ".join(cycle))
+    cycle = find_cycle(dependency_graph(f, c))
+    if cycle is not None:
+        raise FragmentError(
+            "theory is not tight; dependency cycle: " + " -> ".join(cycle))
+    try:
         f = complete(f, c, sig)
+    except ContractViolation as e:
+        raise FragmentError(f"not in Clark normal form: {e}") from None
     # each rewrite maps a conjunction to the conjunction of its rewritten
     # conjuncts; rewriting one top-level conjunct at a time keeps the
     # recursion as deep as one rule, not as long as the program
@@ -554,10 +544,8 @@ def decode_model(text: str, script: SmtScript, sig: Signature,
         defs[name] = _value_of(raw)
 
     funcs, preds = {}, {}
-    universe = {s: tuple(ext) for s, ext in bg.slice.items()}
-    for s, decl in sig.sorts.items():
-        if decl.elements is not None:
-            universe.setdefault(s, decl.elements)
+    universe = {s: tuple(ext) for s in [*bg.slice, *sig.sorts]
+                if (ext := sig.extent(s, bg.slice)) is not None}
     for name, _ in script.declarations:
         if name not in defs:
             raise DecodeError(f"model is missing {name!r}")
@@ -575,13 +563,12 @@ def decode_model(text: str, script: SmtScript, sig: Signature,
                 preds.setdefault(p, set())
         else:
             _, fn, args, valsort = origin
-            ext = _finite_extent(sig, valsort, bg)
+            ext = sig.extent(valsort, bg.slice)
             if isinstance(v, Fraction) and v.denominator == 1 \
                     and bg.kind == KIND_INTEGERS:
                 v = int(v)
             if ext is not None:
-                if valsort != BOOL and not all(
-                        isinstance(x, int) and not isinstance(x, bool) for x in ext):
+                if valsort != BOOL and not all_ints(ext):
                     v = list(ext)[int(v)]
                 elif v not in ext:
                     raise DecodeError(

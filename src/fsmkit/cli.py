@@ -43,7 +43,7 @@ def _universe(program, overrides, declared=None):
     or is bool, whose extent is fixed, on an empty range, on an element
     listed twice, or on a listed element that is not an integer where the
     declared extent is all integers."""
-    from .syntax import BOOL, FsmError, repeated_element
+    from .syntax import BOOL, FsmError, all_ints, repeated_element
     if declared is None:
         declared = program.signature.sorts
     universe = {s: tuple(ext) for s, ext in program.universe.items()}
@@ -75,8 +75,7 @@ def _universe(program, overrides, declared=None):
                 raise FsmError(f"bad universe spec {spec!r} (element {e!r} "
                                "listed twice)")
             ext = program.universe.get(name)
-            if ext and all(_is_int(e) for e in ext) and not all(
-                    map(_is_int, elements)):
+            if ext and all_ints(ext) and not all_ints(elements):
                 raise FsmError(f"bad universe spec {spec!r} (sort {name!r} "
                                "has integer elements)")
             universe[name] = elements
@@ -88,10 +87,6 @@ def _parse_element(text):
         return int(text)
     except ValueError:
         return text
-
-
-def _is_int(e):
-    return isinstance(e, int) and not isinstance(e, bool)
 
 
 def _relative_names(sig, flag):
@@ -284,9 +279,8 @@ def cmd_to_smt(args):
     f = fol_representation(program)
     cnf = to_clark_normal_form(f, c, program.signature)
     kind = KIND_REALS if args.background == "reals" else KIND_INTEGERS
-    # the overridden extents give the range guards and the decoded models
-    bg = BackgroundTheory(kind, {s: ext for s, ext in universe.items()
-                                 if ext != program.universe.get(s)})
+    # the run's extents give the range guards and the decoded models
+    bg = BackgroundTheory(kind, universe)
     script = emit_smtlib(cnf, c, program.signature, bg, logic=args.logic)
     text = script.render()
     validate_smtlib(text)

@@ -73,17 +73,14 @@ def map_pred_to_func(i: FiniteInterpretation, p: str, f_name: str,
     elimination: f maps tuples in p to the v1 constant, others to v0."""
     v0_name, v1_name = two_value_names(f_name)
     argsorts, valsort = ext.functions[f_name]
-    universe = dict(i.universe)
-    if valsort not in universe:
-        decl = ext.sorts[valsort]
-        if decl.elements is None:
-            raise FsmError(f"no finite extent for sort {valsort!r}")
-        universe[valsort] = decl.elements
-    v0 = universe[valsort][0] if v0_name not in universe[valsort] else v0_name
-    v1 = universe[valsort][1] if v1_name not in universe[valsort] else v1_name
+    extent = FiniteInterpretation(ext, i.universe).extent
+    values = extent(valsort)
+    universe = {**i.universe, valsort: values}
+    v0 = values[0] if v0_name not in values else v0_name
+    v1 = values[1] if v1_name not in values else v1_name
     if v0 == v1:
         raise FsmError("value constants need two distinct elements")
-    domain = itertools.product(*[universe[s] for s in argsorts])
+    domain = itertools.product(*map(extent, argsorts))
     ext_i = i.preds.get(p, frozenset())
     table = {t: (v1 if t in ext_i else v0) for t in map(tuple, domain)}
     funcs = dict(i.funcs)
@@ -162,7 +159,7 @@ def map_pred_to_func_graph(i: FiniteInterpretation, p: str, f_name: str,
             raise FsmError(f"relation {p!r} is not single-valued at {args!r}")
         table[args] = v
     argsorts, _ = sig.functions[f_name]
-    for args in itertools.product(*[i.universe[s] for s in argsorts]):
+    for args in itertools.product(*map(i.extent, argsorts)):
         if args not in table:
             raise FsmError(f"relation {p!r} is not total at {args!r}")
     funcs = dict(i.funcs)

@@ -10,6 +10,7 @@ term is false (so out-of-range arithmetic never raises).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .syntax import (
@@ -66,12 +67,15 @@ class FiniteInterpretation(Record):
         return hash(self.key())
 
     def extent(self, sort):
-        if sort in self.universe:
+        """The elements of sort (Signature.extent over the universe);
+        raises DomainError if it has no finite extent."""
+        try:
             return self.universe[sort]
-        decl = self.signature.sorts.get(sort)
-        if decl is not None and decl.elements is not None:
-            return decl.elements
-        raise DomainError(f"no finite extent for sort {sort!r}")
+        except KeyError:
+            ext = self.signature.extent(sort, self.universe)
+        if ext is None:
+            raise DomainError(f"no finite extent for sort {sort!r}")
+        return ext
 
     def agrees_on(self, other: "FiniteInterpretation", names) -> bool:
         for n in names:
@@ -97,7 +101,8 @@ class FiniteInterpretation(Record):
     @classmethod
     def from_json(cls, data: dict, signature: Signature) -> "FiniteInterpretation":
         """The interpretation to_json wrote; raises InterpretationError on
-        JSON of another shape or one that fails validate()."""
+        JSON of another shape, and what validate() raises on one that does
+        not fit its signature."""
         try:
             interp = cls._decode(data, signature)
             interp.validate()
@@ -138,11 +143,14 @@ class FiniteInterpretation(Record):
         return cls(signature, universe, funcs, preds)
 
     def validate(self):
-        """Raise InterpretationError unless every user symbol is interpreted,
-        every interpreted symbol is declared, and every argument and value
-        lies in the extent of its sort.  A function table may be partial
-        (an application with no entry is undefined), and a sort with no
-        finite extent is not checked."""
+        """Raise DomainError if the universe gives a sort an empty extent
+        or one that lists an element twice (see _check_extents), and
+        InterpretationError unless every user symbol is interpreted, every
+        interpreted symbol is declared, and every argument and value lies
+        in the extent of its sort.  A function table may be partial (an
+        application with no entry is undefined), and a sort with no finite
+        extent is not checked."""
+        _check_extents(self.universe)
         sig = self.signature
         keys = {}
 
@@ -152,10 +160,9 @@ class FiniteInterpretation(Record):
                     f"{what}: {len(elems)} arguments, want {len(sorts)}")
             for e, s in zip(elems, sorts):
                 if s not in keys:
-                    try:
-                        keys[s] = {elem_key(x) for x in self.extent(s)}
-                    except DomainError:
-                        keys[s] = None
+                    ext = sig.extent(s, self.universe)
+                    keys[s] = (None if ext is None
+                               else {elem_key(x) for x in ext})
                 if keys[s] is not None and elem_key(e) not in keys[s]:
                     raise InterpretationError(
                         f"{what}: {e!r} is outside sort {s!r}")
@@ -284,24 +291,14 @@ def satisfies(interp: FiniteInterpretation, f, env=None) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _extent(universe, sort):
-    if sort not in universe:
-        raise DomainError(f"no finite extent for sort {sort!r}")
-    return universe[sort]
-
-
-def _domain_size(universe, argsorts):
-    size = 1
-    for s in argsorts:
-        size *= len(_extent(universe, s))
-    return size
-
-
 def count_assignments(universe, sig, name) -> int:
+    extent = FiniteInterpretation(sig, universe).extent
     if name in sig.functions:
         argsorts, valsort = sig.functions[name]
-        return len(_extent(universe, valsort)) ** _domain_size(universe, argsorts)
-    return 2 ** _domain_size(universe, sig.predicates[name])
+        values = len(extent(valsort))
+    else:
+        argsorts, values = sig.predicates[name], 2
+    return values ** math.prod(len(extent(s)) for s in argsorts)
 
 
 def _check_extents(universe):
@@ -328,7 +325,7 @@ class Locations:
 
     def __init__(self, sig: Signature, universe: dict):
         self.sig = sig
-        self.universe = universe
+        self.extent = FiniteInterpretation(sig, universe).extent
         self.index = {}     # (symbol, args) -> position
         self.keys = []      # position -> (symbol, args)
         self.values = []    # position -> the values it ranges over, in order
@@ -340,7 +337,7 @@ class Locations:
         sig = self.sig
         if n in sig.functions:
             argsorts, valsort = sig.functions[n]
-            values = _extent(self.universe, valsort)
+            values = self.extent(valsort)
             if not values:
                 raise DomainError(f"empty extent for sort {valsort!r}")
         elif n in sig.predicates:
@@ -348,8 +345,7 @@ class Locations:
         else:
             raise FsmError(f"unknown symbol {n!r}")
         start = len(self.keys)
-        for args in itertools.product(
-                *[_extent(self.universe, s) for s in argsorts]):
+        for args in itertools.product(*map(self.extent, argsorts)):
             self.index[n, args] = len(self.keys)
             self.keys.append((n, args))
             self.values.append(values)

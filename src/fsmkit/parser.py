@@ -35,10 +35,10 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .syntax import (
-    And, App, Atom, BOT, Bottom, Choice, Equal, Exists, Forall, Formula,
-    FrozenRecord, FsmError, Iff, Implies, Lit, Not, Obj, Or, Program, REAL,
-    Rule, RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature, TOP, Var,
-    _set, choice_of, iff_of,
+    And, App, Atom, BOT, BUILTIN_SORTS, Bottom, Choice, Equal, Exists,
+    Forall, Formula, FrozenRecord, FsmError, Iff, Implies, Lit, Not, Obj, Or,
+    Program, REAL, Rule, RULE_CHOICE, RULE_CONSTRAINT, RULE_PLAIN, Signature,
+    TOP, Var, _set, all_ints, choice_of, iff_of,
 )
 
 
@@ -194,8 +194,8 @@ class Parser:
                 self._declaration(intensional)
             else:
                 rules.append(self._rule())
-        universe = {name: decl.elements for name, decl in self.sig.sorts.items()
-                    if decl.elements is not None}
+        universe = {name: ext for name in self.sig.sorts
+                    if (ext := self.sig.extent(name, {})) is not None}
         prog = Program(self.sig, rules, tuple(intensional), universe)
         prog.check()
         return prog
@@ -676,12 +676,11 @@ def print_rule(r: Rule) -> str:
 def print_program(p: Program) -> str:
     lines = []
     sig = p.signature
-    from .syntax import BUILTIN_SORTS
     for name, decl in sig.sorts.items():
         if name in BUILTIN_SORTS:
             continue
         elems = decl.elements
-        if elems is not None and elems and all(isinstance(e, int) and not isinstance(e, bool) for e in elems) \
+        if elems and all_ints(elems) \
                 and elems == tuple(range(elems[0], elems[-1] + 1)):
             lines.append(f"sort {name} = {elems[0]}..{elems[-1]}.")
         elif elems is not None:

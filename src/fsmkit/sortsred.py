@@ -130,7 +130,7 @@ def interp_to_unsorted(i: FiniteInterpretation, sig: Signature,
     for s, decl in sig.sorts.items():
         if decl.tag != TAG_USER:
             continue
-        ext = i.universe.get(s, decl.elements)
+        ext = sig.extent(s, i.universe)
         if ext is None:
             raise FsmError(f"no finite extent for sort {s!r}")
         extents[s] = tuple(ext)

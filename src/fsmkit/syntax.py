@@ -419,6 +419,13 @@ def repeated_element(elements):
     return None
 
 
+def all_ints(elements):
+    """Whether every one of elements is an int and not a bool (so also
+    when there are none)."""
+    return all(isinstance(e, int) and not isinstance(e, bool)
+               for e in elements)
+
+
 class SortDecl(Record):
     __slots__ = ("name", "elements", "tag")
 
@@ -451,6 +458,17 @@ class Signature(Record):
                 self.sorts[s] = SortDecl(s, elems, tag)
         self.subsorts.add((INT, REAL))
 
+    def extent(self, sort, universe):
+        """The elements of sort: those universe lists for it, else its
+        declared elements, else None (a sort with no finite extent).  Every
+        layer reads a sort's extent here, so a universe may leave out any
+        sort that carries a declared one."""
+        ext = universe.get(sort)
+        if ext is None:
+            decl = self.sorts.get(sort)
+            ext = None if decl is None else decl.elements
+        return ext
+
     # -- declarations ------------------------------------------------------
     def declare_sort(self, name, elements=None, tag=TAG_USER):
         if name in self.sorts:
@@ -462,7 +480,7 @@ class Signature(Record):
                 raise DeclarationError(
                     f"sort {name!r} lists the element {e!r} twice")
         self.sorts[name] = SortDecl(name, elements, tag)
-        if elements is not None and all(isinstance(e, int) and not isinstance(e, bool) for e in elements):
+        if elements is not None and all_ints(elements):
             # integer-valued extents live inside the builtin int sort
             self.subsorts.add((name, INT))
 

@@ -399,17 +399,18 @@ def check_strong_equivalence_bounded(sig: Signature, f: Formula, g: Formula,
     gs = star(g, c, mirrors.names)
 
     checked = 0
-    open_sorts = [s for s in sig.sorts
-                  if s not in overrides
-                  and sig.sorts[s].elements is None
-                  and sig.sorts[s].tag == "user"]
+    # every sort with a finite extent keeps it; each user sort without one
+    # climbs the ladder of sizes 1..max_size
+    fixed = dict(overrides)
+    open_sorts = []
+    for s, decl in sig.sorts.items():
+        ext = sig.extent(s, overrides)
+        if ext is not None:
+            fixed[s] = ext
+        elif decl.tag == "user":
+            open_sorts.append(s)
     for k in range(1, max_size + 1):
-        universe = dict(overrides)
-        for s, decl in sig.sorts.items():
-            if s in universe:
-                continue
-            if decl.elements is not None:
-                universe[s] = decl.elements
+        universe = dict(fixed)
         for s in open_sorts:
             universe[s] = tuple(f"{s}{j}" for j in range(k))
         for i in enumerate_interpretations(sig, universe):

@@ -17,9 +17,10 @@ from fsmkit.interp import FiniteInterpretation
 from fsmkit.parser import parse_program
 from fsmkit.stable import stable_models
 from fsmkit.syntax import (
-    App, Equal, Exists, Forall, Implies, Lit, Signature, Var, conj,
+    App, Equal, Exists, Forall, FragmentError, Implies, Lit, Signature, Var,
+    conj,
 )
-from fsmkit.transforms import to_clark_normal_form
+from fsmkit.transforms import complete, to_clark_normal_form
 
 from conftest import DEMOS, STAND_IN, random_choice_program, script_holds
 
@@ -66,6 +67,19 @@ def test_emit_requires_background():
     with pytest.raises(SmtError):
         emit_smtlib(f, prog.intensional, prog.signature,
                     BackgroundTheory("none"))
+
+
+@pytest.mark.parametrize("form", ["rules", "completed"])
+def test_emit_refuses_a_formula_not_in_clark_normal_form(form):
+    # the compiler completes what it is given: compiling the rules alone
+    # would give their classical models, not the stable ones
+    prog, f = water_tank()
+    if form == "completed":
+        f = complete(to_clark_normal_form(f, prog.intensional, prog.signature),
+                     prog.intensional, prog.signature)
+    with pytest.raises(FragmentError, match="not in Clark normal form"):
+        emit_smtlib(f, prog.intensional, prog.signature,
+                    BackgroundTheory("integers"))
 
 
 def test_emission_is_deterministic_and_valid():

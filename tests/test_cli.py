@@ -457,6 +457,39 @@ def test_check_rejects_an_interpretation_outside_the_signature(
     assert message in captured.err
 
 
+@pytest.mark.parametrize("method", ["reduct", "second-order", "both"])
+def test_check_refuses_a_repeated_element_on_every_method(tmp_path, capsys,
+                                                          method):
+    path = pathlib.Path(tank_interp_file(tmp_path, 5, 6, False))
+    data = json.loads(path.read_text())
+    data["universe"]["amt"] = [0, 1, 1] + list(range(2, 21))
+    path.write_text(json.dumps(data))
+    code = main(["check", "--method", method, "--interp", str(path),
+                 str(TANK)])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the extent of sort 'amt' lists the element 1 twice\n")
+
+
+@pytest.mark.parametrize("method", ["reduct", "second-order", "both"])
+@pytest.mark.parametrize("amt1, flush", [(6, False), (9, False), (0, True)])
+def test_check_reads_a_sort_the_universe_leaves_out_from_its_declaration(
+        tmp_path, capsys, method, amt1, flush):
+    # the interpretation's universe leaves out amt, whose declared extent
+    # is the full universe's 0..20
+    full = tank_interp_file(tmp_path, 5, amt1, flush)
+    want = run(capsys, "check", "--method", method, "--interp", full,
+               str(TANK))
+    path = tmp_path / "no-universe.json"
+    path.write_text(json.dumps({**json.loads(pathlib.Path(full).read_text()),
+                                "universe": {}}))
+    assert run(capsys, "check", "--method", method, "--interp", str(path),
+               str(TANK)) == want
+    assert want[0] in (EXIT_OK, EXIT_NO)
+
+
 def test_check_accepts_what_stable_prints(tmp_path, capsys):
     # every model `stable` prints loads again, and is stable
     _, out = run(capsys, "stable", str(TANK), "--universe", "amt=0..3")

@@ -1,7 +1,5 @@
 """Swapping intensional predicates for two-valued functions and back."""
 
-import random
-
 import pytest
 
 from fsmkit.eliminations import (
@@ -11,10 +9,9 @@ from fsmkit.eliminations import (
 from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
 from fsmkit.stable import check_stable_both, stable_models
 from fsmkit.syntax import (
-    And, App, Atom, Equal, FragmentError, Implies, Lit, Not, Signature, TOP,
-    Var, conj,
+    App, Atom, Equal, FragmentError, Implies, Lit, Not, Signature, TOP, Var,
+    conj,
 )
-from conftest import FormulaGen
 
 
 def test_two_value_names():

@@ -14,8 +14,8 @@ from fsmkit.interp import (
 from fsmkit.parser import parse_program
 from fsmkit.stable import classical_models
 from fsmkit.syntax import (
-    BOT, TAG_USER, And, App, Atom, Equal, Exists, Forall, FsmError, Implies,
-    Lit, Not, Var, as_clist,
+    BOT, TAG_USER, App, Atom, Equal, Exists, Forall, FsmError, Lit, Not, Var,
+    as_clist,
 )
 from conftest import (
     DEMOS, definition_signature, record_calls, small_signature,

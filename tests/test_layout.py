@@ -1,5 +1,6 @@
 """The layout of the test suite: what more than one test module uses lives
-in conftest.py, so no test module imports another."""
+in conftest.py, so no test module imports another, and no test module
+imports a name it never uses."""
 
 import ast
 import pathlib
@@ -20,4 +21,21 @@ def test_no_test_module_imports_another():
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0].startswith("test_")]
+    assert found == []
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds a
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []

@@ -8,7 +8,7 @@ from fsmkit.parser import (
     ParseError, parse_formula, parse_program, print_formula, print_program,
 )
 from fsmkit.syntax import (
-    And, App, Atom, BOT, Equal, Forall, Implies, Lit, Not, Or, RULE_CHOICE,
+    And, App, Atom, BOT, Equal, Forall, Implies, Not, Or, RULE_CHOICE,
     RULE_CONSTRAINT, Signature, Var,
 )
 from conftest import make_gen

@@ -1,19 +1,18 @@
 """Merging a many-sorted signature into one sort with sort predicates."""
 
 import itertools
-import random
 
 import pytest
 
-from fsmkit.interp import FiniteInterpretation, enumerate_interpretations, satisfies
+from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
 from fsmkit.sortsred import (
     MERGED_SORT, interp_to_unsorted, related, relativize, sort_axioms,
     sort_pred, to_unsorted, unsorted_signature,
 )
 from fsmkit.stable import check_stable_both
 from fsmkit.syntax import (
-    And, App, Atom, Equal, Exists, Forall, FragmentError, Implies, Lit, Not,
-    Obj, Or, Signature, Var, conj,
+    And, App, Atom, Equal, Exists, Forall, FragmentError, Implies, Lit, Obj,
+    Signature, Var, conj,
 )
 
 

@@ -199,6 +199,20 @@ def test_single_pass_reduct_matches_two_pass_on_demos():
     assert assert_reduct_matches_reference(f, sig, universe) == 64
 
 
+@pytest.mark.parametrize("name", ["watertank.fsm", "switches.fsm"])
+@pytest.mark.parametrize("method", [METHOD_REDUCT, METHOD_SECOND_ORDER])
+def test_a_universe_that_leaves_out_a_sort_reads_its_declared_extent(
+        name, method):
+    # the models over {} are those over the declared extents; only their
+    # universes differ, {} against the full one
+    f, c, sig, universe = demo(name)
+    models = stable_models(f, c, sig, {}, method=method)
+    assert [m.universe for m in models] == [{}] * len(models)
+    assert [m.key() for m in models] == [
+        m.key() for m in stable_models(f, c, sig, universe, method=method)]
+    assert models
+
+
 def test_single_pass_reduct_matches_two_pass_on_random_formulas():
     for seed in range(3):
         sig, gen = make_gen(seed=seed, with_unary_func=seed == 2)

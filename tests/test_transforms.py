@@ -11,7 +11,7 @@ from fsmkit.stable import check_stable_both, stable_models
 from fsmkit.syntax import (
     And, App, Atom, BOT, Choice, ContractViolation, Equal, Exists, Forall,
     FragmentError, Implies, IntensionalList, Lit, Not, Or, Signature, TOP,
-    Var, as_clist, conj, fol_representation,
+    Var, as_clist, fol_representation,
 )
 from fsmkit.transforms import (
     check_strong_equivalence_bounded, complete, dependency_graph, find_cycle,
