@@ -19,7 +19,7 @@ import itertools
 import pathlib
 
 from fsmkit import (
-    And, App, BOT, Equal, FiniteInterpretation, Implies, Lit, Not, Obj, TOP,
+    And, App, BOT, Equal, FiniteInterpretation, Lit, Not, Obj, TOP,
     Signature, check_stable_both, fol_representation,
 )
 from fsmkit.parser import parse_program

@@ -99,18 +99,16 @@ def t_stable_check(f: Formula, c, i: FiniteInterpretation,
 # SMT-LIB scripts
 
 class SmtScript(Record):
-    __slots__ = ("logic", "declarations", "assertions", "footer", "symbol_map")
+    __slots__ = ("logic", "declarations", "assertions", "symbol_map")
 
     def __init__(self, logic: str, declarations: list | None = None,
                  assertions: list | None = None,
-                 footer: tuple = ("(check-sat)", "(get-model)"),
                  symbol_map: dict | None = None):
         self.logic = logic
         # (name, smt_sort)
         self.declarations = [] if declarations is None else declarations
         # sexpr strings
         self.assertions = [] if assertions is None else assertions
-        self.footer = footer
         # smt name -> origin info
         self.symbol_map = {} if symbol_map is None else symbol_map
 
@@ -120,28 +118,8 @@ class SmtScript(Record):
             lines.append(f"(declare-const {name} {sort})")
         for a in self.assertions:
             lines.append(f"(assert {a})")
-        lines.extend(self.footer)
+        lines += ["(check-sat)", "(get-model)"]
         return "\n".join(lines) + "\n"
-
-
-def _simplify_not_not(f):
-    """f with every double negation removed; a subformula that has none is
-    returned itself.  A chain of negations is walked in a loop, so its
-    length costs no recursion: its pairs are dropped, and an odd one out
-    stays on the formula below the chain."""
-    last, length = None, 0      # the chain's last negation, its length
-    while (inner := is_not(f)) is not None:
-        last, f, length = f, inner, length + 1
-    if length % 2:
-        new = _simplify_not_not(f)
-        return last if new is f else Not(new)
-    if isinstance(f, (And, Or, Implies)):
-        return _rebuilt(f, _simplify_not_not(f.left),
-                        _simplify_not_not(f.right))
-    if isinstance(f, (Forall, Exists)):
-        body = _simplify_not_not(f.body)
-        return f if body is f.body else type(f)(f.var, body)
-    return f
 
 
 def _rebuilt(f, left, right):
@@ -158,24 +136,47 @@ def _element_term(e):
     return Obj(e)
 
 
-def _expand_finite_quantifiers(f, sig, bg):
+def _expanded(f, sig, bg):
+    """f with every double negation dropped and every quantifier over a
+    finite extent expanded into a conjunction or disjunction over its
+    elements; a subformula that needs neither is returned itself.  A chain
+    of negations is walked in a loop, so its length costs no recursion:
+    its pairs are dropped, and an odd one out stays on the formula below
+    the chain."""
+    last, length = None, 0      # the chain's last negation, its length
+    while (inner := is_not(f)) is not None:
+        last, f, length = f, inner, length + 1
+    if length % 2:
+        new = _expanded(f, sig, bg)
+        return last if new is f else Not(new)
+    if isinstance(f, (And, Or, Implies)):
+        return _rebuilt(f, _expanded(f.left, sig, bg),
+                        _expanded(f.right, sig, bg))
     if isinstance(f, (Forall, Exists)):
         ext = sig.extent(f.var.sort, bg.slice)
-        if ext is not None:
-            parts = [_expand_finite_quantifiers(
-                subst(f.body, {f.var: _element_term(e)}), sig, bg) for e in ext]
-            if isinstance(f, Forall):
-                return conj(parts)
-            out = parts[0]
-            for p in parts[1:]:
-                out = Or(out, p)
-            return out
-        body = _expand_finite_quantifiers(f.body, sig, bg)
-        return f if body is f.body else type(f)(f.var, body)
-    if isinstance(f, (And, Or, Implies)):
-        return _rebuilt(f, _expand_finite_quantifiers(f.left, sig, bg),
-                        _expand_finite_quantifiers(f.right, sig, bg))
+        if ext is None:
+            body = _expanded(f.body, sig, bg)
+            return f if body is f.body else type(f)(f.var, body)
+        parts = [_expanded(subst(f.body, {f.var: _element_term(e)}), sig, bg)
+                 for e in ext]
+        if isinstance(f, Forall):
+            return conj(parts)
+        out = parts[0]
+        for p in parts[1:]:
+            out = Or(out, p)
+        return out
     return f
+
+
+def _guarded(f, var):
+    """(t, rest) for the first conjunct of f that is a guard t = var, where
+    rest lists the other conjuncts in order; None when no conjunct is."""
+    cs = list(conjuncts(f))
+    for idx, cj in enumerate(cs):
+        t = guard_term(cj, var)
+        if t is not None:
+            return t, cs[:idx] + cs[idx + 1:]
+    return None
 
 
 def eliminate_background_quantifiers(f, fresh=None):
@@ -188,13 +189,11 @@ def eliminate_background_quantifiers(f, fresh=None):
         fresh = FreshNames("Q")
     if isinstance(f, Exists):
         body = eliminate_background_quantifiers(f.body, fresh)
-        cs = list(conjuncts(body))
-        for idx, cj in enumerate(cs):
-            t = guard_term(cj, f.var)
-            if t is not None:
-                rest = cs[:idx] + cs[idx + 1:]
-                replaced = subst(conj(rest), {f.var: t}) if rest else TOP
-                return eliminate_background_quantifiers(replaced, fresh)
+        guarded = _guarded(body, f.var)
+        if guarded is not None:
+            t, rest = guarded
+            return eliminate_background_quantifiers(
+                subst(conj(rest), {f.var: t}), fresh)
         return f if body is f.body else Exists(f.var, body)
     if isinstance(f, Forall):
         y = f.var
@@ -225,15 +224,12 @@ def eliminate_background_quantifiers(f, fresh=None):
                 inner = subst(a.body, {a.var: z})
                 return eliminate_background_quantifiers(
                     Forall(y, Forall(z, Implies(inner, b))), fresh)
-            cs = list(conjuncts(a))
-            for idx, cj in enumerate(cs):
-                t = guard_term(cj, y)
-                if t is not None:
-                    rest = cs[:idx] + cs[idx + 1:]
-                    ante = conj(rest) if rest else None
-                    new = Implies(ante, b) if ante is not None else b
-                    return eliminate_background_quantifiers(
-                        subst(new, {y: t}), fresh)
+            guarded = _guarded(a, y)
+            if guarded is not None:
+                t, rest = guarded
+                new = Implies(conj(rest), b) if rest else b
+                return eliminate_background_quantifiers(
+                    subst(new, {y: t}), fresh)
         body2 = eliminate_background_quantifiers(body, fresh)
         if body2 != body:
             # the simplified body may expose a guard for y, so retry
@@ -263,6 +259,7 @@ class _Compiler:
         self.decls = {}        # smt name -> smt sort
         self.symbol_map = {}
         self.guards = {}       # smt name -> guard sexpr
+        self.quantified = False    # whether any forall/exists was emitted
         self.num_sort = bg.numeric_smt_sort()
 
     # -- elements ----------------------------------------------------------
@@ -313,11 +310,9 @@ class _Compiler:
 
     def user_func(self, t: App, env):
         argsorts, valsort = self.sig.functions[t.fn]
-        parts = [t.fn]
-        for a, s in zip(t.args, argsorts):
-            e = self.ground_elem(a, s, env)
-            parts.append(_mangle_elem(e))
-        name = "_".join(parts)
+        elems = tuple(self.ground_elem(a, s, env)
+                      for a, s in zip(t.args, argsorts))
+        name = "_".join([t.fn, *map(_mangle_elem, elems)])
         ext = self.sig.extent(valsort, self.bg.slice)
         if valsort == BOOL:
             smt_sort = "Bool"
@@ -325,10 +320,7 @@ class _Compiler:
             smt_sort = self.num_sort
         else:
             raise SmtError(f"value sort {valsort!r} of {t.fn!r} is not compilable")
-        self.declare(name, smt_sort, ("func", t.fn,
-                                      tuple(self.ground_elem(a, s, env)
-                                            for a, s in zip(t.args, argsorts)),
-                                      valsort))
+        self.declare(name, smt_sort, ("func", t.fn, elems, valsort))
         if ext is not None and valsort != BOOL:
             self.guards.setdefault(name, self.range_guard(name, valsort, ext))
         return name, smt_sort
@@ -397,15 +389,10 @@ class _Compiler:
                 l, _ = self.term(f.args[0], env)
                 r, _ = self.term(f.args[1], env)
                 return f"({f.pred} {l} {r})"
-            parts = [f.pred]
-            argsorts = self.sig.predicates[f.pred]
-            elems = []
-            for a, s in zip(f.args, argsorts):
-                e = self.ground_elem(a, s, env)
-                elems.append(e)
-                parts.append(_mangle_elem(e))
-            name = "_".join(parts)
-            self.declare(name, "Bool", ("pred", f.pred, tuple(elems)))
+            elems = tuple(self.ground_elem(a, s, env)
+                          for a, s in zip(f.args, self.sig.predicates[f.pred]))
+            name = "_".join([f.pred, *map(_mangle_elem, elems)])
+            self.declare(name, "Bool", ("pred", f.pred, elems))
             return name
         if isinstance(f, Equal):
             l, ls = self._equal_side(f.left, f.right, env)
@@ -424,13 +411,10 @@ class _Compiler:
             if not self.sig.is_subsort(v.sort, REAL) and v.sort not in (INT, REAL):
                 raise SmtError(f"residual quantifier over non-background sort {v.sort!r}")
             q = "forall" if isinstance(f, Forall) else "exists"
+            self.quantified = True
             body = self.formula(f.body, {**env, v.name: self.num_sort})
             return f"({q} (({v.name} {self.num_sort})) {body})"
         raise TypeError(f"not a formula: {f!r}")
-
-
-def _has_quantifier(sexprs):
-    return any("(forall " in s or "(exists " in s for s in sexprs)
 
 
 def emit_smtlib(f: Formula, c, sig: Signature, bg: BackgroundTheory,
@@ -457,21 +441,18 @@ def emit_smtlib(f: Formula, c, sig: Signature, bg: BackgroundTheory,
     comp = _Compiler(sig, bg)
     assertions = []
     for rule in conjuncts(f):
-        rule = _expand_finite_quantifiers(_simplify_not_not(rule), sig, bg)
+        rule = _expanded(rule, sig, bg)
         for item in conjuncts(eliminate_background_quantifiers(rule, fresh)):
             if item != TOP:
                 assertions.append(comp.formula(item, {}))
     guard_assertions = [comp.guards[n] for n in comp.decls if n in comp.guards]
-    all_assertions = guard_assertions + assertions
     if logic is None:
-        quantified = _has_quantifier(all_assertions)
-        if bg.kind == KIND_REALS:
-            logic = "NRA" if quantified else "QF_NRA"
-        else:
-            logic = "LIA" if quantified else "QF_LIA"
+        logic = "NRA" if bg.kind == KIND_REALS else "LIA"
+        if not comp.quantified:
+            logic = "QF_" + logic
     return SmtScript(logic=logic,
                      declarations=sorted(comp.decls.items()),
-                     assertions=all_assertions,
+                     assertions=guard_assertions + assertions,
                      symbol_map=comp.symbol_map)
 
 
@@ -549,9 +530,8 @@ def decode_model(text: str, script: SmtScript, sig: Signature,
     for name, _ in script.declarations:
         if name not in defs:
             raise DecodeError(f"model is missing {name!r}")
+    # symbol_map has the keys of declarations, all present in defs now
     for name, origin in script.symbol_map.items():
-        if name not in defs:
-            raise DecodeError(f"model is missing {name!r}")
         v = defs[name]
         if origin[0] == "pred":
             _, p, args = origin
@@ -662,7 +642,7 @@ def solve_all(script: SmtScript, sig: Signature, bg: BackgroundTheory,
     for _ in range(limit):
         s = SmtScript(script.logic, list(script.declarations),
                       list(script.assertions) + blocked,
-                      script.footer, dict(script.symbol_map))
+                      dict(script.symbol_map))
         status, model_text = run_solver(s, solver, timeout_ms)
         if status == "unsat":
             return models

@@ -60,8 +60,12 @@ class FiniteInterpretation(Record):
                 tuple(sorted((k, tuple(sorted(v, key=repr))) for k, v in self.preds.items())))
 
     def __eq__(self, other):
+        # a sort one universe leaves out reads its declared extent
         return (isinstance(other, FiniteInterpretation)
-                and self.universe == other.universe and self.key() == other.key())
+                and all(self.signature.extent(s, self.universe)
+                        == other.signature.extent(s, other.universe)
+                        for s in self.universe.keys() | other.universe.keys())
+                and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -402,33 +406,27 @@ class Locations:
                                        lambda p: values[p][picked[p]]))
 
 
-def enumerate_interpretations(sig: Signature, universe: dict,
-                              fixed_funcs=None, fixed_preds=None,
-                              vary=None):
-    """Yield all total extensions of the fixed part, each exactly once, in
-    the order of Locations.completions.
-
-    vary: restrict the varying symbols to this collection (default: every
-    user symbol not pinned by the fixed part).
-    """
+def enumerate_interpretations(sig: Signature, universe: dict):
+    """Yield every interpretation of the user symbols of sig over universe,
+    each exactly once, in the order of Locations.completions."""
     _check_extents(universe)
-    outside = FiniteInterpretation(sig, universe, dict(fixed_funcs or {}),
-                                   dict(fixed_preds or {}))
-    if vary is None:
-        vary = [n for n in sig.user_symbols()
-                if n not in outside.funcs and n not in outside.preds]
     table = Locations(sig, universe)
-    for _, i in table.completions(outside, table.positions(vary), {}):
+    for _, i in table.completions(FiniteInterpretation(sig, universe),
+                                  table.positions(sig.user_symbols()), {}):
         yield i
 
 
 def vary_on(interp: FiniteInterpretation, names):
-    """Yield all interpretations agreeing with interp except possibly on names."""
-    sig = interp.signature
-    fixed_funcs = {k: v for k, v in interp.funcs.items() if k not in names}
-    fixed_preds = {k: v for k, v in interp.preds.items() if k not in names}
-    yield from enumerate_interpretations(sig, interp.universe,
-                                         fixed_funcs, fixed_preds, vary=list(names))
+    """Yield all interpretations agreeing with interp except possibly on
+    names, in the order of Locations.completions."""
+    _check_extents(interp.universe)
+    outside = FiniteInterpretation(
+        interp.signature, interp.universe,
+        {k: v for k, v in interp.funcs.items() if k not in names},
+        {k: v for k, v in interp.preds.items() if k not in names})
+    table = Locations(interp.signature, interp.universe)
+    for _, i in table.completions(outside, table.positions(names), {}):
+        yield i
 
 
 # ---------------------------------------------------------------------------

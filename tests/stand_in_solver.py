@@ -6,7 +6,8 @@
 
 It reads the script's declare-const and assert commands, tries every
 assignment of the declared constants (a Bool over false/true, an Int over
-the range an assertion (and (<= lo x) (<= x hi)) of the script allows) in
+the range an assertion (and (<= lo x) (<= x hi)) of the script allows,
+where lo and hi are numerals n or (- n)) in
 itertools.product order and evaluates the assertions with eval_sexpr, in
 exact rationals.  An assertion is evaluated as soon as every constant it
 mentions has a value, so a false one cuts off all the assignments that
@@ -71,15 +72,25 @@ def eval_sexpr(sx, env):
     raise ValueError(f"unknown operator {op!r}")
 
 
+def _numeral(sx):
+    """The int that sx writes as a numeral n or (- n), else None."""
+    sign = 1
+    if isinstance(sx, list) and len(sx) == 2 and sx[0] == "-":
+        sign, sx = -1, sx[1]
+    if isinstance(sx, str) and sx.lstrip("-").isdigit():
+        return sign * int(sx)
+    return None
+
+
 def _bounds(assertion):
     """(x, lo, hi) when the assertion is (and (<= lo x) (<= x hi))."""
     if len(assertion) == 3 and assertion[0] == "and" \
             and all(isinstance(a, list) and len(a) == 3 and a[0] == "<="
                     for a in assertion[1:]):
         (_, lo, x), (_, y, hi) = assertion[1:]
-        if x == y and all(isinstance(b, str) and b.lstrip("-").isdigit()
-                          for b in (lo, hi)):
-            return x, int(lo), int(hi)
+        lo, hi = _numeral(lo), _numeral(hi)
+        if x == y and lo is not None and hi is not None:
+            return x, lo, hi
     return None
 
 

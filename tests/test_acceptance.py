@@ -15,7 +15,7 @@ from fsmkit.eliminations import (
     map_pred_to_func, map_pred_to_func_graph,
 )
 from fsmkit.interp import (
-    FiniteInterpretation, enumerate_interpretations, satisfies,
+    FiniteInterpretation, enumerate_interpretations, satisfies, vary_on,
 )
 from fsmkit.parser import parse_program
 from fsmkit.related import (
@@ -306,10 +306,10 @@ def test_criterion_08_sort_merging():
             s = check_stable(f, ("f",), i)
             failures += s != check_stable(full, ("f",), interp_to_unsorted(i, sig))
         uni3 = {MERGED_SORT: ("e1", "e2", "x3")}
-        for l in enumerate_interpretations(
+        for l in vary_on(FiniteInterpretation(
                 usig, uni3,
-                fixed_preds={sort_pred("s1"): frozenset({("e1",), ("e2",)})},
-                vary=("f",)):
+                preds={sort_pred("s1"): frozenset({("e1",), ("e2",)})}),
+                ("f",)):
             if check_stable(full, ("f",), l):
                 restr = FiniteInterpretation(
                     sig, {"s1": elems},

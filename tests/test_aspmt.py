@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from fsmkit import aspmt
 from fsmkit.aspmt import (
     BackgroundTheory, DecodeError, NotATInterpretationError, SmtError,
     decode_model, eliminate_background_quantifiers, emit_smtlib,
@@ -22,7 +23,9 @@ from fsmkit.syntax import (
 )
 from fsmkit.transforms import complete, to_clark_normal_form
 
-from conftest import DEMOS, STAND_IN, random_choice_program, script_holds
+from conftest import (
+    DEMOS, STAND_IN, random_choice_program, record_calls, script_holds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +53,21 @@ def test_t_stable_check_tank_verdicts():
     assert t_stable_check(f, prog.intensional, tank_interp(prog, 5, 6, False), bg)
     assert not t_stable_check(f, prog.intensional, tank_interp(prog, 5, 9, False), bg)
     assert t_stable_check(f, prog.intensional, tank_interp(prog, 5, 0, True), bg)
+
+
+def test_t_stable_check_reads_a_slice_sort_the_interpretation_leaves_out(
+        monkeypatch):
+    # the interpretation's universe has no amt, so it takes the slice's
+    prog, f = water_tank()
+    bg = BackgroundTheory("integers", slice={"amt": tuple(range(4))})
+    seen = record_calls(monkeypatch, aspmt, "check_stable")
+    for a0, a1, flush, stable in ((2, 3, False, True), (2, 1, False, False),
+                                  (3, 0, True, True)):
+        i = FiniteInterpretation(
+            prog.signature, {}, funcs={"amt0": {(): a0}, "amt1": {(): a1}},
+            preds={"flush": frozenset([()] if flush else [])})
+        assert t_stable_check(f, prog.intensional, i, bg) == stable
+    assert [args[2].universe for args in seen] == [bg.slice] * 3
 
 
 def test_t_stable_check_rejects_mismatched_slice():
@@ -212,6 +230,34 @@ def test_decode_model_round_trip():
     assert i.preds["flush"] == frozenset()
 
 
+PLACE = """
+sort place = {home, work, gym}.
+object here : place.
+pred busy.
+intensional busy.
+:- here = gym.
+busy :- here = work.
+"""
+
+
+def test_an_enumerated_value_sort_is_encoded_by_element_index():
+    # here is an Int that ranges over the indices of home, work and gym;
+    # an equation with a named element compares with its index, and a
+    # model's index decodes to the element
+    prog = parse_program(PLACE)
+    f = conj(r.as_formula() for r in prog.rules)
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    bg = BackgroundTheory("integers")
+    script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
+    lines = script.render().splitlines()
+    assert "(assert (or (= here 0) (= here 1) (= here 2)))" in lines
+    assert "(assert (=> (= here 1) busy))" in lines
+    i = decode_model("sat\n(model (define-fun busy () Bool true)"
+                     " (define-fun here () Int 1))", script, prog.signature, bg)
+    assert i.funcs == {"here": {(): "work"}}
+    assert i.preds == {"busy": frozenset({()})}
+
+
 def test_decode_model_reports_missing_symbols():
     prog, f = water_tank()
     cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
@@ -278,6 +324,21 @@ def test_solve_all_with_a_solver_finds_the_stable_models(tmp_path):
     models = solve_all(script, prog.signature, bg, solver=str(STAND_IN))
     stable = stable_models(f, prog.intensional, prog.signature, prog.universe)
     assert len(models) == len(stable) == 7
+    assert set(models) == set(stable)
+
+
+def test_solve_all_reads_negative_values_back():
+    # the slice amt=-2..2 gives the guards (<= (- 2) amt0) and models with
+    # (- n) values, which solve_all decodes and writes into its blocks
+    prog, f = water_tank()
+    amt = tuple(range(-2, 3))
+    bg = BackgroundTheory("integers", slice={"amt": amt})
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
+    assert "(and (<= (- 2) amt0) (<= amt0 2))" in script.assertions
+    models = solve_all(script, prog.signature, bg, solver=str(STAND_IN))
+    stable = stable_models(f, prog.intensional, prog.signature, {"amt": amt})
+    assert len(models) == len(stable) == 9
     assert set(models) == set(stable)
 
 

@@ -6,7 +6,9 @@ from fsmkit.eliminations import (
     eliminate_function, eliminate_predicate, map_func_to_pred,
     map_pred_to_func, map_pred_to_func_graph, two_value_names,
 )
-from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
+from fsmkit.interp import (
+    FiniteInterpretation, enumerate_interpretations, vary_on,
+)
 from fsmkit.stable import check_stable_both, stable_models
 from fsmkit.syntax import (
     App, Atom, Equal, FragmentError, Implies, Lit, Not, Signature, TOP, Var,
@@ -56,12 +58,10 @@ def test_predicate_elimination_bijection():
     # count the stable models on the function side, holding the two value
     # constants at their canonical interpretation; must match one-to-one
     universe = {"u": (1, 2), "fp__sort": ("fp__0", "fp__1")}
-    translated = [j for j in enumerate_interpretations(
+    translated = [j for j in vary_on(FiniteInterpretation(
                       ext, universe,
-                      fixed_funcs={"fp__0": {(): "fp__0"},
-                                   "fp__1": {(): "fp__1"}},
-                      fixed_preds={"p": frozenset()},
-                      vary=("fp",))
+                      {"fp__0": {(): "fp__0"}, "fp__1": {(): "fp__1"}},
+                      {"p": frozenset()}), ("fp",))
                   if check_stable_both(g_all, ("fp",), j)]
     assert sorted(map(repr, (j.funcs["fp"] for j in translated))) \
         == sorted(map(repr, fp_tables))
@@ -95,9 +95,8 @@ def test_function_elimination_bijection():
         assert check_stable_both(g_all, ("pf",), j)
         back = map_pred_to_func_graph(j, "pf", "f", sig)
         assert back.funcs["f"] == i.funcs["f"]
-    translated = [j for j in enumerate_interpretations(
-                      ext, {"u": (1, 2)},
-                      fixed_funcs={"f": {(): 1}}, vary=("pf",))
+    translated = [j for j in vary_on(FiniteInterpretation(
+                      ext, {"u": (1, 2)}, {"f": {(): 1}}), ("pf",))
                   if check_stable_both(g_all, ("pf",), j)]
     assert len(translated) == len(originals)
     assert translated[0].preds["pf"] == frozenset({(2,)})

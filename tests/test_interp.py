@@ -73,9 +73,9 @@ def test_count_assignments_and_enumeration():
 
 def test_enumeration_with_fixed_parts():
     sig = small_signature()
-    interps = list(enumerate_interpretations(
-        sig, {"u": (1, 2)}, fixed_funcs={"a": {(): 1}, "b": {(): 2}},
-        fixed_preds={"q": frozenset()}))
+    interps = list(vary_on(FiniteInterpretation(
+        sig, {"u": (1, 2)}, {"a": {(): 1}, "b": {(): 2}},
+        {"q": frozenset()}), ["p"]))
     assert len(interps) == 4
     assert all(i.funcs["a"][()] == 1 for i in interps)
 
@@ -261,5 +261,5 @@ def test_an_extent_that_lists_an_element_twice_is_refused(enumerator):
 
 def test_enumerating_an_unknown_symbol_is_refused():
     with pytest.raises(FsmError, match="unknown symbol 'nope'"):
-        next(enumerate_interpretations(small_signature(), {"u": (1, 2)},
-                                       vary=["nope"]))
+        next(vary_on(FiniteInterpretation(small_signature(), {"u": (1, 2)}),
+                     ["nope"]))

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from fsmkit.interp import FiniteInterpretation, enumerate_interpretations
+from fsmkit.interp import FiniteInterpretation, vary_on
 from fsmkit.sortsred import (
     MERGED_SORT, interp_to_unsorted, related, relativize, sort_axioms,
     sort_pred, to_unsorted, unsorted_signature,
@@ -114,10 +114,9 @@ def test_every_unsorted_stable_model_is_related_to_a_mapped_one():
         if check_stable_both(f, ("f",), i):
             mapped.append(interp_to_unsorted(i, sig))
     uni = {MERGED_SORT: ("e1", "e2", "x3")}
-    for l in enumerate_interpretations(
+    for l in vary_on(FiniteInterpretation(
             usig, uni,
-            fixed_preds={sort_pred("s1"): frozenset({("e1",), ("e2",)})},
-            vary=("f",)):
+            preds={sort_pred("s1"): frozenset({("e1",), ("e2",)})}), ("f",)):
         if check_stable_both(full, ("f",), l):
             assert any(related(l, interp_to_unsorted_on(m, uni), sig)
                        for m in mapped)
