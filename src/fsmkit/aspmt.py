@@ -19,8 +19,8 @@ from .syntax import (
     And, App, Atom, ARITH_FUNCS, BOOL, Bottom, COMPARE_PREDS,
     ContractViolation, Equal, Exists, Forall, Formula, FragmentError,
     FreshNames, FsmError, INT, Implies, Lit, Not, Obj, Or, REAL, Record,
-    Signature, TOP, Var, all_ints, as_clist, conj, conjuncts, free_vars,
-    guard_term, iff_of, is_not, subst,
+    Signature, TOP, Var, all_ints, as_clist, conj, conjuncts, disj,
+    free_vars, guard_term, iff_of, is_not, subst,
 )
 from .interp import FiniteInterpretation
 from .stable import check_stable, METHOD_REDUCT
@@ -136,38 +136,6 @@ def _element_term(e):
     return Obj(e)
 
 
-def _expanded(f, sig, bg):
-    """f with every double negation dropped and every quantifier over a
-    finite extent expanded into a conjunction or disjunction over its
-    elements; a subformula that needs neither is returned itself.  A chain
-    of negations is walked in a loop, so its length costs no recursion:
-    its pairs are dropped, and an odd one out stays on the formula below
-    the chain."""
-    last, length = None, 0      # the chain's last negation, its length
-    while (inner := is_not(f)) is not None:
-        last, f, length = f, inner, length + 1
-    if length % 2:
-        new = _expanded(f, sig, bg)
-        return last if new is f else Not(new)
-    if isinstance(f, (And, Or, Implies)):
-        return _rebuilt(f, _expanded(f.left, sig, bg),
-                        _expanded(f.right, sig, bg))
-    if isinstance(f, (Forall, Exists)):
-        ext = sig.extent(f.var.sort, bg.slice)
-        if ext is None:
-            body = _expanded(f.body, sig, bg)
-            return f if body is f.body else type(f)(f.var, body)
-        parts = [_expanded(subst(f.body, {f.var: _element_term(e)}), sig, bg)
-                 for e in ext]
-        if isinstance(f, Forall):
-            return conj(parts)
-        out = parts[0]
-        for p in parts[1:]:
-            out = Or(out, p)
-        return out
-    return f
-
-
 def _guarded(f, var):
     """(t, rest) for the first conjunct of f that is a guard t = var, where
     rest lists the other conjuncts in order; None when no conjunct is."""
@@ -179,66 +147,80 @@ def _guarded(f, var):
     return None
 
 
-def eliminate_background_quantifiers(f, fresh=None):
-    """Remove quantifiers over background sorts wherever an equality guard
-    pins down the variable; quantifiers that resist elimination remain.
+def _rewritten(f, sig, bg, fresh):
+    """f rewritten for the compiler in one walk: double negations dropped,
+    each quantifier over a finite extent expanded into a conjunction or
+    disjunction over its elements, and each quantifier over a background
+    sort eliminated where an equality guard pins down its variable (the
+    Speed(1) = y pattern); quantifiers that resist elimination remain.  A
+    subformula that needs none of this is returned itself.
 
-    fresh names the new variables Q1, Q2, ...; the top-level call starts
-    its own supply, so the result does not depend on earlier calls."""
-    if fresh is None:
-        fresh = FreshNames("Q")
-    if isinstance(f, Exists):
-        body = eliminate_background_quantifiers(f.body, fresh)
+    A chain of negations is walked in a loop, so its length costs no
+    recursion: its pairs are dropped, and an odd one out stays on the
+    formula below the chain.  A background quantifier's body is rewritten
+    first and the elimination rules read the result, so what a rule
+    returns is not walked again.  fresh names the variables that prenexing
+    introduces."""
+    last, length = None, 0      # the chain's last negation, its length
+    while (inner := is_not(f)) is not None:
+        last, f, length = f, inner, length + 1
+    if length % 2:
+        new = _rewritten(f, sig, bg, fresh)
+        return last if new is f else Not(new)
+    if isinstance(f, (And, Or, Implies)):
+        return _rebuilt(f, _rewritten(f.left, sig, bg, fresh),
+                        _rewritten(f.right, sig, bg, fresh))
+    if isinstance(f, (Forall, Exists)):
+        ext = sig.extent(f.var.sort, bg.slice)
+        if ext is not None:
+            parts = [_rewritten(subst(f.body, {f.var: _element_term(e)}),
+                                sig, bg, fresh) for e in ext]
+            return conj(parts) if isinstance(f, Forall) else disj(parts)
+        body = _rewritten(f.body, sig, bg, fresh)
+        if isinstance(f, Forall):
+            return _universal(f.var, body, fresh)
         guarded = _guarded(body, f.var)
         if guarded is not None:
             t, rest = guarded
-            return eliminate_background_quantifiers(
-                subst(conj(rest), {f.var: t}), fresh)
+            return subst(conj(rest), {f.var: t})
         return f if body is f.body else Exists(f.var, body)
-    if isinstance(f, Forall):
-        y = f.var
-        body = f.body
-        parts = iff_of(body)
-        if parts is not None:
-            a, b = parts
-            # forall y ((t = y) <-> G): the forward instance plus the guarded
-            # reverse implication
-            for eq_side, g_side in ((a, b), (b, a)):
-                t = guard_term(eq_side, y)
-                if t is not None:
-                    inst = subst(g_side, {y: t})
-                    rev = Forall(y, Implies(g_side, eq_side))
-                    return And(eliminate_background_quantifiers(inst, fresh),
-                               eliminate_background_quantifiers(rev, fresh))
-        if isinstance(body, Implies):
-            a, b = body.left, body.right
-            if isinstance(a, Or):
-                return And(
-                    eliminate_background_quantifiers(
-                        Forall(y, Implies(a.left, b)), fresh),
-                    eliminate_background_quantifiers(
-                        Forall(y, Implies(a.right, b)), fresh))
-            if isinstance(a, Exists):
-                names = {v.name for v in free_vars(b) | free_vars(a)} | {y.name}
-                z = fresh.var(a.var.sort, avoid=names)
-                inner = subst(a.body, {a.var: z})
-                return eliminate_background_quantifiers(
-                    Forall(y, Forall(z, Implies(inner, b))), fresh)
-            guarded = _guarded(a, y)
-            if guarded is not None:
-                t, rest = guarded
-                new = Implies(conj(rest), b) if rest else b
-                return eliminate_background_quantifiers(
-                    subst(new, {y: t}), fresh)
-        body2 = eliminate_background_quantifiers(body, fresh)
-        if body2 != body:
-            # the simplified body may expose a guard for y, so retry
-            return eliminate_background_quantifiers(Forall(y, body2), fresh)
-        return f
-    if isinstance(f, (And, Or, Implies)):
-        return _rebuilt(f, eliminate_background_quantifiers(f.left, fresh),
-                        eliminate_background_quantifiers(f.right, fresh))
     return f
+
+
+def _universal(y, body, fresh):
+    """forall y body, for a body already rewritten, with y eliminated
+    where a guard pins it down.  Each rule builds its parts from rewritten
+    pieces, so it only applies the rules to them again."""
+    parts = iff_of(body)
+    if parts is not None:
+        a, b = parts
+        # forall y ((t = y) <-> G): the forward instance plus the guarded
+        # reverse implication
+        for eq_side, g_side in ((a, b), (b, a)):
+            t = guard_term(eq_side, y)
+            if t is not None:
+                return And(subst(g_side, {y: t}),
+                           _universal(y, Implies(g_side, eq_side), fresh))
+    if isinstance(body, Implies):
+        a, b = body.left, body.right
+        if isinstance(a, Or):
+            return And(_universal(y, Implies(a.left, b), fresh),
+                       _universal(y, Implies(a.right, b), fresh))
+        if a == TOP:
+            # all the walk left of an antecedent whose existentials guards
+            # eliminated; prenexing and eliminating them would leave b
+            return _universal(y, b, fresh)
+        if isinstance(a, Exists):
+            names = {v.name for v in free_vars(b) | free_vars(a)} | {y.name}
+            z = fresh.var(a.var.sort, avoid=names)
+            inner = subst(a.body, {a.var: z})
+            return _universal(y, _universal(z, Implies(inner, b), fresh),
+                              fresh)
+        guarded = _guarded(a, y)
+        if guarded is not None:
+            t, rest = guarded
+            return subst(Implies(conj(rest), b) if rest else b, {y: t})
+    return Forall(y, body)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +416,14 @@ def emit_smtlib(f: Formula, c, sig: Signature, bg: BackgroundTheory,
         f = complete(f, c, sig)
     except ContractViolation as e:
         raise FragmentError(f"not in Clark normal form: {e}") from None
-    # each rewrite maps a conjunction to the conjunction of its rewritten
+    # the rewrite maps a conjunction to the conjunction of its rewritten
     # conjuncts; rewriting one top-level conjunct at a time keeps the
     # recursion as deep as one rule, not as long as the program
     fresh = FreshNames("Q")
     comp = _Compiler(sig, bg)
     assertions = []
     for rule in conjuncts(f):
-        rule = _expanded(rule, sig, bg)
-        for item in conjuncts(eliminate_background_quantifiers(rule, fresh)):
+        for item in conjuncts(_rewritten(rule, sig, bg, fresh)):
             if item != TOP:
                 assertions.append(comp.formula(item, {}))
     guard_assertions = [comp.guards[n] for n in comp.decls if n in comp.guards]

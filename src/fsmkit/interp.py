@@ -59,13 +59,17 @@ class FiniteInterpretation(Record):
         return (tuple(sorted((k, tuple(sorted(v.items(), key=repr))) for k, v in self.funcs.items())),
                 tuple(sorted((k, tuple(sorted(v, key=repr))) for k, v in self.preds.items())))
 
+    def same_universe(self, other):
+        """Whether the two universes give each sort the same extent; a sort
+        one of them leaves out reads its declared extent."""
+        a, b = self.universe, other.universe
+        return a is b or all(
+            self.signature.extent(s, a) == other.signature.extent(s, b)
+            for s in a.keys() | b.keys())
+
     def __eq__(self, other):
-        # a sort one universe leaves out reads its declared extent
         return (isinstance(other, FiniteInterpretation)
-                and all(self.signature.extent(s, self.universe)
-                        == other.signature.extent(s, other.universe)
-                        for s in self.universe.keys() | other.universe.keys())
-                and self.key() == other.key())
+                and self.same_universe(other) and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -435,7 +439,7 @@ def vary_on(interp: FiniteInterpretation, names):
 def less_on_c(j: FiniteInterpretation, i: FiniteInterpretation, c) -> bool:
     """J <^c I: agree off c, predicate containment on c, and differ on c."""
     c = as_clist(c)
-    if j.universe != i.universe:
+    if not j.same_universe(i):
         raise FsmError("mismatched universes in less_on_c")
     sig = i.signature
     others = [n for n in sig.user_symbols() if n not in c.names]

@@ -11,15 +11,16 @@ import pytest
 from fsmkit import aspmt
 from fsmkit.aspmt import (
     BackgroundTheory, DecodeError, NotATInterpretationError, SmtError,
-    decode_model, eliminate_background_quantifiers, emit_smtlib,
+    decode_model, emit_smtlib,
     parse_sexprs, solve_all, solver_path, t_stable_check, validate_smtlib,
 )
+from fsmkit.cli import main
 from fsmkit.interp import FiniteInterpretation
 from fsmkit.parser import parse_program
 from fsmkit.stable import stable_models
 from fsmkit.syntax import (
-    App, Equal, Exists, Forall, FragmentError, Implies, Lit, Signature, Var,
-    conj,
+    App, Equal, Exists, Forall, FragmentError, FreshNames, Implies, Lit,
+    Signature, Var, conj,
 )
 from fsmkit.transforms import complete, to_clark_normal_form
 
@@ -206,8 +207,104 @@ def test_quantifier_elimination_on_guarded_bodies():
     x = Var("X", "real")
     f = Forall(x, Implies(Equal(App("speed", ()), x),
                           Implies(Equal(x, Lit(3)), Equal(App("speed", ()), x))))
-    out = eliminate_background_quantifiers(f)
+    out = aspmt._rewritten(f, sig, BackgroundTheory("reals"), FreshNames("Q"))
     assert not isinstance(out, (Forall, Exists))
+
+
+def k_guards(k):
+    """:- f0 = X0 & ... & f{k-1} = X{k-1} & X0 + ... + X{k-1} > 0 over real:
+    k nested universals, each pinned down by a guard."""
+    text = "".join(f"func f{n} : -> real.\nvar X{n} : real.\n"
+                   for n in range(k))
+    total = " + ".join(f"X{n}" for n in range(k))
+    return text + ":- " + " & ".join(f"f{n} = X{n}" for n in range(k)) \
+        + f" & {total} > 0.\n"
+
+
+def test_the_rewrite_walk_is_linear_in_the_guards(monkeypatch):
+    # one walk per rule: 3k + 2 calls of the walk and one rule call per
+    # universal, where a retry of each rewritten body would be quadratic
+    counts = []
+    for k in (4, 8, 16, 32, 64):
+        prog = parse_program(k_guards(k))
+        f = conj(r.as_formula() for r in prog.rules)
+        walked = record_calls(monkeypatch, aspmt, "_rewritten")
+        ruled = record_calls(monkeypatch, aspmt, "_universal")
+        script = emit_smtlib(f, prog.intensional, prog.signature,
+                             BackgroundTheory("reals"))
+        monkeypatch.undo()
+        total = "f0"
+        for n in range(1, k):
+            total = f"(+ {total} f{n})"
+        assert script.assertions == [f"(not (> {total} 0.0))"]
+        counts.append((k, len(walked), len(ruled)))
+    assert counts == [(k, 3 * k + 2, k) for k, _, _ in counts]
+
+
+RESIDUAL = """
+func s0 : -> real.
+func s1 : -> real.
+func d : -> real.
+func f : -> real.
+func g : -> real.
+pred a.
+var X : real.
+var Y : real.
+var D : real.
+intensional s1, f.
+s1 = Y :- a & s0 = X & d = D & Y = X + D.
+f = Y :- Y > X & X > g.
+"""
+
+
+def test_to_smt_eliminates_one_rule_and_keeps_a_residual_quantifier(
+        tmp_path, capsys):
+    # the existentials the walk eliminates draw no fresh name, so the one
+    # residual quantifier is Q1
+    path = tmp_path / "residual.fsm"
+    path.write_text(RESIDUAL)
+    assert main(["to-smt", "--background", "reals", str(path)]) == 0
+    assert capsys.readouterr().out == """(set-logic NRA)
+(declare-const a Bool)
+(declare-const d Real)
+(declare-const f Real)
+(declare-const g Real)
+(declare-const s0 Real)
+(declare-const s1 Real)
+(assert a)
+(assert (= s1 (+ s0 d)))
+(assert (=> a (= s1 (+ s0 d))))
+(assert (exists ((X Real)) (and (> f X) (> X g))))
+(assert (forall ((X2 Real)) (forall ((Q1 Real)) \
+(=> (and (> X2 Q1) (> Q1 g)) (= f X2)))))
+(check-sat)
+(get-model)
+"""
+
+
+@pytest.mark.parametrize("reduced, written", [
+    ("f = Y :- g = X & X + 1 = Y.", "f = Y :- g + 1 = Y."),
+    ("f = Y :- g = X.", "f = Y."),
+])
+def test_a_body_the_walk_reduces_compiles_as_the_body_it_reduces_to(
+        reduced, written):
+    # the elimination rules read a quantifier's rewritten body, so the
+    # existential X that a guard eliminates leaves no trace
+    decls = """
+func f : -> real.
+func g : -> real.
+var X : real.
+var Y : real.
+intensional f.
+"""
+    scripts = []
+    for rule in (reduced, written):
+        prog = parse_program(decls + rule)
+        f = conj(r.as_formula() for r in prog.rules)
+        cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+        scripts.append(emit_smtlib(cnf, prog.intensional, prog.signature,
+                                   BackgroundTheory("reals")).assertions)
+    assert scripts[0] == scripts[1]
 
 
 # ---------------------------------------------------------------------------

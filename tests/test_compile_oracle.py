@@ -3,15 +3,17 @@
 perfbench/golden.json holds the SHA-256 of the output of parse,
 check-tight, complete and to-smt on the car unrolling that
 perfbench/gen.py writes.  This test runs the same four commands through
-fsmkit.cli.main on rule order 0 and compares the digests, so that a byte
-change in the compile path fails here and not first in the benchmark.  It
-only reads the two files.
+fsmkit.cli.main on each recorded rule order and compares the digests, so
+that a byte change in the compile path fails here and not first in the
+benchmark.  It only reads the two files.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+
+import pytest
 
 from fsmkit.cli import main
 from conftest import BENCH, load_perfbench_gen
@@ -29,11 +31,13 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_compile_outputs_match_the_benchmark_digests(tmp_path):
-    gen = load_perfbench_gen()
-    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
-    text = gen.car(0, golden["steps"])
-    row = golden["variants"]["0"]
+GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN["variants"], key=int))
+def test_compile_outputs_match_the_benchmark_digests(tmp_path, variant):
+    text = load_perfbench_gen().car(int(variant), GOLDEN["steps"])
+    row = GOLDEN["variants"][variant]
     assert _sha256(text) == row["input"]
     path = tmp_path / "car.fsm"
     path.write_text(text, encoding="utf-8")

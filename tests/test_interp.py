@@ -12,13 +12,13 @@ from fsmkit.interp import (
     satisfies, vary_on,
 )
 from fsmkit.parser import parse_program
-from fsmkit.stable import classical_models
+from fsmkit.stable import classical_models, stable_models
 from fsmkit.syntax import (
     BOT, TAG_USER, App, Atom, Equal, Exists, Forall, FsmError, Lit, Not, Var,
     as_clist,
 )
 from conftest import (
-    DEMOS, definition_signature, record_calls, small_signature,
+    DEMOS, definition_signature, demo, record_calls, small_signature,
 )
 
 
@@ -102,6 +102,20 @@ def test_less_on_c_ordering():
     # but a change outside c disqualifies
     outside = make_interp(sig, b=1, p=(1,))
     assert not less_on_c(outside, i, c)
+
+
+def test_less_on_c_reads_a_left_out_sort_as_its_declared_extent():
+    # J's universe leaves out the sort amt, I's lists it: the two universes
+    # give amt the same extent, so they are compared as equal ones
+    f, c, sig, universe = demo("watertank.fsm")
+    i = next(m for m in stable_models(f, c, sig, universe)
+             if m.funcs["amt1"][()] > 0)
+    j = FiniteInterpretation(sig, {}, {**i.funcs, "amt1": {(): 0}},
+                             dict(i.preds))
+    assert less_on_c(j, i, c)
+    with pytest.raises(FsmError, match="mismatched universes"):
+        less_on_c(j, FiniteInterpretation(sig, {"amt": (0, 1)},
+                                          dict(i.funcs), dict(i.preds)), c)
 
 
 def test_agrees_on():
