@@ -16,13 +16,13 @@ import re
 from fractions import Fraction
 
 from .syntax import (
-    And, App, Atom, ARITH_FUNCS, BOOL, Bottom, COMPARE_PREDS,
+    And, App, Atom, ARITH_FUNCS, BOOL, BOT, Bottom, COMPARE_PREDS,
     ContractViolation, Equal, Exists, Forall, Formula, FragmentError,
     FreshNames, FsmError, INT, Implies, Lit, Not, Obj, Or, REAL, Record,
     Signature, TOP, Var, all_ints, as_clist, conj, conjuncts, disj,
     free_vars, guard_term, iff_of, is_not, subst,
 )
-from .interp import FiniteInterpretation
+from .interp import FiniteInterpretation, elem_key
 from .stable import check_stable, METHOD_REDUCT
 from .transforms import complete, find_cycle, dependency_graph
 
@@ -136,6 +136,16 @@ def _element_term(e):
     return Obj(e)
 
 
+def _element_key(t):
+    """elem_key of the element an Obj or a Lit names; None for any other
+    term."""
+    if isinstance(t, Obj):
+        return elem_key(t.elem)
+    if isinstance(t, Lit):
+        return elem_key(t.value)
+    return None
+
+
 def _guarded(f, var):
     """(t, rest) for the first conjunct of f that is a guard t = var, where
     rest lists the other conjuncts in order; None when no conjunct is."""
@@ -159,8 +169,9 @@ def _rewritten(f, sig, bg, fresh):
     recursion: its pairs are dropped, and an odd one out stays on the
     formula below the chain.  A background quantifier's body is rewritten
     first and the elimination rules read the result, so what a rule
-    returns is not walked again.  fresh names the variables that prenexing
-    introduces."""
+    returns is not walked again.  An equation between a name and an
+    element is decided here, since a name has no SMT value without its
+    sort.  fresh names the variables that prenexing introduces."""
     last, length = None, 0      # the chain's last negation, its length
     while (inner := is_not(f)) is not None:
         last, f, length = f, inner, length + 1
@@ -184,6 +195,11 @@ def _rewritten(f, sig, bg, fresh):
             t, rest = guarded
             return subst(conj(rest), {f.var: t})
         return f if body is f.body else Exists(f.var, body)
+    if isinstance(f, Equal) and (isinstance(f.left, Obj)
+                                 or isinstance(f.right, Obj)):
+        left, right = _element_key(f.left), _element_key(f.right)
+        if left is not None and right is not None:
+            return TOP if left == right else BOT
     return f
 
 
@@ -241,30 +257,40 @@ class _Compiler:
         self.decls = {}        # smt name -> smt sort
         self.symbol_map = {}
         self.guards = {}       # smt name -> guard sexpr
+        self._codes = {}       # sort -> codes(sort)
         self.quantified = False    # whether any forall/exists was emitted
         self.num_sort = bg.numeric_smt_sort()
 
     # -- elements ----------------------------------------------------------
-    def elem_index(self, sort, e):
-        ext = self.sig.extent(sort, self.bg.slice)
-        if ext is None:
-            raise SmtError(f"sort {sort!r} has no finite extent")
-        if all_ints(ext):
-            return e
-        return list(ext).index(e)
+    def codes(self, sort):
+        """(encode, decode) for sort's finite extent, or None for a sort
+        without one: encode maps the elem_key of each element to the SMT
+        value that stands for it, its code, and decode maps the elem_key of
+        a code back to its element.  In bool and in an extent of numbers
+        an element is its own code; in any other extent its code is its
+        index.  Each sort's codes are computed once."""
+        if sort not in self._codes:
+            ext = codes = self.sig.extent(sort, self.bg.slice)
+            if ext is not None and sort != BOOL and not all(
+                    isinstance(e, (int, Fraction)) and not isinstance(e, bool)
+                    for e in ext):
+                codes = range(len(ext))
+            self._codes[sort] = None if ext is None else (
+                {elem_key(e): c for e, c in zip(ext, codes)},
+                {elem_key(c): e for e, c in zip(ext, codes)})
+        return self._codes[sort]
 
     def num_lit(self, v):
-        if isinstance(v, Fraction):
-            if self.num_sort != "Real":
-                raise SmtError("rational literal in an integer background")
-            if v.denominator == 1:
-                return self.num_lit(v.numerator)
-            if v < 0:
-                return f"(- (/ {-v.numerator}.0 {v.denominator}.0))"
-            return f"(/ {v.numerator}.0 {v.denominator}.0)"
-        if self.num_sort == "Real":
-            return f"(- {-v}.0)" if v < 0 else f"{v}.0"
-        return f"(- {-v})" if v < 0 else str(v)
+        """The numeral for the number v (an int or a Fraction)."""
+        if isinstance(v, Fraction) and self.num_sort != "Real":
+            raise SmtError("rational literal in an integer background")
+        if self.num_sort == "Int":
+            text = str(abs(v))
+        else:
+            text = f"{abs(v.numerator)}.0"
+            if v.denominator != 1:
+                text = f"(/ {text} {v.denominator}.0)"
+        return f"(- {text})" if v < 0 else text
 
     # -- terms -------------------------------------------------------------
     def term(self, t, env):
@@ -274,10 +300,6 @@ class _Compiler:
                 return ("true" if t.value else "false"), "Bool"
             return self.num_lit(t.value), self.num_sort
         if isinstance(t, Obj):
-            if isinstance(t.elem, bool):
-                return ("true" if t.elem else "false"), "Bool"
-            if isinstance(t.elem, (int, Fraction)):
-                return self.num_lit(t.elem), self.num_sort
             raise SmtError(f"cannot compile raw element {t.elem!r} without its sort")
         if isinstance(t, Var):
             if t.name not in env:
@@ -291,23 +313,19 @@ class _Compiler:
         raise TypeError(f"not a term: {t!r}")
 
     def user_func(self, t: App, env):
-        argsorts, valsort = self.sig.functions[t.fn]
-        elems = tuple(self.ground_elem(a, s, env)
-                      for a, s in zip(t.args, argsorts))
+        valsort = self.sig.functions[t.fn][1]
+        elems = tuple(map(self.ground_elem, t.args))
         name = "_".join([t.fn, *map(_mangle_elem, elems)])
-        ext = self.sig.extent(valsort, self.bg.slice)
-        if valsort == BOOL:
-            smt_sort = "Bool"
-        elif ext is not None or self.sig.is_subsort(valsort, REAL):
-            smt_sort = self.num_sort
-        else:
+        codes = self.codes(valsort)
+        if codes is None and not self.sig.is_subsort(valsort, REAL):
             raise SmtError(f"value sort {valsort!r} of {t.fn!r} is not compilable")
-        self.declare(name, smt_sort, ("func", t.fn, elems, valsort))
-        if ext is not None and valsort != BOOL:
-            self.guards.setdefault(name, self.range_guard(name, valsort, ext))
+        smt_sort = "Bool" if valsort == BOOL else self.num_sort
+        self.declare(name, smt_sort, ("func", t.fn, elems, codes and codes[1]))
+        if codes is not None and valsort != BOOL and name not in self.guards:
+            self.guards[name] = self.range_guard(name, tuple(codes[0].values()))
         return name, smt_sort
 
-    def ground_elem(self, a, sort, env):
+    def ground_elem(self, a):
         """A function/predicate argument must be a concrete element."""
         if isinstance(a, Obj):
             return a.elem
@@ -324,38 +342,51 @@ class _Compiler:
             return eval_term(None, a)
         raise SmtError(f"argument {a!r} of a compiled symbol was not eliminated")
 
-    def range_guard(self, name, sort, ext):
-        if all_ints(ext) and tuple(ext) == tuple(range(ext[0], ext[-1] + 1)):
-            lo, hi = ext[0], ext[-1]
-            return f"(and (<= {self.num_lit(lo)} {name}) (<= {name} {self.num_lit(hi)}))"
-        if all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-               for x in ext):
-            vals = ext
-        else:
-            # enum sorts are encoded by element index
-            vals = range(len(ext))
-        alts = " ".join(f"(= {name} {self.num_lit(v)})" for v in vals)
-        return f"(or {alts})" if len(ext) > 1 else alts
+    def range_guard(self, name, codes):
+        """The assertion that the constant name holds one of codes: a range
+        for an Int constant whose codes are consecutive integers, else one
+        equation per code."""
+        if self.num_sort == "Int" and all_ints(codes) \
+                and codes == tuple(range(codes[0], codes[0] + len(codes))):
+            return (f"(and (<= {self.num_lit(codes[0])} {name}) "
+                    f"(<= {name} {self.num_lit(codes[-1])}))")
+        alts = " ".join(f"(= {name} {self.num_lit(c)})" for c in codes)
+        return f"(or {alts})" if len(codes) > 1 else alts
 
     def declare(self, name, smt_sort, origin):
-        old = self.decls.get(name)
-        if old is not None and old != smt_sort:
+        """Declare the constant name for origin; two origins whose mangled
+        names agree are refused."""
+        if self.symbol_map.setdefault(name, origin) != origin:
             raise SmtError(f"name collision on {name!r}")
         self.decls[name] = smt_sort
-        self.symbol_map.setdefault(name, origin)
 
     def _equal_side(self, t, other, env):
-        """One side of an equality; a bare named element takes its index
-        encoding from the value sort of the opposite side."""
-        if isinstance(t, Obj) and isinstance(t.elem, str):
-            sort = None
-            if isinstance(other, App) and other.fn in self.sig.functions:
-                sort = self.sig.functions[other.fn][1]
-            elif isinstance(other, Var):
-                sort = other.sort
-            if sort is not None:
-                return self.num_lit(self.elem_index(sort, t.elem)), self.num_sort
+        """One side of an equation: an element beside a function of a
+        finite sort is written as its code in that sort, and is None when
+        it is no element of that sort.  Two functions are compared only
+        where their sorts' codes agree on the elements and codes they
+        share."""
+        codes = self._value_codes(other)
+        if codes is not None:
+            key = _element_key(t)
+            if key is not None:
+                code = codes[0].get(key)
+                return None if code is None else self.term(Lit(code), env)
+            mine = self._value_codes(t)
+            if mine is not None and mine is not codes and not all(
+                    theirs.get(k, v) == v
+                    for ours, theirs in zip(mine, codes)
+                    for k, v in ours.items()):
+                raise SmtError(f"the sorts of {t!r} and {other!r} give "
+                               "their elements different codes")
         return self.term(t, env)
+
+    def _value_codes(self, t):
+        """The codes of the value sort of t, when t applies a function of a
+        finite sort; else None."""
+        if isinstance(t, App) and t.fn in self.sig.functions:
+            return self.codes(self.sig.functions[t.fn][1])
+        return None
 
     # -- formulas ----------------------------------------------------------
     def formula(self, f, env):
@@ -371,14 +402,17 @@ class _Compiler:
                 l, _ = self.term(f.args[0], env)
                 r, _ = self.term(f.args[1], env)
                 return f"({f.pred} {l} {r})"
-            elems = tuple(self.ground_elem(a, s, env)
-                          for a, s in zip(f.args, self.sig.predicates[f.pred]))
+            elems = tuple(map(self.ground_elem, f.args))
             name = "_".join([f.pred, *map(_mangle_elem, elems)])
-            self.declare(name, "Bool", ("pred", f.pred, elems))
+            self.declare(name, "Bool",
+                         ("pred", f.pred, elems, self.codes(BOOL)[1]))
             return name
         if isinstance(f, Equal):
-            l, ls = self._equal_side(f.left, f.right, env)
-            r, rs = self._equal_side(f.right, f.left, env)
+            sides = (self._equal_side(f.left, f.right, env),
+                     self._equal_side(f.right, f.left, env))
+            if None in sides:
+                return "false"      # an element outside a function's sort
+            (l, ls), (r, rs) = sides
             if (ls == "Bool") != (rs == "Bool"):
                 raise SmtError(f"boolean/numeric mismatch in {f!r}")
             return f"(= {l} {r})"
@@ -512,29 +546,23 @@ def decode_model(text: str, script: SmtScript, sig: Signature,
         if name not in defs:
             raise DecodeError(f"model is missing {name!r}")
     # symbol_map has the keys of declarations, all present in defs now
-    for name, origin in script.symbol_map.items():
+    for name, (kind, symbol, args, decode) in script.symbol_map.items():
         v = defs[name]
-        if origin[0] == "pred":
-            _, p, args = origin
-            if not isinstance(v, bool):
-                raise DecodeError(f"expected a boolean for {name!r}")
+        if decode is not None:
+            # a predicate or a function of a finite sort: v is a code
+            if elem_key(v) not in decode:
+                raise DecodeError(
+                    f"value {v!r} of {name!r} is the code of no element")
+            v = decode[elem_key(v)]
+        elif isinstance(v, Fraction) and v.denominator == 1 \
+                and bg.kind == KIND_INTEGERS:
+            v = int(v)
+        if kind == "pred":
+            members = preds.setdefault(symbol, set())
             if v:
-                preds.setdefault(p, set()).add(args)
-            else:
-                preds.setdefault(p, set())
+                members.add(args)
         else:
-            _, fn, args, valsort = origin
-            ext = sig.extent(valsort, bg.slice)
-            if isinstance(v, Fraction) and v.denominator == 1 \
-                    and bg.kind == KIND_INTEGERS:
-                v = int(v)
-            if ext is not None:
-                if valsort != BOOL and not all_ints(ext):
-                    v = list(ext)[int(v)]
-                elif v not in ext:
-                    raise DecodeError(
-                        f"value {v!r} of {name!r} outside the sort {valsort!r}")
-            funcs.setdefault(fn, {})[args] = v
+            funcs.setdefault(symbol, {})[args] = v
     preds = {p: frozenset(ts) for p, ts in preds.items()}
     return FiniteInterpretation(sig, universe, funcs, preds)
 
@@ -629,17 +657,12 @@ def solve_all(script: SmtScript, sig: Signature, bg: BackgroundTheory,
             return models
         if status == "unknown":
             raise SmtError("solver returned unknown")
-        interp = decode_model(model_text, script, sig, bg)
-        models.append(interp)
+        # decode_model refuses a model that leaves a declared name out
+        models.append(decode_model(model_text, script, sig, bg))
         defs = dict(_define_funs(model_text))
-        eqs = []
-        for name, _ in script.declarations:
-            raw = defs.get(name)
-            if raw is None:
-                continue
-            rendered = raw if isinstance(raw, str) else _render_sexpr(raw)
-            eqs.append(f"(= {name} {rendered})")
-        blocked.append(f"(not (and {' '.join(eqs)}))")
+        eqs = " ".join(f"(= {name} {_render_sexpr(defs[name])})"
+                       for name, _ in script.declarations)
+        blocked.append(f"(not (and {eqs}))")
     raise SmtError("model enumeration limit exceeded")
 
 

@@ -103,7 +103,11 @@ class FiniteInterpretation(Record):
             "universe": {s: [enc(e) for e in ext] for s, ext in sorted(self.universe.items())},
             "funcs": {n: {",".join(map(str, k)): enc(v) for k, v in sorted(m.items(), key=repr)}
                       for n, m in sorted(self.funcs.items())},
-            "preds": {n: sorted([list(t) for t in ext]) for n, ext in sorted(self.preds.items())},
+            # rows sort as they would by value, and a name after any number
+            # in the same column, so that a mixed sort's rows compare
+            "preds": {n: [[enc(e) for e in t] for t in sorted(
+                          ext, key=lambda t: [(isinstance(e, str), e) for e in t])]
+                      for n, ext in sorted(self.preds.items())},
         }
 
     @classmethod
@@ -147,7 +151,8 @@ class FiniteInterpretation(Record):
                 args = tuple(parse_elem(a) for a in k.split(",") if a != "") if k else ()
                 table[args] = dec(v)
             funcs[n] = table
-        preds = {n: frozenset(tuple(t) for t in ext) for n, ext in data.get("preds", {}).items()}
+        preds = {n: frozenset(tuple(map(dec, t)) for t in ext)
+                 for n, ext in data.get("preds", {}).items()}
         return cls(signature, universe, funcs, preds)
 
     def validate(self):

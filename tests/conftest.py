@@ -137,6 +137,12 @@ def definition_signature(elements=(1, 2)):
     return sig
 
 
+def _element(e):
+    """The term for the element e as the parser writes it: a literal for a
+    number, an object name for a name."""
+    return Obj(e) if isinstance(e, str) else Lit(e)
+
+
 def _random_literal(rng, elements, target, earlier, exclude=()):
     """A body literal for a definition of target.  Strictly positive atoms
     only mention earlier symbols, so the dependency graph stays acyclic."""
@@ -144,9 +150,9 @@ def _random_literal(rng, elements, target, earlier, exclude=()):
     pool += [("pos", s) for s in earlier]
     pool += [("neg", s) for s in ("f", "g", "p") if s not in exclude]
     kind = rng.choice(pool)
-    t = rng.choice([target] + [Lit(e) for e in elements])
+    t = rng.choice([target] + [_element(e) for e in elements])
     if kind == "eq":
-        return Equal(target, Lit(rng.choice(elements)))
+        return Equal(target, _element(rng.choice(elements)))
     tag, s = kind
     if s == "p":
         atom = Atom("p", (t,))
@@ -188,7 +194,7 @@ def random_choice_program(rng, elements=(1, 2)):
     another, and p is defined by a choice rule or a plain one.  The choices
     give most programs several stable models."""
     v = Var("V", "u")
-    default = Equal(App("g", ()), Lit(rng.choice(elements)))
+    default = Equal(App("g", ()), _element(rng.choice(elements)))
     g_body = _random_body(rng, elements, v, 1)
     p_body = _random_body(rng, elements, v, 2)
     p_head = Choice(_head("p", v)) if rng.random() < 0.5 else _head("p", v)

@@ -5,15 +5,20 @@
     python tests/stand_in_solver.py SCRIPT.smt2
 
 It reads the script's declare-const and assert commands, tries every
-assignment of the declared constants (a Bool over false/true, an Int over
-the range an assertion (and (<= lo x) (<= x hi)) of the script allows,
-where lo and hi are numerals n or (- n)) in
-itertools.product order and evaluates the assertions with eval_sexpr, in
-exact rationals.  An assertion is evaluated as soon as every constant it
-mentions has a value, so a false one cuts off all the assignments that
-extend the values so far.  It prints `sat` and the first model, as
-define-fun lines, or `unsat`.  A constant of
-any other sort, or an Int without such a guard, is an error (exit 1).
+assignment of the declared constants in itertools.product order and
+evaluates the assertions with eval_sexpr, in exact rationals.  A Bool
+ranges over false/true; an Int or a Real x over the values that the first
+assertion of one of these shapes allows:
+
+    (and (<= lo x) (<= x hi))     an Int only; lo and hi numerals n or (- n)
+    (or (= x c1) (= x c2) ...)    c1, c2, ... closed terms, such as 2.0,
+    (= x c)                       (- 1) or (/ 3.0 2.0)
+
+An assertion is evaluated as soon as every constant it mentions has a
+value, so a false one cuts off all the assignments that extend the values
+so far.  It prints `sat` and the first model, as define-fun lines, or
+`unsat`.  A constant of any other sort, or an Int or a Real without such
+an assertion, is an error (exit 1).
 """
 
 import pathlib
@@ -94,27 +99,54 @@ def _bounds(assertion):
     return None
 
 
-def _smt(v):
+def _domain(assertion, sorts):
+    """(x, values) when the assertion confines a constant x, an Int or a
+    Real by sorts, to the finitely many values of one of the shapes in the
+    module docstring; else None."""
+    bounds = _bounds(assertion)
+    if bounds is not None:
+        x, lo, hi = bounds
+        return (x, range(lo, hi + 1)) if sorts.get(x) == "Int" else None
+    alts = assertion[1:] if assertion[0] == "or" else [assertion]
+    if not alts or not all(isinstance(a, list) and len(a) == 3
+                           and a[0] == "=" and isinstance(a[1], str)
+                           for a in alts) \
+            or len({a[1] for a in alts}) != 1 \
+            or sorts.get(alts[0][1]) not in ("Int", "Real"):
+        return None
+    try:
+        return alts[0][1], [eval_sexpr(a[2], {}) for a in alts]
+    except KeyError:    # a c that mentions a constant
+        return None
+
+
+def _smt(v, sort):
+    """v written as a value of sort: true or false, or a numeral of an Int
+    or a Real, such as 2, 2.0 or (- (/ 3.0 2.0))."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    return str(v) if v >= 0 else f"(- {-v})"
+    v = Fraction(v)
+    text = str(abs(v.numerator)) + ("" if sort == "Int" else ".0")
+    if v.denominator != 1:
+        text = f"(/ {text} {v.denominator}.0)"
+    return f"(- {text})" if v < 0 else text
 
 
 def solve(text):
     commands = parse_sexprs(text)
     consts = [(c[1], c[2]) for c in commands if c[0] == "declare-const"]
     assertions = [c[1] for c in commands if c[0] == "assert"]
+    sorts = dict(consts)
     ranges = {}
     for a in assertions:
-        got = _bounds(a)
-        if got:
-            x, lo, hi = got
-            ranges[x] = range(lo, hi + 1)
+        got = _domain(a, sorts) if isinstance(a, list) else None
+        if got is not None:
+            ranges.setdefault(*got)
     domains = []
     for name, sort in consts:
         if sort == "Bool":
             domains.append((False, True))
-        elif sort == "Int" and name in ranges:
+        elif name in ranges:
             domains.append(ranges[name])
         else:
             raise SystemExit(f"stand-in solver: no finite range for {name}")
@@ -139,9 +171,8 @@ def solve(text):
     env = search(0, {})
     if env is None:
         return "unsat\n"
-    sorts = dict(consts)
     return "sat\n(\n" + "".join(
-        f"  (define-fun {n} () {sorts[n]} {_smt(v)})\n"
+        f"  (define-fun {n} () {sorts[n]} {_smt(v, sorts[n])})\n"
         for n, v in env.items()) + ")\n"
 
 

@@ -3,6 +3,7 @@ background, checked against an exact-rational evaluation of the emitted
 scripts (stand_in_solver.eval_sexpr)."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -338,21 +339,103 @@ busy :- here = work.
 
 
 def test_an_enumerated_value_sort_is_encoded_by_element_index():
-    # here is an Int that ranges over the indices of home, work and gym;
-    # an equation with a named element compares with its index, and a
-    # model's index decodes to the element
+    # here is an Int that ranges over the indices of home, work and gym,
+    # consecutive integers, so its guard is a range; an equation with a
+    # named element compares with its index, and a model's index decodes
+    # to the element
     prog = parse_program(PLACE)
     f = conj(r.as_formula() for r in prog.rules)
     cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
     bg = BackgroundTheory("integers")
     script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
     lines = script.render().splitlines()
-    assert "(assert (or (= here 0) (= here 1) (= here 2)))" in lines
+    assert "(assert (and (<= 0 here) (<= here 2)))" in lines
     assert "(assert (=> (= here 1) busy))" in lines
     i = decode_model("sat\n(model (define-fun busy () Bool true)"
                      " (define-fun here () Int 1))", script, prog.signature, bg)
     assert i.funcs == {"here": {(): "work"}}
     assert i.preds == {"busy": frozenset({()})}
+
+
+def test_a_reals_guard_admits_only_the_elements():
+    # under reals each element is its own code and the guard lists them:
+    # a range would admit amt0 = 1/2, which no model decodes
+    prog, f = water_tank()
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    script = emit_smtlib(cnf, prog.intensional, prog.signature,
+                         BackgroundTheory("reals"))
+    assert script.assertions[0] == "(or " + " ".join(
+        f"(= amt0 {n}.0)" for n in range(21)) + ")"
+    assert not script_holds(
+        script, {"amt0": Fraction(1, 2), "amt1": 0, "flush": True})
+    assert script_holds(script, {"amt0": 5, "amt1": 0, "flush": True})
+
+
+def test_decode_model_reads_an_integral_real_as_the_element():
+    prog, f = water_tank()
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    bg = BackgroundTheory("reals")
+    script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
+    i = decode_model("sat\n(model (define-fun amt0 () Real 5.0)"
+                     " (define-fun amt1 () Real 0.0)"
+                     " (define-fun flush () Bool true))",
+                     script, prog.signature, bg)
+    assert i.funcs == {"amt0": {(): 5}, "amt1": {(): 0}}
+    assert type(i.funcs["amt0"][()]) is int
+    assert i.to_json()["funcs"]["amt0"] == {"": 5}
+
+
+FRACTIONS = """
+sort s = {1.5, 2}.
+func f : -> s.
+var X : s.
+intensional f.
+{ f = X }.
+"""
+
+
+@pytest.mark.parametrize("value, element", [
+    ("(/ 3.0 2.0)", Fraction(3, 2)), ("1.5", Fraction(3, 2)), ("2.0", 2)])
+def test_decode_model_reads_a_sort_of_numbers_by_value(value, element):
+    prog = parse_program(FRACTIONS)
+    f = conj(r.as_formula() for r in prog.rules)
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    bg = BackgroundTheory("reals")
+    script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
+    assert script.assertions[0] == "(or (= f (/ 3.0 2.0)) (= f 2.0))"
+    i = decode_model(f"sat\n(model (define-fun f () Real {value}))",
+                     script, prog.signature, bg)
+    assert i.funcs == {"f": {(): element}}
+    assert type(i.funcs["f"][()]) is type(element)
+
+
+@pytest.mark.parametrize("value", ["1.0", "true", "(- 2.0)"])
+def test_decode_model_refuses_a_value_that_codes_no_element(value):
+    prog = parse_program(FRACTIONS)
+    f = conj(r.as_formula() for r in prog.rules)
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    bg = BackgroundTheory("reals")
+    script = emit_smtlib(cnf, prog.intensional, prog.signature, bg)
+    with pytest.raises(DecodeError, match="code of no element"):
+        decode_model(f"sat\n(model (define-fun f () Real {value}))",
+                     script, prog.signature, bg)
+
+
+def test_an_equation_between_names_is_decided_before_emission():
+    # a name has no SMT value without its sort, so a = a is true and
+    # a = b false; an equation between numerals is still written out
+    prog = parse_program("sort s = {a, b}.\npred p : s.\nintensional p.\n"
+                         "p(a).\n")
+    f = conj(r.as_formula() for r in prog.rules)
+    cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
+    script = emit_smtlib(cnf, prog.intensional, prog.signature,
+                         BackgroundTheory("integers"))
+    assert script.assertions == ["(=> true p_a)", "(=> p_a true)",
+                                 "(=> false p_b)", "(not p_b)"]
+    sig = Signature()
+    eq = Equal(Lit(0), Lit(0))
+    assert aspmt._rewritten(eq, sig, BackgroundTheory("integers"),
+                            FreshNames("Q")) is eq
 
 
 def test_decode_model_reports_missing_symbols():
@@ -439,21 +522,38 @@ def test_solve_all_reads_negative_values_back():
     assert set(models) == set(stable)
 
 
-def test_solve_all_agrees_with_stable_models_on_random_choice_programs():
+def _json_text(models):
+    """The models' JSON, in an order that does not depend on theirs."""
+    return sorted(json.dumps(m.to_json(), sort_keys=True) for m in models)
+
+
+@pytest.mark.parametrize("elements, kind, programs", [
+    pytest.param((1, 2), "integers", 12, id="ints-integers"),
+    pytest.param((1, 2), "reals", 4, id="ints-reals"),
+    pytest.param(("a", "b"), "integers", 5, id="names-integers"),
+    pytest.param(("a", "b"), "reals", 4, id="names-reals"),
+    pytest.param(("a", 0), "integers", 5, id="mixed-integers"),
+    pytest.param(("a", 0), "reals", 4, id="mixed-reals"),
+])
+def test_solve_all_agrees_with_stable_models_on_random_choice_programs(
+        elements, kind, programs):
     # the SMT route end to end: completion, emission, one stand-in solver
-    # run per model found and one more for unsat, then decoding
+    # run per model found and one more for unsat, then decoding; over
+    # numbers, names and a mix of both, each background writes the codes
+    # its own way, and the decoded models print as the stable ones do
     rng = random.Random(20240817)
     c = ["f", "g", "p"]
-    bg = BackgroundTheory("integers")
+    bg = BackgroundTheory(kind)
     counts = []
-    for _ in range(12):
-        sig, f = random_choice_program(rng)
+    for _ in range(programs):
+        sig, f = random_choice_program(rng, elements)
         script = emit_smtlib(to_clark_normal_form(f, c, sig), c, sig, bg)
         models = solve_all(script, sig, bg, solver=str(STAND_IN))
         stable = stable_models(f, c, sig, {"bool": (False, True),
-                                           "u": (1, 2)})
+                                           "u": elements})
         assert len(models) == len(set(models)), f
         assert set(models) == set(stable), f
+        assert _json_text(models) == _json_text(stable), f
         counts.append(len(stable))
     # the choice rules make most programs have several models
     assert sum(n >= 2 for n in counts) >= len(counts) // 2, counts

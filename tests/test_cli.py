@@ -615,18 +615,121 @@ def test_to_smt_emits_valid_script(capsys):
     assert "(check-sat)" in out
 
 
-def test_to_smt_all_models_equal_the_stable_models(tmp_path, capsys):
-    # the solver is tests/stand_in_solver.py, which enumerates the script's
-    # guarded ranges; each model found is blocked and the solver run again
+@pytest.mark.parametrize("background", ["integers", "reals"])
+def test_to_smt_all_models_equal_the_stable_models(tmp_path, capsys,
+                                                   background):
+    # the solver is tests/stand_in_solver.py, which enumerates the values
+    # the script's guards allow, a range under integers and one equation
+    # per element under reals; each model found is blocked and the solver
+    # run again
     small = tmp_path / "tank.fsm"
     small.write_text(TANK.read_text().replace("0..20", "0..3"))
     code, stable = run(capsys, "stable", str(small))
     assert code == EXIT_OK and len(json.loads(stable)) == 7
-    code, out = run(capsys, "to-smt", "--background", "integers",
+    code, out = run(capsys, "to-smt", "--background", background,
                     "--solver", str(STAND_IN), "--all-models",
                     "--out", str(tmp_path / "tank.smt2"), str(small))
     assert code == EXIT_OK
     assert out == stable
+
+
+#: small programs over enumerated, mixed and real-valued sorts; at one
+#: time to-smt refused, misread or crashed on each, or stable did
+SORTED = {
+    # the completion holds the equation a = a between two names
+    "name-equation": "sort s = {a, b}.\npred p : s.\nintensional p.\np(a).\n",
+    "variable-equation": "sort s = {a, b}.\npred p : s * s.\nvar X : s.\n"
+                         "var Y : s.\nintensional p.\np(X, Y) :- X = Y.\n",
+    # each element is its own code, so 1.5 is written as (/ 3.0 2.0)
+    "fraction-sort": "sort s = {1.5, 2}.\nfunc f : -> s.\nvar X : s.\n"
+                     "intensional f.\n{ f = X }.\n",
+    # a name and a number in one sort: both are coded by index, so the
+    # instance f = 0 is written (= f 1)
+    "mixed-func": "sort s = {a, 0}.\nfunc f : -> s.\nfunc g : -> s.\n"
+                  "var X : s.\nintensional f, g.\n{ f = X }.\n{ g = X }.\n"
+                  ":- f = X & g = X.\n",
+    "mixed-pred": "sort s = {a, 0}.\npred p : s.\nvar X : s.\n"
+                  "intensional p.\n{ p(X) }.\n",
+    # b is no element of f's sort, so f = b is false
+    "foreign-element": "sort s = {a, 0}.\nsort t = {b, c}.\nfunc f : -> s.\n"
+                       "var X : s.\nintensional f.\n{ f = X }.\n:- f = b.\n",
+    # a' and a_ both mangle to a_, so p(a') and p(a_) once shared a name
+    "mangled-collision": "sort s = {a', a_}.\npred p : s.\nvar X : s.\n"
+                         "intensional p.\n{ p(X) }.\n:- p(X) & not p(a_).\n",
+    # n2 has code 0 in hub and code 1 in node
+    "subsort-codes": "sort node = {n1, n2}.\nsort hub = {n2}.\nsort hub < node.\n"
+                     "func f : -> hub.\nfunc g : -> node.\nvar X : node.\n"
+                     "var H : hub.\npred q.\nintensional f, g, q.\n"
+                     "{ f = H }.\n{ g = X }.\nq :- f = g.\n",
+}
+
+#: the programs whose models to-smt finds, under each background
+SOLVED = [(name, background)
+          for name in ("name-equation", "variable-equation", "mixed-func",
+                       "mixed-pred", "foreign-element", "fraction-sort")
+          for background in ("integers", "reals")
+          if (name, background) != ("fraction-sort", "integers")]
+
+
+@pytest.mark.parametrize("name, background", SOLVED)
+def test_to_smt_all_models_equal_the_stable_models_over_small_sorts(
+        tmp_path, capsys, name, background):
+    path = tmp_path / "p.fsm"
+    path.write_text(SORTED[name])
+    code, stable = run(capsys, "stable", str(path))
+    assert code == EXIT_OK
+    code, out = run(capsys, "to-smt", "--background", background,
+                    "--solver", str(STAND_IN), "--all-models",
+                    "--out", str(tmp_path / "p.smt2"), str(path))
+    assert code == EXIT_OK
+    assert out == stable
+
+
+@pytest.mark.parametrize("name, message", [
+    ("fraction-sort", "rational literal in an integer background"),
+    ("mangled-collision", "name collision on 'p_a_'"),
+    ("subsort-codes", "give their elements different codes"),
+])
+def test_to_smt_refuses_what_it_cannot_compile_exactly(tmp_path, capsys,
+                                                       name, message):
+    path = tmp_path / "p.fsm"
+    path.write_text(SORTED[name])
+    assert main(["to-smt", "--background", "integers",
+                 "--solver", str(STAND_IN), "--all-models",
+                 "--out", str(tmp_path / "p.smt2"), str(path)]) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+
+
+def test_stable_prints_the_rows_of_a_mixed_sort(tmp_path, capsys):
+    path = tmp_path / "p.fsm"
+    path.write_text(SORTED["mixed-pred"])
+    code, out = run(capsys, "stable", str(path))
+    assert code == EXIT_OK
+    # within a model, a number's row comes before a name's
+    assert [m["preds"]["p"] for m in json.loads(out)] == \
+        [[["a"]], [[0], ["a"]], [[0]], []]
+
+
+SWEEP = [
+    ["parse"], ["ground"], ["stable"], ["stable", "--method", "both"],
+    ["check-tight"], ["complete"], ["unfold"], ["desort"],
+    ["to-smt", "--background", "integers"],
+    ["to-smt", "--background", "reals"], ["compare"],
+]
+
+
+def test_no_exception_escapes_main_on_small_sorted_programs(tmp_path,
+                                                            capsys):
+    # every command on each program above and on the watertank; each must
+    # give a verdict or refuse, not raise
+    programs = {**SORTED, "watertank": TANK.read_text()}
+    for name, text in programs.items():
+        path = tmp_path / f"{name}.fsm"
+        path.write_text(text)
+        for argv in SWEEP:
+            code = main(argv + [str(path)])
+            capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_NO, EXIT_ERROR), (name, argv)
 
 
 def test_compare_verdicts(capsys):

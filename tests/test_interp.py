@@ -152,6 +152,25 @@ def test_json_round_trip_with_fractions():
     assert FiniteInterpretation.from_json(j.to_json(), sig2) == j
 
 
+@pytest.mark.parametrize("elements, rows", [
+    (("a", 0), [[0], ["a"]]),
+    ((0, "a"), [[0], ["a"]]),
+    ((Fraction(1, 2), 2), [[{"rat": [1, 2]}], [2]]),
+    (("b", Fraction(3, 2), 1), [[1], [{"rat": [3, 2]}], ["b"]]),
+])
+def test_json_writes_and_reads_the_rows_of_any_sort(elements, rows):
+    # a row of names and numbers once could not be sorted, and a Fraction
+    # in a row not be written; numbers come first, in value order, and
+    # names after them
+    sig = small_signature(elements=elements)
+    i = FiniteInterpretation(
+        sig, {"u": elements},
+        funcs={"a": {(): elements[0]}, "b": {(): elements[1]}},
+        preds={"p": frozenset((e,) for e in elements), "q": frozenset()})
+    assert i.to_json()["preds"]["p"] == rows
+    assert FiniteInterpretation.from_json(i.to_json(), sig) == i
+
+
 def test_from_json_validates_against_signature_and_universe():
     sig = small_signature(with_unary_func=True)
     i = FiniteInterpretation(
