@@ -18,11 +18,11 @@ from fractions import Fraction
 from .syntax import (
     And, App, Atom, ARITH_FUNCS, BOOL, BOT, Bottom, COMPARE_PREDS,
     ContractViolation, Equal, Exists, Forall, Formula, FragmentError,
-    FreshNames, FsmError, INT, Implies, Lit, Not, Obj, Or, REAL, Record,
-    Signature, TOP, Var, all_ints, as_clist, conj, conjuncts, disj,
-    free_vars, guard_term, iff_of, is_not, subst,
+    FreshNames, FsmError, INT, Implies, Lit, Obj, Or, REAL, Record,
+    Signature, TOP, Var, all_ints, as_clist, conj, conjuncts, free_vars,
+    guard_term, iff_of, is_not, subst,
 )
-from .interp import FiniteInterpretation, elem_key
+from .interp import FiniteInterpretation, Locations, elem_key
 from .stable import check_stable, METHOD_REDUCT
 from .transforms import complete, find_cycle, dependency_graph
 
@@ -124,10 +124,27 @@ class SmtScript(Record):
 
 def _rebuilt(f, left, right):
     """The binary connective f over left and right: f itself when both are
-    its own children."""
+    its own children, else with TOP and BOT operands folded away."""
     if left is f.left and right is f.right:
         return f
-    return type(f)(left, right)
+    return _folded(type(f), left, right)
+
+
+def _folded(kind, left, right):
+    """kind(left, right) for kind And, Or or Implies, with a TOP or BOT
+    operand folded away: TOP & G is G and BOT & G is BOT, BOT | G is G and
+    TOP | G is TOP (either way round), TOP -> G is G, and BOT -> G and
+    G -> TOP are TOP.  G -> BOT stays, the negation of G."""
+    if kind is Implies:
+        if left == BOT or right == TOP:
+            return TOP
+        return right if left == TOP else kind(left, right)
+    unit, zero = (TOP, BOT) if kind is And else (BOT, TOP)
+    if left == zero or right == zero:
+        return zero
+    if left == unit:
+        return right
+    return left if right == unit else kind(left, right)
 
 
 def _element_term(e):
@@ -177,16 +194,19 @@ def _rewritten(f, sig, bg, fresh):
         last, f, length = f, inner, length + 1
     if length % 2:
         new = _rewritten(f, sig, bg, fresh)
-        return last if new is f else Not(new)
+        return last if new is f else _folded(Implies, new, BOT)
     if isinstance(f, (And, Or, Implies)):
         return _rebuilt(f, _rewritten(f.left, sig, bg, fresh),
                         _rewritten(f.right, sig, bg, fresh))
     if isinstance(f, (Forall, Exists)):
         ext = sig.extent(f.var.sort, bg.slice)
         if ext is not None:
-            parts = [_rewritten(subst(f.body, {f.var: _element_term(e)}),
-                                sig, bg, fresh) for e in ext]
-            return conj(parts) if isinstance(f, Forall) else disj(parts)
+            kind = And if isinstance(f, Forall) else Or
+            out = TOP if kind is And else BOT
+            for e in ext:
+                out = _folded(kind, out, _rewritten(
+                    subst(f.body, {f.var: _element_term(e)}), sig, bg, fresh))
+            return out
         body = _rewritten(f.body, sig, bg, fresh)
         if isinstance(f, Forall):
             return _universal(f.var, body, fresh)
@@ -645,9 +665,15 @@ def solve_all(script: SmtScript, sig: Signature, bg: BackgroundTheory,
               solver=None, timeout_ms=60000, limit=10000):
     """Enumerate models by iteratively blocking previous assignments of the
     declared constants.  Only usable when every constant ranges over a
-    finite set (guards pin the integers; booleans are finite)."""
+    finite set (guards pin the integers; booleans are finite).
+
+    A location of a user symbol that no constant declares is read by no
+    assertion, so every model holds under each of its values: each
+    decoded model is completed with every assignment of those locations,
+    in the order of Locations.completions."""
     models = []
     blocked = []
+    free = None
     for _ in range(limit):
         s = SmtScript(script.logic, list(script.declarations),
                       list(script.assertions) + blocked,
@@ -658,7 +684,14 @@ def solve_all(script: SmtScript, sig: Signature, bg: BackgroundTheory,
         if status == "unknown":
             raise SmtError("solver returned unknown")
         # decode_model refuses a model that leaves a declared name out
-        models.append(decode_model(model_text, script, sig, bg))
+        model = decode_model(model_text, script, sig, bg)
+        if free is None:
+            declared = {(symbol, args) for _, symbol, args, _
+                        in script.symbol_map.values()}
+            table = Locations(sig, model.universe)
+            free = [p for p in table.positions(sig.user_symbols())
+                    if table.keys[p] not in declared]
+        models.extend(i for _, i in table.completions(model, free, {}))
         defs = dict(_define_funs(model_text))
         eqs = " ".join(f"(= {name} {_render_sexpr(defs[name])})"
                        for name, _ in script.declarations)

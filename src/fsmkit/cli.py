@@ -505,6 +505,14 @@ def main(argv=None):
               f"a formula is nested too deeply, or this is an internal error",
               file=sys.stderr)
         return EXIT_ERROR
+    except Exception as e:
+        # a bug in fsmkit: its traceback would exit 1, which reads as a
+        # verdict (no models, not stable)
+        import traceback
+        print(f"error: internal error in {args.command}: "
+              f"{type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_ERROR
 
 
 def run():

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .syntax import (
     ARITH_FUNCS, COMPARE_PREDS, App, Atom, And, Bottom, Equal,
     Exists, Forall, FsmError, Implies, Lit, Obj, Or, Record, Signature, Var,
-    as_clist, repeated_element,
+    all_ints, as_clist, repeated_element,
 )
 
 
@@ -125,14 +125,41 @@ class FiniteInterpretation(Record):
 
     @classmethod
     def _decode(cls, data, signature):
-        def dec(e):
-            if isinstance(e, dict) and "rat" in e:
-                # unpacking raises ValueError unless there are two parts
-                numerator, denominator = e["rat"]
-                return Fraction(numerator, denominator)
-            return e
+        """The interpretation of to_json's shape.  An element is an
+        integer, a bool, a name or {"rat": [n, d]}: a float, a null or any
+        other JSON value raises ValueError, and so do an extent or a
+        predicate's rows that are not lists, and an element other than an
+        integer in the extent of a sort whose declared extent is all
+        integers (as for --universe)."""
+        def refuse(what, value):
+            import json
+            raise ValueError(f"{what}: {json.dumps(value)}")
 
-        universe = {s: tuple(dec(e) for e in ext) for s, ext in data.get("universe", {}).items()}
+        def dec(e):
+            if isinstance(e, (int, str)):
+                return e
+            if not (isinstance(e, dict) and "rat" in e):
+                refuse("not an element", e)
+            # unpacking raises ValueError unless there are two parts
+            numerator, denominator = e["rat"]
+            if not all_ints((numerator, denominator)):
+                refuse("a rational of non-integers", e)
+            return Fraction(numerator, denominator)
+
+        def listed(ext, what):
+            if not isinstance(ext, list):
+                refuse(f"{what} is not a list", ext)
+            return ext
+
+        universe = {}
+        for s, ext in data.get("universe", {}).items():
+            universe[s] = tuple(map(dec, listed(ext, f"the extent of {s!r}")))
+            decl = signature.sorts.get(s)
+            if decl is not None and decl.elements and all_ints(decl.elements) \
+                    and not all_ints(universe[s]):
+                refuse(f"a non-integer in sort {s!r}, whose declared "
+                       "elements are integers",
+                       next(e for e in ext if not all_ints((e,))))
         elems = {str(e): e for ext in universe.values() for e in ext}
 
         def parse_elem(s):
@@ -151,7 +178,8 @@ class FiniteInterpretation(Record):
                 args = tuple(parse_elem(a) for a in k.split(",") if a != "") if k else ()
                 table[args] = dec(v)
             funcs[n] = table
-        preds = {n: frozenset(tuple(map(dec, t)) for t in ext)
+        preds = {n: frozenset(tuple(map(dec, listed(t, f"a row of {n!r}")))
+                              for t in listed(ext, f"the table of {n!r}"))
                  for n, ext in data.get("preds", {}).items()}
         return cls(signature, universe, funcs, preds)
 

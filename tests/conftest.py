@@ -248,6 +248,29 @@ def ring(n):
     ] + rules) + "\n"
 
 
+def loops(k):
+    """k two-node cycles c{i}x0 <-> c{i}x1 of reach, each with an edge from
+    c{i}x0 into a sink z, under the one rule reach(X) :- reach(Y) &
+    edge(Y, X).  The program is not tight, its 2 ** k supported models
+    differ on which cycles reach, and its one stable model reaches
+    nothing."""
+    cycles = [(f"c{i}x0", f"c{i}x1") for i in range(k)]
+    facts = []
+    for a, b in cycles:
+        facts += [f"edge({a}, {b}).", f"edge({b}, {a}).", f"edge({a}, z)."]
+    nodes = [n for pair in cycles for n in pair] + ["z"]
+    return "\n".join([
+        f"sort node = {{{', '.join(nodes)}}}.",
+        "var X : node.",
+        "var Y : node.",
+        "pred edge : node * node.",
+        "pred reach : node.",
+        "intensional edge, reach.",
+        "",
+        "reach(X) :- reach(Y) & edge(Y, X).",
+    ] + facts) + "\n"
+
+
 #: the positive cycles random_cyclic_program builds on: through p alone,
 #: through the values of f and g, and through p and the value of f
 CYCLES = ("pred", "func", "mixed")

@@ -421,21 +421,42 @@ def test_decode_model_refuses_a_value_that_codes_no_element(value):
                      script, prog.signature, bg)
 
 
-def test_an_equation_between_names_is_decided_before_emission():
-    # a name has no SMT value without its sort, so a = a is true and
-    # a = b false; an equation between numerals is still written out
-    prog = parse_program("sort s = {a, b}.\npred p : s.\nintensional p.\n"
-                         "p(a).\n")
+def compiled(text):
+    """The assertions emit_smtlib writes for the Clark normal form of a
+    program's rules, under the integer background."""
+    prog = parse_program(text)
     f = conj(r.as_formula() for r in prog.rules)
     cnf = to_clark_normal_form(f, prog.intensional, prog.signature)
-    script = emit_smtlib(cnf, prog.intensional, prog.signature,
-                         BackgroundTheory("integers"))
-    assert script.assertions == ["(=> true p_a)", "(=> p_a true)",
-                                 "(=> false p_b)", "(not p_b)"]
+    return emit_smtlib(cnf, prog.intensional, prog.signature,
+                       BackgroundTheory("integers")).assertions
+
+
+def test_an_equation_between_names_is_decided_before_emission():
+    # a name has no SMT value without its sort, so a = a is true and
+    # a = b false, and the connectives around them fold: (=> true p_a) is
+    # p_a, and (=> p_a true) and (=> false p_b) are dropped; an equation
+    # between numerals is still written out
+    assert compiled("sort s = {a, b}.\npred p : s.\nintensional p.\n"
+                    "p(a).\n") == ["p_a", "(not p_b)"]
     sig = Signature()
     eq = Equal(Lit(0), Lit(0))
     assert aspmt._rewritten(eq, sig, BackgroundTheory("integers"),
                             FreshNames("Q")) is eq
+    sig = Signature()
+    eq = Equal(Lit(0), Lit(0))
+    assert aspmt._rewritten(eq, sig, BackgroundTheory("integers"),
+                            FreshNames("Q")) is eq
+
+
+@pytest.mark.parametrize("rule, assertions", [
+    # (=> (or true false) p) and (=> p (or true false)) at one time
+    ("p :- X = a.", ["p"]),
+    # (or (and q_a true) (and q_c false)) on both sides at one time
+    ("p :- q(X) & X = a.", ["(=> q_a p)", "(=> p q_a)"]),
+], ids=["equation", "atom-and-equation"])
+def test_a_decided_operand_is_folded_away(rule, assertions):
+    assert compiled("sort s = {a, c}.\nvar X : s.\npred p.\npred q : s.\n"
+                    f"intensional p.\n{rule}\n") == assertions
 
 
 def test_decode_model_reports_missing_symbols():

@@ -12,6 +12,7 @@ import sys
 import jsonschema
 import pytest
 
+from fsmkit import cli
 from fsmkit.cli import EXIT_ERROR, EXIT_NO, EXIT_OK, main
 from fsmkit.parser import parse_program
 from fsmkit.syntax import DeclarationError
@@ -474,6 +475,52 @@ def test_check_refuses_a_repeated_element_on_every_method(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("method", ["reduct", "second-order", "both"])
+@pytest.mark.parametrize("extent, message", [
+    ([0, 1, 1.5], "not an element: 1.5"),
+    ([0, 1, None], "not an element: null"),
+    ([0, 1, True],
+     "a non-integer in sort 'amt', whose declared elements are integers: "
+     "true"),
+    ([0, 1, {"rat": [1, 2]}],
+     "a non-integer in sort 'amt', whose declared elements are integers: "
+     '{"rat": [1, 2]}'),
+    ("01", 'the extent of \'amt\' is not a list: "01"'),
+], ids=["float", "null", "bool", "rat", "string"])
+def test_check_refuses_what_is_no_element_on_every_method(
+        tmp_path, capsys, method, extent, message):
+    # amt0 = 0, amt1 = 1 and no flush is stable over amt = 0..20, and was
+    # once also taken over these extents
+    path = pathlib.Path(tank_interp_file(tmp_path, 0, 1, False))
+    data = json.loads(path.read_text())
+    data["universe"]["amt"] = extent
+    path.write_text(json.dumps(data))
+    code = main(["check", "--method", method, "--interp", str(path),
+                 str(TANK)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_ERROR, "")
+    assert captured.err == f"error: malformed interpretation JSON: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["funcs"]["amt1"].update({"": 1.0}), "not an element: 1.0"),
+    (lambda d: d["funcs"]["amt1"].update({"": None}), "not an element: null"),
+    (lambda d: d["preds"].update({"flush": [None]}),
+     "a row of 'flush' is not a list: null"),
+    (lambda d: d["funcs"]["amt1"].update({"": {"rat": [1.5, 2]}}),
+     'a rational of non-integers: {"rat": [1.5, 2]}'),
+], ids=["float-value", "null-value", "null-row", "float-rat"])
+def test_check_refuses_a_value_that_is_no_element(tmp_path, capsys, edit,
+                                                   message):
+    path = pathlib.Path(tank_interp_file(tmp_path, 0, 1, False))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    assert main(["check", "--interp", str(path), str(TANK)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: malformed interpretation JSON: {message}\n")
+
+
+@pytest.mark.parametrize("method", ["reduct", "second-order", "both"])
 @pytest.mark.parametrize("amt1, flush", [(6, False), (9, False), (0, True)])
 def test_check_reads_a_sort_the_universe_leaves_out_from_its_declaration(
         tmp_path, capsys, method, amt1, flush):
@@ -661,12 +708,20 @@ SORTED = {
                      "func f : -> hub.\nfunc g : -> node.\nvar X : node.\n"
                      "var H : hub.\npred q.\nintensional f, g, q.\n"
                      "{ f = H }.\n{ g = X }.\nq :- f = g.\n",
+    # no assertion reads r, so no constant is declared for it, and each
+    # decoded model holds under all four values of r
+    "unread-location": "sort s = {a, c}.\npred r : s.\npred p.\n"
+                       "intensional p.\np.\n",
+    # (and q_c false) folds away, and with it the only reading of q_c
+    "decided-equation": "sort s = {a, c}.\nvar X : s.\npred p.\n"
+                        "pred q : s.\nintensional p.\np :- q(X) & X = a.\n",
 }
 
 #: the programs whose models to-smt finds, under each background
 SOLVED = [(name, background)
           for name in ("name-equation", "variable-equation", "mixed-func",
-                       "mixed-pred", "foreign-element", "fraction-sort")
+                       "mixed-pred", "foreign-element", "fraction-sort",
+                       "unread-location", "decided-equation")
           for background in ("integers", "reals")
           if (name, background) != ("fraction-sort", "integers")]
 
@@ -728,8 +783,22 @@ def test_no_exception_escapes_main_on_small_sorted_programs(tmp_path,
         path.write_text(text)
         for argv in SWEEP:
             code = main(argv + [str(path)])
-            capsys.readouterr()
+            err = capsys.readouterr().err
             assert code in (EXIT_OK, EXIT_NO, EXIT_ERROR), (name, argv)
+            assert "internal error" not in err, (name, argv, err)
+
+
+def test_an_internal_error_exits_2_with_its_traceback(monkeypatch, capsys):
+    # a crash is no verdict: exit 1 would read as "no models"
+    def broken(args):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(cli, "cmd_stable", broken)
+    assert main(["stable", str(TANK)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error in stable: TypeError: "
+                          "unsupported operand\nTraceback (most recent call "
+                          "last):\n")
+    assert "in broken" in err
 
 
 def test_compare_verdicts(capsys):

@@ -53,6 +53,30 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_one_broad_except():
+    # only cli.main catches every Exception, to report a bug as one (exit
+    # 2); elsewhere a broad handler would hide it, and nothing may catch
+    # BaseException, which holds KeyboardInterrupt and SystemExit
+    found = []
+    for path in sorted((ROOT / "src" / "fsmkit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        owner = {}      # node -> the name of the innermost function in it
+        for node in ast.walk(tree):     # outer functions first
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((inner, node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            kinds = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            names = {k.id for k in kinds if isinstance(k, ast.Name)}
+            broad = "Exception" in names and (
+                path.name, owner.get(node)) != ("cli.py", "main")
+            if node.type is None or "BaseException" in names or broad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs_without_a_solver(demo, tmp_path):
     env = fsmkit_env()

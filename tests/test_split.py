@@ -128,7 +128,7 @@ def evaluations(pairs, monkeypatch):
 
 def test_evaluations_grow_linearly_with_the_pairs(monkeypatch):
     # each pair is one component with the same search, so twice the pairs
-    # cost twice the evaluations (the whole program: 1,935 at 2 pairs,
-    # 81,124 at 4)
+    # cost twice the evaluations (the whole program: 502 at 2 pairs,
+    # 1,004 at 4)
     two, four = evaluations(2, monkeypatch), evaluations(4, monkeypatch)
     assert four <= 2.2 * two

@@ -110,6 +110,21 @@ def test_stable_models_returns_full_interpretations():
     assert [sorted(m.preds["p"]) for m in models] == [[()]]
 
 
+def test_models_over_a_partial_universe_write_the_full_one():
+    # the watertank's universe left out: amt and bool come from their
+    # declarations, in the models and in their JSON
+    f, c, sig, universe = demo("watertank.fsm")
+    partial = stable_models(f, c, sig, {})
+    full = stable_models(f, c, sig, dict(universe))
+    assert len(partial) == 41
+    assert [m.to_json() for m in partial] == [m.to_json() for m in full]
+
+
+def test_a_problem_keeps_a_full_universe_as_given():
+    f, c, sig, universe = demo("watertank.fsm")
+    assert Problem(f, c, sig, universe).universe is universe
+
+
 def test_methods_agree_on_random_formulas():
     sig, gen = make_gen(seed=7)
     universe = {"u": (1, 2)}
@@ -203,11 +218,11 @@ def test_single_pass_reduct_matches_two_pass_on_demos():
 @pytest.mark.parametrize("method", [METHOD_REDUCT, METHOD_SECOND_ORDER])
 def test_a_universe_that_leaves_out_a_sort_reads_its_declared_extent(
         name, method):
-    # the models over {} are those over the declared extents, and compare
-    # equal to them although their universes are written {}
+    # the models over {} are those over the declared extents, and their
+    # universe is the full one (it was once written {})
     f, c, sig, universe = demo(name)
     models = stable_models(f, c, sig, {}, method=method)
-    assert [m.universe for m in models] == [{}] * len(models)
+    assert [m.universe for m in models] == [universe] * len(models)
     assert models == stable_models(f, c, sig, universe, method=method)
     assert models
 

@@ -23,7 +23,7 @@ from fsmkit.syntax import (
 from conftest import (
     A, CYCLES, EQUAL_ELEMENTS, INTS, SWITCHES_2, X, assert_index_agrees,
     assert_star_index_agrees, demo, disjoint_copies, edge_interps,
-    edge_signature, generate_and_test, make_gen, program,
+    edge_signature, generate_and_test, loops, make_gen, program,
     random_choice_program, random_cyclic_program, record_calls, ring,
     searched_models,
 )
@@ -331,13 +331,40 @@ def count_evaluations(monkeypatch, f, c, sig, universe):
 
 
 @pytest.mark.parametrize("top, evaluations",
-                         [(20, 1028), (40, 3648), (80, 13688)])
+                         [(20, 512), (40, 1812), (80, 6812), (160, 26412)])
 def test_the_watertank_search_evaluations(monkeypatch, top, evaluations):
-    # the search of F and the support refutes a conjunct only once it is
-    # false, so its evaluations grow as N ** 2 in the size N of amt;
-    # propagating values would bend this curve
+    # the search of the support and F refutes a conjunct only once it is
+    # false, so its evaluations still grow as N ** 2 in the size N of amt;
+    # searching amt1's support first evaluates it once per (amt1, amt0),
+    # not once per (amt0, flush, amt1), which halves the constant
+    # (1,028 / 3,648 / 13,688 / 52,968 with F first); propagating values
+    # would bend the curve itself
     f, c, sig, universe = demo("watertank.fsm", amt=tuple(range(top + 1)))
     assert count_evaluations(monkeypatch, f, c, sig, universe) == evaluations
+
+
+@pytest.mark.parametrize("k, evaluations",
+                         [(3, 1534), (4, 4530), (5, 14786)])
+def test_the_loops_search_evaluations(monkeypatch, k, evaluations):
+    # not tight: the 2 ** k supported candidates are each refuted by the
+    # witness search but one, the model that reaches nothing (3,077 /
+    # 10,605 / 36,097 evaluations with F ahead of the support)
+    f, c, sig, universe = program(loops(k))
+    assert count_evaluations(monkeypatch, f, c, sig, universe) == evaluations
+
+
+def test_loops_has_one_stable_model(monkeypatch):
+    # its edges are the facts, and no cycle reaches itself from outside;
+    # each of the 2 ** 3 supported candidates gets a witness search
+    f, c, sig, universe = program(loops(3))
+    (model,) = stable_models(f, c, sig, universe)
+    assert model.preds["reach"] == frozenset()
+    assert model.preds["edge"] == {
+        pair for i in range(3) for pair in (
+            (f"c{i}x0", f"c{i}x1"), (f"c{i}x1", f"c{i}x0"), (f"c{i}x0", "z"))}
+    assert count_work(monkeypatch, f, c, sig, universe) == {
+        "models": 1, "candidates": 8, "gsat": 0, "reduct": 8,
+        "smaller_witness": 8, "check_stable": 0}
 
 
 def count_checks(monkeypatch, f, c, sig, universe):
